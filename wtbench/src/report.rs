@@ -4,7 +4,11 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::stats::{slice_medians, Summary};
+use crate::stats::{mean, quietest, Summary};
+
+/// An end-to-end timing is the median of the samples from windows no more
+/// stolen than the least stolen quarter of all samples.
+pub const QUIET_SHARE: f64 = 0.25;
 
 /// One reported metric. `detail` carries the spread behind the value.
 pub struct Metric {
@@ -33,22 +37,26 @@ impl Metric {
         }
     }
 
-    /// The median of the medians of up to ten consecutive stretches of
-    /// `samples` (taken in send order at a fixed rate), each of at least
-    /// `MIN_SLICE` samples, so a disturbance from outside the program
-    /// during one stretch hardly moves it. The detail gives the plain
-    /// quartiles and count of all samples.
-    pub fn sliced(name: &str, unit: &'static str, samples: &[f64]) -> Self {
-        const MIN_SLICE: usize = 100;
-        let slices = (samples.len() / MIN_SLICE).clamp(1, 10);
+    /// The median of the `samples` [`quietest`] keeps at `QUIET_SHARE`
+    /// (`steal` gives each sample's window's steal share).
+    /// The detail gives the kept samples' quartiles and mean steal share,
+    /// and the median and mean steal share of all samples.
+    pub fn quiet(name: &str, unit: &'static str, samples: &[f64], steal: &[f64]) -> Self {
+        let kept = Summary::of(quietest(samples, steal, QUIET_SHARE));
+        let kept_steal = quietest(steal, steal, QUIET_SHARE);
         let all = Summary::of(samples.to_vec());
-        let value = Summary::of(slice_medians(samples, slices)).p50;
         Metric {
             detail: format!(
-                "median of {slices} slice medians; all: p50 {:.4} p25 {:.4} p75 {:.4} n={}",
-                all.p50, all.p25, all.p75, all.n
+                "p25 {:.4} p75 {:.4} n={} steal {:.3}; all: p50 {:.4} n={} steal {:.3}",
+                kept.p25,
+                kept.p75,
+                kept.n,
+                mean(&kept_steal),
+                all.p50,
+                all.n,
+                mean(steal)
             ),
-            ..Metric::plain(name, unit, value)
+            ..Metric::plain(name, unit, kept.p50)
         }
     }
 
@@ -174,6 +182,33 @@ pub fn cpu_ticks() -> Option<(u64, u64)> {
         .map(|t| t.parse().ok())
         .collect::<Option<_>>()?;
     Some((*ticks.get(7)?, ticks.iter().sum()))
+}
+
+/// CPU time the process has used so far, in seconds: every thread's,
+/// including threads that have ended. On Linux with paravirtual steal
+/// accounting, time the hypervisor gave to another guest is not in it, and
+/// neither is time a thread spent waiting for a CPU. NaN where unsupported.
+pub fn process_cpu_s() -> f64 {
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        #[repr(C)]
+        struct Timespec {
+            sec: i64,
+            nsec: i64,
+        }
+        extern "C" {
+            fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+        }
+        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        let mut ts = Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `ts` is a live, writable timespec with the C layout of a
+        // 64-bit Linux target, and the clock id is a constant the kernel
+        // knows.
+        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } == 0 {
+            return ts.sec as f64 + ts.nsec as f64 * 1e-9;
+        }
+    }
+    f64::NAN
 }
 
 /// Share of CPU time stolen by the hypervisor between two readings.

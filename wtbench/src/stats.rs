@@ -47,13 +47,25 @@ impl Summary {
     }
 }
 
-/// Medians of `k` equal consecutive slices of `xs` (fewer if `xs` is
-/// shorter). For samples taken at a fixed rate, each slice is one stretch
-/// of time, so a disturbance confined to one stretch moves one median.
-pub fn slice_medians(xs: &[f64], k: usize) -> Vec<f64> {
-    let len = xs.len().div_ceil(k.max(1)).max(1);
-    xs.chunks(len)
-        .map(|c| Summary::of(c.to_vec()).p50)
+/// The samples taken while the host was quietest: every sample whose
+/// window of time had no more of the CPUs stolen by the hypervisor than
+/// the least stolen `share` of all samples had at most. On a quiet host
+/// that is every sample. On a shared host the steal share swings between
+/// nothing and half of the CPUs within seconds, and a sample taken through
+/// such a burst measures the neighbours, not the program.
+pub fn quietest(samples: &[f64], steal: &[f64], share: f64) -> Vec<f64> {
+    assert_eq!(samples.len(), steal.len(), "one steal share per sample");
+    let mut sorted = steal.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (samples.len() as f64 * share).ceil() as usize;
+    let Some(&limit) = sorted.get(rank.clamp(1, sorted.len().max(1)) - 1) else {
+        return Vec::new();
+    };
+    samples
+        .iter()
+        .zip(steal)
+        .filter(|&(_, &st)| st <= limit)
+        .map(|(&x, _)| x)
         .collect()
 }
 
@@ -94,11 +106,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_medians_follow_time_order() {
-        let xs = [1.0, 3.0, 2.0, 12.0, 10.0, 11.0, 7.0];
-        assert_eq!(slice_medians(&xs, 3), vec![2.0, 11.0, 7.0]);
-        assert_eq!(slice_medians(&xs[..2], 10), vec![1.0, 3.0]);
-        assert!(slice_medians(&[], 4).is_empty());
+    fn quietest_keeps_the_least_stolen_share() {
+        let xs = [10.0, 11.0, 50.0, 12.0, 60.0, 13.0];
+        let steal = [0.0, 0.01, 0.4, 0.0, 0.3, 0.01];
+        assert_eq!(quietest(&xs, &steal, 0.5), vec![10.0, 11.0, 12.0, 13.0]);
+        assert_eq!(quietest(&xs, &steal, 0.3), vec![10.0, 12.0]);
+        assert_eq!(quietest(&xs, &steal, 1.0).len(), 6);
+        // A quiet host keeps every sample.
+        assert_eq!(quietest(&xs, &[0.0; 6], 0.25).len(), 6);
+        assert!(quietest(&[], &[], 0.5).is_empty());
     }
 
     #[test]

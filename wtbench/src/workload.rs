@@ -65,7 +65,7 @@ pub const SPECS: [Spec; 3] = [
     Spec {
         name: "ints_scan",
         kind: Kind::Ints { bits: 28 },
-        n: 1_000_000,
+        n: 600_000,
         batch: 1024,
         mix: (1.0 / 3.0, 2.0 / 3.0),
         zipf: false,
