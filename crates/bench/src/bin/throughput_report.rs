@@ -30,7 +30,7 @@
 use std::sync::Barrier;
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wavelet_trie::{BitStr, BitString, DynamicWaveletTrie, PathDecompTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{BitStr, BitString, DynamicWaveletTrie, SeqIndex, WaveletTrie};
 use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
 use wt_store::{StoreConfig, StoreSnapshot, TieredStore};
 use wt_workloads::urls::{url_log, UrlLogConfig};
@@ -226,27 +226,18 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
         hosts: 2000,
         ..UrlLogConfig::default()
     };
-    let workloads: [(&'static str, &'static str, Vec<BitString>); 3] = [
-        ("url", "url_pd", encode_all(&url_log(n_url, url_cfg, 5))),
-        (
-            "words",
-            "words_pd",
-            encode_all(&word_text(n_words, 2000, 7)),
-        ),
-        ("ints", "ints_pd", random_ints(n_ints, 28, 99)),
+    let workloads: [(&'static str, Vec<BitString>); 3] = [
+        ("url", encode_all(&url_log(n_url, url_cfg, 5))),
+        ("words", encode_all(&word_text(n_words, 2000, 7))),
+        ("ints", random_ints(n_ints, 28, 99)),
     ];
-    for (name, pd_name, encoded) in &workloads {
+    for (name, encoded) in &workloads {
         let wt = WaveletTrie::build(encoded).expect("prefix-free inputs");
         bench_queries(name, &wt, encoded, iters, &t, out);
-        // The same trie, path-decomposed: scalar column shows the
-        // pointer-chase win; the batch columns must preserve it.
-        let pd = PathDecompTrie::from_static_with_threads(&wt, 4);
-        drop(wt);
-        bench_queries(pd_name, &pd, encoded, iters, &t, out);
     }
     // The tiered store routes the same batches through its segment
     // directory: 4-ish sealed segments + a hot tail.
-    let encoded = &workloads[0].2;
+    let encoded = &workloads[0].1;
     let mut store = TieredStore::with_config(StoreConfig {
         seal_at: n_url / 5,
         max_sealed: 8,

@@ -12,8 +12,11 @@
 //! | `balance_report` | E8 | §6 height bound `(α+2)·log|Σ|` |
 //! | `alphabet_report` | E9 | dynamic alphabet vs rebuild/two-copy baselines |
 //! | `dynamic_report` | E11 | §4.2 hot-path throughput → `BENCH_dynamic.json` |
-//! | `static_report` | E12 | §2/§3 static-stack throughput → `BENCH_static.json` |
+//! | `static_report` | E12, E16 | §2/§3 static-stack throughput, PD vs preorder → `BENCH_static.json` |
 //! | `store_report` | E13 | tiered store: freeze vs rebuild, query overhead → `BENCH_store.json` |
+//! | `throughput_report` | E14 | batched queries, parallel build, read scaling → `BENCH_throughput.json` |
+//! | `persist_report` | E15 | cold load vs rebuild, recovery → `BENCH_persist.json` |
+//! | `server_report` | E17 | sharded serving, clean vs degraded → `BENCH_server.json` |
 //! | `figures` | Fig. 1–3 | structural reproduction, ASCII-rendered |
 //!
 //! Criterion micro-benchmarks covering the same operations live under
@@ -33,7 +36,7 @@ pub fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Median-of-runs wall time per operation, in nanoseconds.
+/// Best-of-samples wall time per operation, in nanoseconds.
 ///
 /// Runs `op` in batches (`iters` calls per sample) and reports the best of
 /// `samples` batches — the standard way to de-noise short operations
@@ -90,7 +93,7 @@ impl Table {
     }
 }
 
-/// Formats a bit count as bits-per-element with 2 decimals.
+/// Formats a bit count as bits-per-element with 1 decimal.
 pub fn bits_per(total_bits: usize, n: usize) -> String {
     if n == 0 {
         "-".into()

@@ -63,7 +63,6 @@ pub mod hashed;
 pub mod nav;
 pub mod ops;
 pub mod pd;
-mod pd_batch;
 mod pd_scalar;
 pub mod range;
 pub mod static_wt;

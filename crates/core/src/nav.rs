@@ -69,17 +69,19 @@ pub trait TrieNav {
 
     // --- batched queries ---------------------------------------------------
     //
-    // Hooks behind the `SeqIndex::*_batch` surface. The defaults run the
-    // scalar algorithms in a loop; backends whose descents are chains of
-    // cache misses (the static trie) override them with a software-pipelined
-    // group descent that advances all lanes level-by-level in lockstep.
+    // Hooks behind the `SeqIndex::*_batch` surface. The defaults loop the
+    // scalar hooks below, so a backend with specialized scalar walkers (the
+    // path-decomposed trie) batches through them; backends whose descents
+    // are chains of cache misses (the static trie) override them with a
+    // software-pipelined group descent that advances all lanes
+    // level-by-level in lockstep.
 
     /// Batched `Access`: the strings at `positions`, in order.
     fn nav_access_batch(&self, positions: &[usize]) -> Vec<BitString>
     where
         Self: Sized,
     {
-        positions.iter().map(|&p| access(self, p)).collect()
+        positions.iter().map(|&p| self.nav_access(p)).collect()
     }
 
     /// Batched `Rank` over `(string, position)` queries.
@@ -87,7 +89,10 @@ pub trait TrieNav {
     where
         Self: Sized,
     {
-        queries.iter().map(|&(s, pos)| rank(self, s, pos)).collect()
+        queries
+            .iter()
+            .map(|&(s, pos)| self.nav_rank(s, pos))
+            .collect()
     }
 
     /// Batched `Select` over `(string, occurrence index)` queries.
@@ -97,7 +102,7 @@ pub trait TrieNav {
     {
         queries
             .iter()
-            .map(|&(s, idx)| select(self, s, idx))
+            .map(|&(s, idx)| self.nav_select(s, idx))
             .collect()
     }
 
@@ -106,7 +111,7 @@ pub trait TrieNav {
     where
         Self: Sized,
     {
-        prefixes.iter().map(|&p| count_prefix(self, p)).collect()
+        prefixes.iter().map(|&p| self.nav_count_prefix(p)).collect()
     }
 
     // --- scalar queries ----------------------------------------------------

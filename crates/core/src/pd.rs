@@ -725,22 +725,6 @@ impl TrieNav for PathDecompTrie {
         v.step_base + v.pd + v.j
     }
 
-    fn nav_access_batch(&self, positions: &[usize]) -> Vec<BitString> {
-        crate::pd_batch::access_batch(self, positions)
-    }
-
-    fn nav_rank_batch(&self, queries: &[(BitStr<'_>, usize)]) -> Vec<usize> {
-        crate::pd_batch::rank_batch(self, queries)
-    }
-
-    fn nav_select_batch(&self, queries: &[(BitStr<'_>, usize)]) -> Vec<Option<usize>> {
-        crate::pd_batch::select_batch(self, queries)
-    }
-
-    fn nav_count_prefix_batch(&self, prefixes: &[BitStr<'_>]) -> Vec<usize> {
-        crate::pd_batch::count_prefix_batch(self, prefixes)
-    }
-
     // Scalar overrides: the cursor descent of `pd_scalar` (heavy steps are
     // directory-cursor advances, light jumps one overlapped probe round,
     // rank/select chains prefetched from the structural descent).

@@ -132,8 +132,9 @@ pub const PD_DEPTH_FACTOR: f64 = 0.8;
 /// The adaptive static-representation choice used at seal/compact time by
 /// the tiered store: path-decompose iff the segment is big enough, its
 /// strings are mostly distinct (at least half — duplication-heavy
-/// segments are the grouped batch kernels' best case, and the wavelet
-/// trie's lockstep pipeline outruns the decomposition's there), and its
+/// segments are the best case of the wavelet trie's grouped batch
+/// kernels, which dedup shared descents, while the decomposition batches
+/// by looping its scalar walkers), and its
 /// occurrence-weighted average depth `h̃` (= `total_bitvector_bits / n`,
 /// an O(1) read off a built trie) is a constant fraction of `log2 n`.
 /// All three inputs are O(1) reads off the frozen trie's directories.
@@ -320,8 +321,8 @@ mod tests {
         assert!(prefers_path_decomposition(1 << 20, 1 << 20, 20.0));
         // Shallow url-like segment (h̃ ≪ log n): keep the wavelet trie.
         assert!(!prefers_path_decomposition(1 << 20, 1 << 20, 8.0));
-        // Deep but duplication-heavy (distinct < n/2): the grouped batch
-        // kernels want the wavelet trie's lockstep pipeline.
+        // Deep but duplication-heavy (distinct < n/2): the wavelet trie's
+        // grouped batch kernels dedup the shared descents.
         assert!(!prefers_path_decomposition(1 << 20, 1 << 18, 20.0));
         // Too small to matter, however deep and distinct.
         assert!(!prefers_path_decomposition(512, 512, 40.0));

@@ -199,8 +199,8 @@ impl StaticRepr {
     /// fraction of `log2 n` (all O(1) reads off the frozen trie — no
     /// extra walk for the decision itself). Duplication-heavy segments
     /// stay on the wavelet trie even when deep: their queries collapse
-    /// into shared descents, which the grouped batch kernels exploit
-    /// better on the preorder layout. The conversion, when chosen, is one
+    /// into shared descents, which only the wavelet trie's grouped batch
+    /// kernels exploit. The conversion, when chosen, is one
     /// structural walk with the RRR re-encoding spread over `threads`
     /// workers.
     pub(crate) fn choose_with_threads(wt: WaveletTrie, threads: usize) -> Self {

@@ -262,9 +262,9 @@ pub(crate) trait SegmentedRead {
     // --- batched queries -----------------------------------------------------
     //
     // A batch is routed through the Elias–Fano segment directory once and
-    // dispatched as one sub-batch per segment, so static segments get
-    // their software-pipelined group descent over every lane that lands in
-    // them instead of per-lane dispatch.
+    // dispatched as one sub-batch per segment, so wavelet-trie segments
+    // run their software-pipelined group descent over every lane that
+    // lands in them instead of per-lane dispatch.
 
     fn m_access_batch(&self, positions: &[usize]) -> Vec<BitString> {
         for &p in positions {
