@@ -8,10 +8,15 @@
 //!   changes the alphabet and forces a full rebuild.
 //! * approach (3) (BTree index + plain copy): cheap updates but several
 //!   times the space and no compressed Access.
+//!
+//! A second table times `RankPrefix` on the ingested Wavelet Trie against
+//! the BTree's posting lists.
+
+use std::hint::black_box;
 
 use wavelet_trie::AppendLog;
 use wt_baselines::{BTreeIndex, DictSequence};
-use wt_bench::{bits_per, time_once_ms, Table};
+use wt_bench::{bits_per, fmt_ns, time_once_ms, time_per_op_ns, Table};
 use wt_bits::SpaceUsage;
 use wt_workloads::{url_log, UrlLogConfig};
 
@@ -98,4 +103,34 @@ fn main() {
          with one full rebuild per unseen string (quadratic-ish); the BTree is\n\
          fast but pays several × the space and has no compressed Access/Rank."
     );
+    rank_prefix_costs(cfg);
+}
+
+/// `RankPrefix("http://host1", i)` at stride-7919 positions: one trie
+/// descent against a sum over every matching key's posting list.
+fn rank_prefix_costs(cfg: UrlLogConfig) {
+    println!("\nRankPrefix(\"http://host1\", i) on the ingested structure:");
+    let t = Table::new(&["n", "structure", "ns/op"], &[8, 16, 9]);
+    for &n in &[4_000usize, 32_000] {
+        let data = url_log(n, cfg, 9);
+        let mut log = AppendLog::new();
+        let mut btree = BTreeIndex::new();
+        for s in &data {
+            log.append(s);
+            btree.push(s);
+        }
+        let mut i = 0usize;
+        let mut next = move || {
+            i = (i + 7919) % n;
+            i
+        };
+        let ns = time_per_op_ns(2_000, 5, || {
+            black_box(log.rank_prefix("http://host1", next()));
+        });
+        t.row(&[&n.to_string(), "wavelet trie", &fmt_ns(ns)]);
+        let ns = time_per_op_ns(2_000, 5, || {
+            black_box(btree.rank_prefix("http://host1", next()));
+        });
+        t.row(&[&n.to_string(), "BTree + copy", &fmt_ns(ns)]);
+    }
 }

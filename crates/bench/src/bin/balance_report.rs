@@ -1,10 +1,15 @@
 //! E8: §6 / Theorem 6.2 — measured trie height of the randomized Wavelet
 //! Tree vs the `(α+2)·log|Σ|` bound, with the failure fraction compared to
-//! the `|Σ|^{-α}` prediction, plus the unhashed pathological baseline.
+//! the `|Σ|^{-α}` prediction, plus the unhashed pathological baseline and
+//! the per-op cost of the hashed tree against the unhashed trie and the
+//! fixed-alphabet integer Wavelet Tree.
+
+use std::hint::black_box;
 
 use wavelet_trie::hashed::unhashed_height;
 use wavelet_trie::RandomizedWaveletTree;
-use wt_bench::Table;
+use wt_baselines::IntWaveletTree;
+use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_workloads::{power_comb, small_alphabet_u64};
 
 fn main() {
@@ -65,4 +70,58 @@ fn main() {
         "\nexpected: max height ≤ bound for (almost) every seed — violations far\n\
          below the |Σ|^-α prediction; unhashed comb height ≈ |Σ| (up to log u)."
     );
+    op_costs();
+}
+
+/// Per-op cost at n = 50,000 over |Σ| = 64, probing a stride-7919 position
+/// sequence.
+fn op_costs() {
+    let n = 50_000;
+    println!("\nper-op cost, n = {n}, |Σ| = 64:");
+    let values = small_alphabet_u64(n, 64, 64, 9);
+    let mut hashed = RandomizedWaveletTree::new(64, 13);
+    let mut unhashed = RandomizedWaveletTree::unhashed(64);
+    for &v in &values {
+        hashed.push(v);
+        unhashed.push(v);
+    }
+    // The fixed-alphabet baseline needs its dictionary up front.
+    let mut dict = values.clone();
+    dict.sort_unstable();
+    dict.dedup();
+    let ids: Vec<u64> = values
+        .iter()
+        .map(|v| dict.binary_search(v).unwrap() as u64)
+        .collect();
+    let int_wt = IntWaveletTree::new(&ids, dict.len() as u64);
+
+    let mut i = 0usize;
+    let mut next = move || {
+        i = (i + 7919) % n;
+        i
+    };
+    let t = Table::new(&["structure", "op", "ns/op"], &[16, 15, 9]);
+    let ns = time_per_op_ns(10_000, 5, || {
+        black_box(hashed.get(next()));
+    });
+    t.row(&["hashed", "access", &fmt_ns(ns)]);
+    let ns = time_per_op_ns(10_000, 5, || {
+        black_box(unhashed.get(next()));
+    });
+    t.row(&["unhashed", "access", &fmt_ns(ns)]);
+    let ns = time_per_op_ns(10_000, 5, || {
+        black_box(int_wt.access(next()));
+    });
+    t.row(&["int WT (fixed Σ)", "access", &fmt_ns(ns)]);
+    let ns = time_per_op_ns(10_000, 5, || {
+        let p = next();
+        black_box(hashed.rank(values[p], p));
+    });
+    t.row(&["hashed", "rank", &fmt_ns(ns)]);
+    let ns = time_per_op_ns(2_000, 5, || {
+        let p = next();
+        hashed.insert(values[p], p);
+        black_box(hashed.remove(p));
+    });
+    t.row(&["hashed", "insert+remove", &fmt_ns(ns)]);
 }

@@ -235,8 +235,8 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
         let wt = WaveletTrie::build(encoded).expect("prefix-free inputs");
         bench_queries(name, &wt, encoded, iters, &t, out);
     }
-    // The tiered store routes the same batches through its segment
-    // directory: 4-ish sealed segments + a hot tail.
+    // The tiered store splits the same batches by segment: 4-ish sealed
+    // segments + a hot tail.
     let encoded = &workloads[0].1;
     let mut store = TieredStore::with_config(StoreConfig {
         seal_at: n_url / 5,

@@ -9,8 +9,8 @@
 //! | `table1_space` | E4 | Table 1 space columns vs `LB = LT + nH0` |
 //! | `bitvec_report` | E5–E6 | §4.1/§4.2 bitvector costs, O(1) `Init` |
 //! | `range_report` | E7 | §5 range algorithms vs naive scans |
-//! | `balance_report` | E8 | §6 height bound `(α+2)·log|Σ|` |
-//! | `alphabet_report` | E9 | dynamic alphabet vs rebuild/two-copy baselines |
+//! | `balance_report` | E8 | §6 height bound `(α+2)·log|Σ|`, hashed-tree op costs |
+//! | `alphabet_report` | E9 | dynamic alphabet vs rebuild/two-copy baselines, `RankPrefix` |
 //! | `dynamic_report` | E11 | §4.2 hot-path throughput → `BENCH_dynamic.json` |
 //! | `static_report` | E12, E16 | §2/§3 static-stack throughput, PD vs preorder → `BENCH_static.json` |
 //! | `store_report` | E13 | tiered store: freeze vs rebuild, query overhead → `BENCH_store.json` |
@@ -18,9 +18,6 @@
 //! | `persist_report` | E15 | cold load vs rebuild, recovery → `BENCH_persist.json` |
 //! | `server_report` | E17 | sharded serving, clean vs degraded → `BENCH_server.json` |
 //! | `figures` | Fig. 1–3 | structural reproduction, ASCII-rendered |
-//!
-//! Criterion micro-benchmarks covering the same operations live under
-//! `benches/`.
 
 use std::time::Instant;
 

@@ -72,6 +72,9 @@ pub enum MissCause {
     Shed,
     /// The shard returned an error (message preserved for diagnostics).
     Failed(String),
+    /// The shard refused the request itself (e.g. an append that breaks
+    /// prefix-freeness): a client error, not a shard fault.
+    Rejected(String),
     /// The shard panicked; the panic was contained by the router.
     Panicked(String),
 }
@@ -83,6 +86,7 @@ impl std::fmt::Display for MissCause {
             MissCause::DeadlineExpired => write!(f, "deadline expired"),
             MissCause::Shed => write!(f, "shed at admission (overloaded)"),
             MissCause::Failed(m) => write!(f, "shard failed: {m}"),
+            MissCause::Rejected(m) => write!(f, "request rejected: {m}"),
             MissCause::Panicked(m) => write!(f, "shard panicked: {m}"),
         }
     }

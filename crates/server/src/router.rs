@@ -367,6 +367,11 @@ impl ShardRouter {
             // tell "slow shard" from "small budget".)
             MissCause::Shed => {}
             MissCause::DeadlineExpired if !probe => {}
+            // A rejected request is the client's error, never the shard's.
+            // As a half-open probe it still proves the shard replies, so
+            // it closes the circuit (probes ignore latency).
+            MissCause::Rejected(_) if !probe => {}
+            MissCause::Rejected(_) => self.record_outcome(shard, true, Ok(Duration::ZERO)),
             _ => self.record_outcome(shard, probe, Err(cause.to_string())),
         }
     }
@@ -412,7 +417,7 @@ fn run_with_retries(
         match result {
             Ok(Ok(answers)) => return Ok((answers, started.elapsed())),
             Ok(Err(ShardError::DeadlineExceeded)) => return Err(MissCause::DeadlineExpired),
-            Ok(Err(ShardError::Rejected(m))) => return Err(MissCause::Failed(m)),
+            Ok(Err(ShardError::Rejected(m))) => return Err(MissCause::Rejected(m)),
             Ok(Err(ShardError::Unavailable(m))) => {
                 if attempt >= retry.attempts.max(1) {
                     return Err(MissCause::Failed(m));
@@ -661,5 +666,42 @@ mod tests {
         let result = router.query(&[Query::Count(BitString::parse("010"))]);
         assert!(result.is_complete(), "missing: {:?}", result.missing);
         assert_eq!(result.answers[0], Some(Answer::Count(1)));
+    }
+
+    #[test]
+    fn rejected_appends_leave_the_shard_healthy() {
+        use crate::health::HealthState;
+        let inner: Arc<dyn Shard> = Arc::new(StoreShard::new(store_with(&["0100"])));
+        let faulty = Arc::new(FaultyShard::new(inner, FaultScript::new()));
+        let router = ShardRouter::new(
+            vec![Arc::clone(&faulty) as Arc<dyn Shard>],
+            RouterConfig::default(),
+        );
+        // "01" is a prefix of the stored "0100": every append is refused.
+        let bad = BitString::parse("01");
+        for _ in 0..6 {
+            let miss = router.append(bad.as_bitstr()).unwrap_err();
+            assert!(matches!(miss.cause, MissCause::Rejected(_)), "{miss:?}");
+        }
+        let health = &router.health_report()[0];
+        assert_eq!(health.state, HealthState::Healthy);
+        assert_eq!(health.trips, 0);
+        let read = router.query(&[Query::Count(BitString::parse("0100"))]);
+        assert!(read.is_complete(), "missing: {:?}", read.missing);
+        assert_eq!(read.answers[0], Some(Answer::Count(1)));
+
+        // A rejection that lands as the half-open probe closes the circuit.
+        faulty.set_script(FaultScript::new().fail_from(faulty.ops_seen()));
+        for _ in 0..HealthConfig::default().quarantine_errors {
+            router.query(&[Query::Count(BitString::parse("0100"))]);
+        }
+        assert_eq!(router.health_report()[0].state, HealthState::Quarantined);
+        faulty.set_script(FaultScript::new());
+        std::thread::sleep(HealthConfig::default().probe_cooldown);
+        let miss = router.append(bad.as_bitstr()).unwrap_err();
+        assert!(matches!(miss.cause, MissCause::Rejected(_)), "{miss:?}");
+        let health = &router.health_report()[0];
+        assert_eq!(health.state, HealthState::Healthy);
+        assert_eq!((health.probes, health.recoveries), (1, 1));
     }
 }

@@ -67,7 +67,7 @@ use wt_bits::storage::{tmp_path, FsStorage, RetryPolicy, RetryingStorage, Storag
 use wt_trie::BitStr;
 
 use crate::error::{Quarantine, RecoveryReport, StoreError, StoreOp};
-use crate::{SealedSegment, Segment, SegmentKind, StaticRepr, StoreConfig, TieredStore};
+use crate::{Segment, SegmentKind, StaticRepr, StoreConfig, TieredStore};
 
 // --- file naming -------------------------------------------------------------
 
@@ -324,7 +324,7 @@ impl TieredStore {
         let mut keep: Vec<String> = Vec::with_capacity(self.segments.len() + 1);
         for (i, g) in self.segments.iter().enumerate() {
             let (name, bytes) = match g {
-                Segment::Sealed(s) => (segment_name(generation, i, true), s.repr.save_bytes()),
+                Segment::Sealed(s) => (segment_name(generation, i, true), s.save_bytes()),
                 Segment::Hot(h) => (segment_name(generation, i, false), hot_log_bytes(h)),
             };
             put_file(storage, dir, &name, &bytes)?;
@@ -454,7 +454,7 @@ fn load_generation(
                     "sealed segment length vs manifest",
                 ));
             }
-            segments.push(Segment::Sealed(Arc::new(SealedSegment::new(repr))));
+            segments.push(Segment::Sealed(Arc::new(repr)));
         } else {
             let (h, _) =
                 replay_hot_log(&bytes, false).map_err(|e| StoreError::format(&spath, e))?;
@@ -555,7 +555,7 @@ impl TieredStore {
                 match load_sealed(kind, &bytes) {
                     Ok(repr) if repr.len() == seg_len && seg_len > 0 => {
                         report.strings_recovered += seg_len;
-                        segments.push(Segment::Sealed(Arc::new(SealedSegment::new(repr))));
+                        segments.push(Segment::Sealed(Arc::new(repr)));
                     }
                     Ok(_) => {
                         report.quarantined.push(Quarantine {

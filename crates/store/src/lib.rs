@@ -17,8 +17,7 @@
 //! * **compaction** merges adjacent small segments (thaw + append +
 //!   freeze) so the segment count stays bounded by `max_sealed`.
 //!
-//! Global positions are routed through an Elias–Fano-backed segment
-//! directory ([`wt_bits::EliasFano`] over the cumulative segment lengths).
+//! Global positions are routed by walking the segment lengths in order.
 //! Queries merge per-segment answers: `rank`/`count` sum across segments,
 //! `select` walks segment counts with early exit, and the §5 analytics
 //! (distinct values, majority, frequent) combine per-segment results
@@ -62,12 +61,6 @@
 //!   bit-identically; nothing observable from the query API ever panics
 //!   or poisons a lock (the interleave harness in `tests/interleave.rs`
 //!   enumerates every step and proves it).
-//!
-//! Interior caches (the lazily rebuilt segment directory and the
-//! per-sealed-segment `admits` memo) are poison-proof mutexes: they hold
-//! pure memoized values, so a panic mid-update cannot violate an
-//! invariant, and both sides recover the lock instead of cascading the
-//! panic.
 
 pub mod durable;
 pub mod error;
@@ -83,12 +76,12 @@ pub use maintain::{
 pub use snapshot::{StoreReader, StoreSnapshot};
 pub use text::TieredStrings;
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use crate::merged::{impl_seq_index_for_segmented, SegmentedRead};
 use crate::snapshot::{Epoch, EpochSlot};
 use wavelet_trie::{DynamicWaveletTrie, PathDecompTrie, SeqIndex, TrieShape, WaveletTrie};
-use wt_bits::{EliasFano, SpaceUsage};
+use wt_bits::SpaceUsage;
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
 // Compile-time pins of the thread-safety story documented above: every
@@ -138,42 +131,6 @@ impl Default for StoreConfig {
         StoreConfig {
             seal_at: 8192,
             max_sealed: 8,
-        }
-    }
-}
-
-/// Slots in a sealed segment's `admits` memo: big enough for the working
-/// set of a duplicate-heavy append stream, small enough to scan linearly.
-const ADMITS_CACHE_SLOTS: usize = 8;
-
-/// Per-generation memo of recent `admits` verdicts for one **sealed**
-/// segment. A sealed segment's string set never changes, so a verdict is a
-/// pure function of the segment and stays valid for its whole lifetime;
-/// the memo is dropped with the segment when it melts or merges (the next
-/// generation gets a fresh one). Append-heavy workloads repeat a small
-/// working set of strings, and without the memo every insert re-ran one
-/// prefix-check descent per sealed segment per call.
-#[derive(Clone, Debug, Default)]
-struct AdmitsCache {
-    entries: Vec<(BitString, bool)>,
-    /// Ring cursor: next slot to evict once full.
-    next: usize,
-}
-
-impl AdmitsCache {
-    fn lookup(&self, s: BitStr<'_>) -> Option<bool> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k.as_bitstr() == s)
-            .map(|&(_, v)| v)
-    }
-
-    fn store(&mut self, s: BitStr<'_>, verdict: bool) {
-        if self.entries.len() < ADMITS_CACHE_SLOTS {
-            self.entries.push((s.to_owned_str(), verdict));
-        } else {
-            self.entries[self.next] = (s.to_owned_str(), verdict);
-            self.next = (self.next + 1) % ADMITS_CACHE_SLOTS;
         }
     }
 }
@@ -255,45 +212,6 @@ impl StaticRepr {
     }
 }
 
-/// An immutable static segment plus its admits memo. Shared between the
-/// live store and any number of published epochs behind an `Arc`.
-#[derive(Debug)]
-pub(crate) struct SealedSegment {
-    pub(crate) repr: StaticRepr,
-    /// Memoized `admits` verdicts. A poison-proof mutex, not a `RefCell`:
-    /// concurrent readers may race on the memo, and a panic mid-update
-    /// cannot corrupt it (entries are inserted whole), so a poisoned lock
-    /// is recovered rather than propagated.
-    admits: Mutex<AdmitsCache>,
-}
-
-impl SealedSegment {
-    pub(crate) fn new(repr: StaticRepr) -> Self {
-        SealedSegment {
-            repr,
-            admits: Mutex::new(AdmitsCache::default()),
-        }
-    }
-
-    /// The §3 prefix-free check through the per-generation memo.
-    fn admits_cached(&self, s: BitStr<'_>) -> bool {
-        if let Some(v) = self
-            .admits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .lookup(s)
-        {
-            return v;
-        }
-        let v = self.repr.index().admits(s);
-        self.admits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .store(s, v);
-        v
-    }
-}
-
 /// Kind of a segment, as reported by [`TieredStore::segment_kinds`] — the
 /// observable face of the adaptive representation choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -311,7 +229,7 @@ pub enum SegmentKind {
 /// the writer mutates hot segments copy-on-write via [`Arc::make_mut`].
 #[derive(Clone, Debug)]
 pub(crate) enum Segment {
-    Sealed(Arc<SealedSegment>),
+    Sealed(Arc<StaticRepr>),
     Hot(Arc<DynamicWaveletTrie>),
 }
 
@@ -324,14 +242,14 @@ impl Segment {
     /// indistinguishable to the read path.
     pub(crate) fn index(&self) -> &dyn SeqIndex {
         match self {
-            Segment::Sealed(s) => s.repr.index(),
+            Segment::Sealed(s) => s.index(),
             Segment::Hot(h) => h.as_ref(),
         }
     }
 
     pub(crate) fn kind(&self) -> SegmentKind {
         match self {
-            Segment::Sealed(s) => match s.repr {
+            Segment::Sealed(s) => match **s {
                 StaticRepr::Wt(_) => SegmentKind::Wavelet,
                 StaticRepr::Pd(_) => SegmentKind::PathDecomp,
             },
@@ -339,18 +257,14 @@ impl Segment {
         }
     }
 
-    /// `admits`, memoized for sealed segments (hot ones mutate, so their
-    /// verdicts are computed fresh).
+    /// The §3 prefix-free check: one descent of this segment's trie.
     pub(crate) fn admits(&self, s: BitStr<'_>) -> bool {
-        match self {
-            Segment::Sealed(g) => g.admits_cached(s),
-            Segment::Hot(h) => SeqIndex::admits(h.as_ref(), s),
-        }
+        self.index().admits(s)
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            Segment::Sealed(s) => s.repr.len(),
+            Segment::Sealed(s) => s.len(),
             Segment::Hot(h) => h.len(),
         }
     }
@@ -374,11 +288,6 @@ pub struct TieredStore {
     segments: Vec<Segment>,
     len: usize,
     config: StoreConfig,
-    /// Elias–Fano over cumulative segment lengths (`segments.len() + 1`
-    /// values starting at 0); rebuilt lazily after any mutation. A
-    /// poison-proof mutex: it memoizes a pure function of `segments`, so
-    /// recovery from a poisoned lock is always sound.
-    directory: Mutex<Option<EliasFano>>,
     /// The published-epoch slot shared with every [`StoreReader`].
     slot: Arc<EpochSlot>,
     /// Last published epoch version (0 = the construction-time epoch).
@@ -403,7 +312,6 @@ impl Clone for TieredStore {
             segments,
             len: self.len,
             config: self.config,
-            directory: Mutex::new(None),
             slot,
             version: 0,
         }
@@ -429,7 +337,6 @@ impl TieredStore {
             segments,
             len,
             config,
-            directory: Mutex::new(None),
             slot,
             version: 0,
         }
@@ -479,7 +386,7 @@ impl TieredStore {
             .iter()
             .map(|g| match g {
                 Segment::Hot(h) => wavelet_trie::stats::trie_shape(&**h),
-                Segment::Sealed(s) => match &s.repr {
+                Segment::Sealed(s) => match &**s {
                     StaticRepr::Wt(wt) => wavelet_trie::stats::trie_shape(wt),
                     StaticRepr::Pd(pd) => wavelet_trie::stats::trie_shape(pd),
                 },
@@ -504,9 +411,9 @@ impl TieredStore {
     /// new epoch on their next `snapshot()`; snapshots already taken keep
     /// serving their own epoch unchanged.
     ///
-    /// Cost: O(#segments) `Arc` clones plus one small Elias–Fano build,
-    /// and the writer's *next* mutation of the hot tail pays one
-    /// copy-on-write clone of it (none if the tail was empty here).
+    /// Cost: O(#segments) `Arc` clones, and the writer's *next* mutation
+    /// of the hot tail pays one copy-on-write clone of it (none if the
+    /// tail was empty here).
     pub fn publish(&mut self) -> StoreSnapshot {
         self.version += 1;
         let epoch = Arc::new(Epoch::new(self.version, self.segments.clone(), self.len));
@@ -566,7 +473,6 @@ impl TieredStore {
             Segment::Sealed(_) => unreachable!("melted above"),
         }
         self.len += 1;
-        self.invalidate_directory();
         self.roll();
         Ok(())
     }
@@ -588,7 +494,6 @@ impl TieredStore {
         if self.segments[seg].len() == 0 && seg + 1 != self.segments.len() {
             self.segments.remove(seg);
         }
-        self.invalidate_directory();
         out
     }
 
@@ -652,7 +557,7 @@ impl TieredStore {
     /// Melts segment `seg` back to dynamic form if it is sealed.
     fn melt(&mut self, seg: usize) {
         if let Segment::Sealed(sealed) = &self.segments[seg] {
-            let hot: DynamicWaveletTrie = sealed.repr.thaw();
+            let hot: DynamicWaveletTrie = sealed.thaw();
             self.segments[seg] = Segment::Hot(Arc::new(hot));
         }
     }
@@ -678,14 +583,6 @@ impl TieredStore {
     }
 
     // --- position routing --------------------------------------------------
-
-    /// Drops the memoized position directory after a mutation.
-    pub(crate) fn invalidate_directory(&mut self) {
-        *self
-            .directory
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
 
     /// Like [`SegmentedRead::locate`] but accepts `pos == len` (append)
     /// and redirects boundary positions to a preceding hot segment where
@@ -713,17 +610,6 @@ impl SegmentedRead for TieredStore {
     fn total_len(&self) -> usize {
         self.len
     }
-
-    fn with_directory<R>(&self, f: impl FnOnce(&EliasFano) -> R) -> R {
-        let mut slot = self
-            .directory
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let ef = slot.get_or_insert_with(|| {
-            EliasFano::prefix_sums(self.segments.iter().map(|g| g.len() as u64))
-        });
-        f(ef)
-    }
 }
 
 impl_seq_index_for_segmented!(TieredStore);
@@ -734,17 +620,11 @@ impl SpaceUsage for TieredStore {
             .segments
             .iter()
             .map(|g| match g {
-                Segment::Sealed(s) => s.repr.size_bits(),
+                Segment::Sealed(s) => s.size_bits(),
                 Segment::Hot(h) => h.size_bits(),
             })
             .sum();
-        let dir = self
-            .directory
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map_or(0, |ef| ef.size_bits());
-        segs + dir + 4 * 64
+        segs + 4 * 64
     }
 }
 
@@ -887,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn admits_cache_matches_uncached_oracle() {
+    fn admits_matches_naive_oracle() {
         let mut s = 0xCAC4Eu64;
         let mut next = move || {
             s ^= s << 13;
@@ -907,10 +787,8 @@ mod tests {
             .collect();
         for step in 0..400 {
             let q = &probe_pool[(next() % probe_pool.len() as u64) as usize];
-            // Probe twice: the second hit exercises the sealed-segment memo.
             let want = naive_admits(&model, q.as_bitstr());
             assert_eq!(st.admits(q.as_bitstr()), want, "admits step {step}");
-            assert_eq!(st.admits(q.as_bitstr()), want, "admits (cached) {step}");
             match next() % 10 {
                 0..=5 => {
                     if want {
@@ -929,13 +807,12 @@ mod tests {
                 _ => {}
             }
         }
-        // A mutation that changes a verdict must invalidate the memo: the
-        // only occurrence of a string leaving flips its prefixes to valid.
+        // The only occurrence of a string leaving flips its prefixes to
+        // admissible.
         let mut st = tiny();
         st.append(bs("0100").as_bitstr()).unwrap();
         st.seal();
         assert!(!st.admits(bs("01").as_bitstr()));
-        assert!(!st.admits(bs("01").as_bitstr())); // cached verdict
         st.delete(0);
         assert!(st.admits(bs("01").as_bitstr()), "stale admits verdict");
     }

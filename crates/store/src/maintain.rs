@@ -42,7 +42,7 @@ use wavelet_trie::DynamicWaveletTrie;
 use wt_bits::storage::{RetryPolicy, Storage};
 
 use crate::error::StoreError;
-use crate::{auto_freeze_threads, SealedSegment, Segment, StaticRepr, TieredStore};
+use crate::{auto_freeze_threads, Segment, StaticRepr, TieredStore};
 
 use self::MaintenanceStep::*;
 
@@ -323,14 +323,11 @@ impl TieredStore {
             let step = InstallFrozen { segment: i };
             match result.and_then(|repr| run_step(step, || probe.step(step)).map(|()| repr)) {
                 Ok(repr) => {
-                    self.segments[i] = Segment::Sealed(Arc::new(SealedSegment::new(repr)));
+                    self.segments[i] = Segment::Sealed(Arc::new(repr));
                     installed += 1;
                 }
                 Err(failure) => failures.push(failure),
             }
-        }
-        if installed > 0 {
-            self.invalidate_directory();
         }
         installed
     }
@@ -352,7 +349,6 @@ impl TieredStore {
             self.segments
                 .push(Segment::Hot(Arc::new(DynamicWaveletTrie::new())));
         }
-        self.invalidate_directory();
         installed
     }
 
@@ -372,8 +368,8 @@ impl TieredStore {
             else {
                 unreachable!("merge_probed called on a non-sealed pair");
             };
-            let mut melted: DynamicWaveletTrie = a.repr.thaw();
-            for s in b.repr.index().iter_seq_boxed() {
+            let mut melted: DynamicWaveletTrie = a.thaw();
+            for s in b.index().iter_seq_boxed() {
                 // The two segments coexist in one store, whose inserts
                 // check admits() across *all* segments — so their union
                 // is prefix-free and append cannot fail.
@@ -393,9 +389,8 @@ impl TieredStore {
         let step = InstallMerged { left };
         match run_step(step, || probe.step(step)) {
             Ok(()) => {
-                self.segments[left] = Segment::Sealed(Arc::new(SealedSegment::new(merged)));
+                self.segments[left] = Segment::Sealed(Arc::new(merged));
                 self.segments.remove(left + 1);
-                self.invalidate_directory();
                 true
             }
             Err(failure) => {

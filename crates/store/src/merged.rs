@@ -1,17 +1,16 @@
 //! The merged-query engine: every read of a tiered sequence — live
 //! ([`TieredStore`](crate::TieredStore)) or frozen
 //! ([`StoreSnapshot`](crate::StoreSnapshot)) — is the same computation
-//! over a slice of segments, a total length, and an Elias–Fano directory
-//! of cumulative segment lengths. [`SegmentedRead`] holds that computation
-//! once as default methods; the two readers implement the three accessors
-//! and inherit the rest, and [`impl_seq_index_for_segmented!`] turns the
-//! engine into a [`SeqIndex`] impl so both answer bit-identically to a
-//! monolithic Wavelet Trie over the concatenated sequence.
+//! over a slice of segments and a total length. [`SegmentedRead`] holds
+//! that computation once as default methods; the two readers implement the
+//! two accessors and inherit the rest, and
+//! [`impl_seq_index_for_segmented!`] turns the engine into a [`SeqIndex`]
+//! impl so both answer bit-identically to a monolithic Wavelet Trie over
+//! the concatenated sequence.
 
 use std::collections::BTreeMap;
 
 use wavelet_trie::SeqIndex;
-use wt_bits::EliasFano;
 use wt_trie::{BitStr, BitString};
 
 use crate::Segment;
@@ -27,23 +26,21 @@ pub(crate) trait SegmentedRead {
     /// Total number of strings across the segments.
     fn total_len(&self) -> usize;
 
-    /// Runs `f` with the Elias–Fano directory over cumulative segment
-    /// lengths (`segments().len() + 1` values starting at 0).
-    fn with_directory<R>(&self, f: impl FnOnce(&EliasFano) -> R) -> R;
-
     // --- position routing ----------------------------------------------------
 
-    /// Maps a global position (`< total_len`) to `(segment, local offset)`.
+    /// Maps a global position (`< total_len`) to `(segment, local offset)`
+    /// by walking the segment lengths; empty segments own no position.
     fn locate(&self, pos: usize) -> (usize, usize) {
         debug_assert!(pos < self.total_len());
-        self.with_directory(|dir| {
-            // Largest cumulative start <= pos; duplicates (empty segments)
-            // resolve to the last, i.e. the non-empty segment owning `pos`.
-            // `cum[0] = 0`, so every `pos >= 0` has a predecessor.
-            let seg = dir.predecessor_index(pos as u64).expect("cum[0] = 0");
-            let seg = seg.min(self.segments().len() - 1);
-            (seg, pos - dir.get(seg) as usize)
-        })
+        let mut off = pos;
+        for (i, g) in self.segments().iter().enumerate() {
+            let l = g.len();
+            if off < l {
+                return (i, off);
+            }
+            off -= l;
+        }
+        unreachable!("position {pos} beyond the segments' total length")
     }
 
     /// `(segment, local l, local r)` for every segment overlapping the
@@ -261,32 +258,17 @@ pub(crate) trait SegmentedRead {
 
     // --- batched queries -----------------------------------------------------
     //
-    // A batch is routed through the Elias–Fano segment directory once and
-    // dispatched as one sub-batch per segment, so wavelet-trie segments
-    // run their software-pipelined group descent over every lane that
-    // lands in them instead of per-lane dispatch.
+    // A batch is routed lane by lane through `locate` and dispatched as one
+    // sub-batch per segment, so wavelet-trie segments run their
+    // software-pipelined group descent over every lane that lands in them
+    // instead of per-lane dispatch.
 
     fn m_access_batch(&self, positions: &[usize]) -> Vec<BitString> {
         for &p in positions {
             assert!(p < self.total_len(), "Access position out of bounds");
         }
         let mut out: Vec<BitString> = vec![BitString::new(); positions.len()];
-        if positions.is_empty() {
-            return out;
-        }
-        let routed: Vec<(usize, usize)> = self.with_directory(|dir| {
-            positions
-                .iter()
-                .map(|&p| {
-                    // `cum[0] = 0`, so every position has a predecessor.
-                    let seg = dir
-                        .predecessor_index(p as u64)
-                        .expect("cum[0] = 0")
-                        .min(self.segments().len() - 1);
-                    (seg, p - dir.get(seg) as usize)
-                })
-                .collect()
-        });
+        let routed: Vec<(usize, usize)> = positions.iter().map(|&p| self.locate(p)).collect();
         let mut by_seg: Vec<Vec<u32>> = vec![Vec::new(); self.segments().len()];
         for (lane, &(seg, _)) in routed.iter().enumerate() {
             by_seg[seg].push(lane as u32);

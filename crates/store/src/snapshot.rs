@@ -4,11 +4,11 @@
 //! The concurrency model is single-writer / many-readers with **epoch
 //! swapping**: the writer owns the live [`TieredStore`](crate::TieredStore)
 //! and, at publish points, freezes its current segment manifest into an
-//! immutable epoch — `Arc`-shared segments, the total length, and a
-//! *precomputed* Elias–Fano position directory — and swaps it into the
-//! store's epoch slot in one pointer-sized critical section. Readers
-//! hold a [`StoreReader`] (cheaply cloneable, `Send + Sync`) and take
-//! [`StoreSnapshot`]s from it at any time, on any thread:
+//! immutable epoch — `Arc`-shared segments and the total length — and
+//! swaps it into the store's epoch slot in one pointer-sized critical
+//! section. Readers hold a [`StoreReader`] (cheaply cloneable,
+//! `Send + Sync`) and take [`StoreSnapshot`]s from it at any time, on any
+//! thread:
 //!
 //! ```text
 //!  writer thread                    epoch slot                reader threads
@@ -26,9 +26,9 @@
 //! copy-on-write (`Arc::make_mut`) — the writer's first mutation after a
 //! publish clones the published tail and mutates the private copy, so the
 //! epoch's view stays frozen. The cost model follows: `publish()` is
-//! O(#segments) Arc clones plus one small Elias–Fano build, and the writer
-//! pays at most one hot-tail clone per publish (nothing at all when the
-//! tail was empty at publish time, as it is after a seal).
+//! O(#segments) Arc clones, and the writer pays at most one hot-tail
+//! clone per publish (nothing at all when the tail was empty at publish
+//! time, as it is after a seal).
 //!
 //! The slot is a `RwLock<Arc<Epoch>>` used only for pointer swaps — no
 //! query ever runs under it, writers hold it for one store, readers for
@@ -39,13 +39,13 @@
 
 use std::sync::{Arc, PoisonError, RwLock};
 
-use wt_bits::{EliasFano, SpaceUsage};
+use wt_bits::SpaceUsage;
 
 use crate::merged::{impl_seq_index_for_segmented, SegmentedRead};
 use crate::Segment;
 
-/// One published, immutable view of the store: the segment manifest, the
-/// total length, and the position directory, all frozen at publish time.
+/// One published, immutable view of the store: the segment manifest and
+/// the total length, both frozen at publish time.
 #[derive(Debug)]
 pub(crate) struct Epoch {
     /// Monotone publish counter; 0 is the construction-time epoch.
@@ -55,20 +55,15 @@ pub(crate) struct Epoch {
     segments: Vec<Segment>,
     /// Total strings across the segments.
     len: usize,
-    /// Elias–Fano over cumulative segment lengths, built eagerly at
-    /// publish time so readers never contend on a lazily filled cache.
-    directory: EliasFano,
 }
 
 impl Epoch {
-    /// Freezes a manifest into an epoch (the directory is built here).
+    /// Freezes a manifest into an epoch.
     pub(crate) fn new(version: u64, segments: Vec<Segment>, len: usize) -> Self {
-        let directory = EliasFano::prefix_sums(segments.iter().map(|g| g.len() as u64));
         Epoch {
             version,
             segments,
             len,
-            directory,
         }
     }
 }
@@ -183,10 +178,6 @@ impl SegmentedRead for StoreSnapshot {
     fn total_len(&self) -> usize {
         self.epoch.len
     }
-
-    fn with_directory<R>(&self, f: impl FnOnce(&EliasFano) -> R) -> R {
-        f(&self.epoch.directory)
-    }
 }
 
 impl_seq_index_for_segmented!(StoreSnapshot);
@@ -198,10 +189,10 @@ impl SpaceUsage for StoreSnapshot {
             .segments
             .iter()
             .map(|g| match g {
-                Segment::Sealed(s) => s.repr.size_bits(),
+                Segment::Sealed(s) => s.size_bits(),
                 Segment::Hot(h) => h.size_bits(),
             })
             .sum();
-        segs + self.epoch.directory.size_bits() + 3 * 64
+        segs + 3 * 64
     }
 }

@@ -5,11 +5,8 @@
 //! * coder round-trips and order preservation.
 //!
 //! Each property is a plain checker function over concrete inputs, driven
-//! by one of two harnesses:
-//! * default: a hand-rolled loop over a seeded deterministic generator, so
-//!   `cargo test -q` exercises randomized inputs without proptest;
-//! * `--features proptest`: the same checkers under a proptest-style
-//!   strategy harness.
+//! by a hand-rolled loop over a seeded deterministic generator (64 cases
+//! per property).
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{DynamicStrings, IndexedStrings, SeqIndex, WaveletTrie};
@@ -175,10 +172,9 @@ fn check_bit_level_trie_rejects_only_prefix_violations(data: &[Vec<bool>]) {
 }
 
 // ---------------------------------------------------------------------------
-// Default harness: deterministic seeded PRNG, no proptest needed.
+// Harness: deterministic seeded PRNG.
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "proptest"))]
 mod fallback {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -205,7 +201,7 @@ mod fallback {
             self.0.random()
         }
 
-        /// Mirrors `proptest::collection::vec(num::u8::ANY, 0..6)`.
+        /// Up to 5 arbitrary bytes.
         fn short_string(&mut self) -> Vec<u8> {
             let len = self.below(6);
             (0..len).map(|_| self.next_u64() as u8).collect()
@@ -288,64 +284,5 @@ mod fallback {
                 .collect();
             super::check_bit_level_trie_rejects_only_prefix_violations(&data);
         });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// proptest harness: same checkers, strategy-driven inputs.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "proptest")]
-mod proptest_suite {
-    use proptest::prelude::*;
-
-    fn short_string() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(proptest::num::u8::ANY, 0..6)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn static_wt_matches_naive(data in proptest::collection::vec(short_string(), 1..80)) {
-            super::check_static_wt_matches_naive(&data);
-        }
-
-        #[test]
-        fn dynamic_ops_match_naive(
-            init in proptest::collection::vec(short_string(), 0..30),
-            ops in proptest::collection::vec((0u8..3, short_string(), proptest::num::u16::ANY), 0..60),
-        ) {
-            super::check_dynamic_ops_match_naive(&init, &ops);
-        }
-
-        #[test]
-        fn coder_roundtrip_and_order(a in short_string(), b in short_string()) {
-            super::check_coder_roundtrip_and_order(&a, &b);
-        }
-
-        #[test]
-        fn dynamic_bitvec_matches_model(
-            ops in proptest::collection::vec((0u8..2, proptest::num::u16::ANY, proptest::bool::ANY), 0..200),
-        ) {
-            super::check_dynamic_bitvec_matches_model(&ops);
-        }
-
-        #[test]
-        fn append_bitvec_matches_model(bits in proptest::collection::vec(proptest::bool::ANY, 0..6000)) {
-            super::check_append_bitvec_matches_model(&bits);
-        }
-
-        #[test]
-        fn elias_fano_matches_model(vals in proptest::collection::vec(proptest::num::u32::ANY, 0..300)) {
-            super::check_elias_fano_matches_model(vals);
-        }
-
-        #[test]
-        fn bit_level_trie_rejects_only_prefix_violations(
-            data in proptest::collection::vec(proptest::collection::vec(proptest::bool::ANY, 0..9), 1..30),
-        ) {
-            super::check_bit_level_trie_rejects_only_prefix_violations(&data);
-        }
     }
 }
