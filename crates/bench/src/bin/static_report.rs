@@ -1,19 +1,16 @@
 //! E12: throughput trajectory for the *static* query stack (§2/§3).
 //!
-//! The static half of Table 1 bottoms out in three substrates: the
-//! entropy-compressed [`RrrVector`] (§2 FID), the uncompressed [`Fid`]
-//! directory, and the balanced-parentheses navigation behind DFUDS (§3).
-//! This report measures absolute ns/op for every static hot path across
-//! bit distributions and string workloads, and writes machine-readable
-//! `BENCH_static.json` so perf PRs extend a comparable trajectory —
-//! the static counterpart of `dynamic_report` (E11).
+//! The static half of Table 1 bottoms out in two substrates: the
+//! entropy-compressed [`RrrVector`] (§2 FID) and the uncompressed [`Fid`]
+//! directory, which also holds the static trie's level-order internal
+//! flags (§3). This report measures absolute ns/op for every static hot
+//! path across bit distributions and string workloads, and writes
+//! machine-readable `BENCH_static.json` so perf PRs extend a comparable
+//! trajectory — the static counterpart of `dynamic_report` (E11).
 //!
 //! Sections:
 //! * static bitvectors — rank/select/access on dense/sparse/runny inputs,
 //!   for both `RrrVector` and `Fid`, with bits-per-bit space;
-//! * BP navigation — `find_close`/`find_open`/`excess` on shallow random,
-//!   deep skewed, and DFUDS-shaped parenthesis strings (the fwd/bwd excess
-//!   scan hot path of every static trie descent);
 //! * `IndexedStrings` (static Wavelet Trie, Thm 3.7) — access/rank/select/
 //!   prefix ops on the url-log and word-text workloads.
 //!
@@ -27,7 +24,6 @@ use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{BitString, IndexedStrings, PathDecompTrie, SeqIndex, WaveletTrie};
 use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
 use wt_bits::{BitSelect, Fid, RawBitVec, RrrVector, SpaceUsage};
-use wt_trie::BpSupport;
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::words::word_text;
 
@@ -135,116 +131,6 @@ fn bench_static_bitvecs(quick: bool, out: &mut Vec<Measurement>) {
     println!();
 }
 
-/// Random balanced parenthesis string via a biased tree walk; larger
-/// `open_bias` (out of 100) ⇒ deeper nesting.
-fn random_balanced(n_pairs: usize, seed: u64, open_bias: u64) -> RawBitVec {
-    let mut next = xorshift(seed);
-    let mut bits = RawBitVec::with_capacity(2 * n_pairs);
-    let mut open = 0usize;
-    let mut remaining = n_pairs;
-    while remaining > 0 || open > 0 {
-        let can_open = remaining > 0;
-        let can_close = open > 0;
-        let do_open = can_open && (!can_close || next() % 100 < open_bias);
-        if do_open {
-            bits.push(true);
-            open += 1;
-            remaining -= 1;
-        } else {
-            bits.push(false);
-            open -= 1;
-        }
-    }
-    bits
-}
-
-/// DFUDS-shaped parenthesis string of a binary trie: internal = `110`,
-/// leaf = `0`, preceded by the virtual root `(` — the exact bit mix the
-/// static Wavelet Trie navigates.
-fn dfuds_shape(n_internal: usize, seed: u64) -> RawBitVec {
-    let mut next = xorshift(seed);
-    let mut bits = RawBitVec::new();
-    bits.push(true);
-    // Random binary trie by preorder DFS: each frame is an internal node
-    // with two children, each internal with decreasing probability.
-    let mut pending = vec![0u32]; // depth markers
-    let mut internals = 0usize;
-    while let Some(depth) = pending.pop() {
-        let internal = internals < n_internal && !(next().is_multiple_of(depth as u64 + 2));
-        if internal {
-            internals += 1;
-            bits.push(true);
-            bits.push(true);
-            bits.push(false);
-            pending.push(depth + 1);
-            pending.push(depth + 1);
-        } else {
-            bits.push(false);
-        }
-    }
-    bits
-}
-
-fn bench_bp(quick: bool, out: &mut Vec<Measurement>) {
-    let n_pairs = if quick { 100_000 } else { 500_000 };
-    let iters = if quick { 20_000 } else { 100_000 };
-    println!("== BP navigation (§3 DFUDS substrate) at {n_pairs} pairs ==\n");
-    let t = Table::new(
-        &["dist", "find_close", "find_open", "excess"],
-        &[16, 11, 11, 9],
-    );
-    // Large shapes measure the full memory hierarchy; the `_32k` tier is
-    // cache-resident and isolates the fwd/bwd scan kernels themselves.
-    let shapes: [(&'static str, RawBitVec); 6] = [
-        ("shallow", random_balanced(n_pairs, 7, 50)),
-        ("deep_skewed", random_balanced(n_pairs, 11, 95)),
-        ("dfuds_trie", dfuds_shape(n_pairs, 13)),
-        ("deep_nest_32k", {
-            let mut b = RawBitVec::with_capacity(65_536);
-            for _ in 0..32_768 {
-                b.push(true);
-            }
-            for _ in 0..32_768 {
-                b.push(false);
-            }
-            b
-        }),
-        ("skewed_32k", random_balanced(16_384, 11, 95)),
-        ("dfuds_trie_32k", dfuds_shape(16_384, 13)),
-    ];
-    for (dist, bits) in shapes {
-        let n = bits.len();
-        let bp = BpSupport::new(bits.clone());
-        let opens: Vec<usize> = (0..n).filter(|&i| bits.get(i)).collect();
-        let closes: Vec<usize> = (0..n).filter(|&i| !bits.get(i)).collect();
-        let mut i = 0usize;
-        let fc = time_per_op_ns(iters, 7, || {
-            i = (i + 7919) % opens.len();
-            std::hint::black_box(bp.find_close(opens[i]));
-        });
-        let fo = time_per_op_ns(iters, 7, || {
-            i = (i + 7919) % closes.len();
-            std::hint::black_box(bp.find_open(closes[i]));
-        });
-        let exc = time_per_op_ns(iters, 7, || {
-            i = (i + 7919) % n;
-            std::hint::black_box(bp.excess(i));
-        });
-        t.row(&[dist, &fmt_ns(fc), &fmt_ns(fo), &fmt_ns(exc)]);
-        for (op, ns) in [("find_close", fc), ("find_open", fo), ("excess", exc)] {
-            out.push(Measurement {
-                structure: "BpSupport",
-                dist,
-                op,
-                n,
-                ns_per_op: ns,
-                space_bits_per: 0.0,
-            });
-        }
-    }
-    println!();
-}
-
 fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
     let n = if quick { 20_000 } else { 100_000 };
     let iters = if quick { 5_000 } else { 20_000 };
@@ -313,7 +199,7 @@ fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
     println!();
 }
 
-/// Fixed-width random integers: near-distinct, so the preorder trie is
+/// Fixed-width random integers: near-distinct, so the binary trie is
 /// deep and every scalar descent is a dependent pointer-chase — the
 /// workload the path decomposition exists to fix.
 fn random_ints(n: usize, width: usize, seed: u64) -> Vec<BitString> {
@@ -328,7 +214,7 @@ fn random_ints(n: usize, width: usize, seed: u64) -> Vec<BitString> {
 
 /// Head-to-head scalar latency of the two static representations over the
 /// *same* binary trie (bit-identical answers, different layouts): the
-/// preorder wavelet trie vs its centroid path decomposition. The ints
+/// level-order wavelet trie vs its centroid path decomposition. The ints
 /// lane is the near-distinct pointer-chase regime; url/words check the
 /// decomposition costs nothing on shallow skewed tries.
 fn bench_representations(quick: bool, out: &mut Vec<Measurement>) {
@@ -338,7 +224,7 @@ fn bench_representations(quick: bool, out: &mut Vec<Measurement>) {
         (1_000_000, 1_000_000, 12_000_000)
     };
     let iters = if quick { 5_000 } else { 20_000 };
-    println!("== static representations: preorder WT vs path decomposition ==\n");
+    println!("== static representations: level-order WT vs path decomposition ==\n");
     let t = Table::new(
         &[
             "workload",
@@ -502,7 +388,6 @@ fn main() {
 
     let mut results = Vec::new();
     bench_static_bitvecs(quick, &mut results);
-    bench_bp(quick, &mut results);
     bench_static_wt(quick, &mut results);
     bench_representations(quick, &mut results);
     write_json(&out_path, mode, &results, &baseline);

@@ -117,13 +117,8 @@ fn report(name: &str, data: Vec<String>) {
     ]);
     // Static breakdown (Theorem 3.7 components).
     println!(
-        "   static breakdown: tree={} labels={} (+delim {}) bitvectors={} (+delim {}) flags={}",
-        sp.tree_bits,
-        sp.label_bits,
-        sp.label_delim_bits,
-        sp.bv_bits,
-        sp.bv_delim_bits,
-        sp.flags_bits
+        "   static breakdown: labels={} (+delim {}) bitvectors={} (+delim {}) flags={}",
+        sp.label_bits, sp.label_delim_bits, sp.bv_bits, sp.bv_delim_bits, sp.flags_bits
     );
     println!(
         "   path-decomp breakdown: skeleton={} labels={} (+delim {}) dirs={} bitvectors={} (+delim {})",

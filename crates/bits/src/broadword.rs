@@ -115,202 +115,6 @@ pub fn select_block<F: Fn(usize) -> usize>(
     lo
 }
 
-// ---------------------------------------------------------------------------
-// Word-level parenthesis (±1 excess) primitives.
-//
-// Convention (matching `wt-trie`'s BP layer): bit `1` is `'('` (+1), bit `0`
-// is `')'` (−1), bits are consumed LSB-first. `excess(k)` is the δ-sum over
-// the first `k` bits. Everything below is table-free: the only non-trivial
-// object is the SWAR *parenthesis ladder*, which computes for every
-// power-of-two-aligned group of the word its number of unmatched closing
-// and unmatched opening parentheses. Two facts make the ladder sufficient:
-//
-// * the first position where the running excess drops `d` below its
-//   starting value is exactly the `d`-th unmatched `')'` of the word, and
-// * (symmetrically) the last position where the suffix excess rises to `d`
-//   is the `d`-th unmatched `'('` counted from the top,
-//
-// so `find_close`/`find_open` style scans reduce to a 6-level descent over
-// the ladder — no per-byte tables, no bit loops.
-// ---------------------------------------------------------------------------
-
-/// `2·popcount(word) − 64`: total excess of a full word.
-#[inline]
-pub fn word_excess(word: u64) -> i32 {
-    2 * word.count_ones() as i32 - 64
-}
-
-/// Pads bits `valid..64` with `'('` so forward primitives see no spurious
-/// closers (and can never report a hit) past the valid region.
-#[inline]
-pub fn pad_open_above(word: u64, valid: usize) -> u64 {
-    if valid >= 64 {
-        word
-    } else {
-        word | (!0u64 << valid)
-    }
-}
-
-/// Low `2^k` bits of each `2^(k+1)`-bit field, for k = 0..=5.
-const LADDER_LO: [u64; 6] = [
-    0x5555_5555_5555_5555,
-    0x3333_3333_3333_3333,
-    0x0F0F_0F0F_0F0F_0F0F,
-    0x00FF_00FF_00FF_00FF,
-    0x0000_FFFF_0000_FFFF,
-    0x0000_0000_FFFF_FFFF,
-];
-
-/// Top bit of each `2^(k+1)`-bit field, for k = 0..=5.
-const LADDER_HB: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0x8888_8888_8888_8888,
-    0x8080_8080_8080_8080,
-    0x8000_8000_8000_8000,
-    0x8000_0000_8000_0000,
-    0x8000_0000_0000_0000,
-];
-
-/// Value `2^k` in each `2^(k+1)`-bit field, for k = 1..=5 (index k−1).
-const LADDER_HALFVAL: [u64; 5] = [
-    0x2222_2222_2222_2222,
-    0x0404_0404_0404_0404,
-    0x0008_0008_0008_0008,
-    0x0000_0010_0000_0010,
-    0x0000_0000_0000_0020,
-];
-
-/// The SWAR parenthesis ladder of one 64-bit word.
-///
-/// `c[k]` holds, in `2^k`-bit fields, the number of unmatched closing
-/// parentheses of the corresponding bit group; `pc[k]` holds the group
-/// popcounts (the classic SWAR cascade). Unmatched-opener counts need no
-/// third array — per field, `o = c + 2·pc − width`. Building costs ~60 ALU
-/// ops; each query is a 6-level descent.
-pub struct ExcessWord {
-    c: [u64; 7],
-    pc: [u64; 7],
-}
-
-impl ExcessWord {
-    /// Builds the ladder. Combine rule for a lower group L followed by an
-    /// upper group H: `c = cL + max(cH − oL, 0)` (the `min(oL, cH)` pairs
-    /// match and annihilate), with `oL` rewritten as `cL + 2·pcL − width`.
-    pub fn new(word: u64) -> Self {
-        let mut pc = [0u64; 7];
-        pc[0] = word;
-        pc[1] = word - ((word >> 1) & LADDER_LO[0]);
-        pc[2] = (pc[1] & LADDER_LO[1]) + ((pc[1] >> 2) & LADDER_LO[1]);
-        pc[3] = (pc[2] + (pc[2] >> 4)) & LADDER_LO[2];
-        pc[4] = (pc[3] + (pc[3] >> 8)) & LADDER_LO[3];
-        pc[5] = (pc[4] + (pc[4] >> 16)) & LADDER_LO[4];
-        pc[6] = (pc[5] + (pc[5] >> 32)) & LADDER_LO[5];
-        let mut c = [0u64; 7];
-        c[0] = !word;
-        // Width-2 combine: all operands are single bits, so max(cH − oL, 0)
-        // is just `cH & !oL` and the bitwise form is cheapest.
-        c[1] = (!word & LADDER_LO[0]) + ((!word >> 1) & !word & LADDER_LO[0]);
-        // Generic combines. Field values are ≤ half-width, so the borrow
-        // trick (set the field's top bit, subtract, read the top bit back
-        // as a "no borrow" flag) computes per-field max(cH − oL, 0), with
-        // `cH − oL` expanded to `(cH + width) − (cL + 2·pcL)`.
-        for k in 1..6 {
-            let lo = LADDER_LO[k];
-            let hb = LADDER_HB[k];
-            let half = 1u32 << k;
-            let cl = c[k] & lo;
-            let ch = (c[k] >> half) & lo;
-            let ol_biased = cl + 2 * (pc[k] & lo);
-            let d = ((ch + LADDER_HALFVAL[k - 1]) | hb) - ol_biased;
-            let sel = d & hb;
-            let keep = sel - (sel >> (2 * half - 1));
-            c[k + 1] = cl + (d & keep);
-        }
-        ExcessWord { c, pc }
-    }
-
-    /// Number of `')'` with no matching `'('` inside the word.
-    #[inline]
-    pub fn unmatched_closers(&self) -> u32 {
-        self.c[6] as u32
-    }
-
-    /// Number of `'('` with no matching `')'` inside the word.
-    #[inline]
-    pub fn unmatched_openers(&self) -> u32 {
-        (self.c[6] + 2 * self.pc[6]) as u32 - 64
-    }
-
-    /// Unmatched openers of the `2^k`-wide field of the ladder at bit
-    /// offset `pos`: `o = c + 2·pc − width`.
-    #[inline]
-    fn o_field(&self, k: usize, pos: u32) -> u64 {
-        let mask = (1u64 << (1 << k)) - 1;
-        ((self.c[k] >> pos) & mask) + 2 * ((self.pc[k] >> pos) & mask) - (1 << k)
-    }
-
-    /// Smallest `p` with `excess(p + 1) == -(d as i32)` — the position of
-    /// the `d`-th (1-based) unmatched closer. `None` if the excess never
-    /// drops that far (or `d == 0`).
-    pub fn find_fwd_excess(&self, d: u32) -> Option<u32> {
-        if d == 0 || self.unmatched_closers() < d {
-            return None;
-        }
-        let mut d = d as u64;
-        let mut pos = 0u32;
-        for k in (0..6).rev() {
-            let w = 1u32 << k;
-            let mask = (1u64 << w) - 1;
-            let cl = (self.c[k] >> pos) & mask;
-            if d > cl {
-                // Lower half exhausted: oL of H's closers get matched.
-                d = d - cl + self.o_field(k, pos);
-                pos += w;
-            }
-        }
-        debug_assert_eq!(d, 1);
-        Some(pos)
-    }
-
-    /// Largest `p` such that the δ-sum over `[p, 64)` equals `d as i64` —
-    /// the position of the `d`-th (1-based) unmatched opener counted from
-    /// the top. `None` if the suffix excess never rises that far.
-    pub fn find_bwd_excess(&self, d: u32) -> Option<u32> {
-        if d == 0 || self.unmatched_openers() < d {
-            return None;
-        }
-        let mut d = d as u64;
-        let mut pos = 0u32;
-        for k in (0..6).rev() {
-            let w = 1u32 << k;
-            let mask = (1u64 << w) - 1;
-            let oh = self.o_field(k, pos + w);
-            if d <= oh {
-                pos += w;
-            } else {
-                // Upper half exhausted: cH of L's openers get matched.
-                d = d - oh + ((self.c[k] >> (pos + w)) & mask);
-            }
-        }
-        debug_assert_eq!(d, 1);
-        Some(pos)
-    }
-}
-
-/// Minimum of `excess(k)` over non-empty prefixes `k = 1..=64`.
-///
-/// Uses the identity `min(0, mp) = −(unmatched closers)`: when the word has
-/// an unmatched closer the minimum is `−c`; otherwise flip the (necessarily
-/// open) first bit to a closer, which shifts every prefix excess by −2 and
-/// guarantees an unmatched closer, so `mp = 2 − c(word & !1)`.
-pub fn min_prefix_excess(word: u64) -> i32 {
-    if word & 1 == 0 {
-        -(ExcessWord::new(word).unmatched_closers() as i32)
-    } else {
-        2 - (ExcessWord::new(word & !1).unmatched_closers() as i32)
-    }
-}
-
 /// Restricts `word` to its low `valid` bits, complementing first when
 /// selecting zeros so padding past the end is never counted.
 #[inline]
@@ -413,148 +217,6 @@ mod tests {
         }
         // A narrowed window behaves identically.
         assert_eq!(select_block(1, 4, 5, count_before), 2);
-    }
-
-    fn naive_unmatched(x: u64) -> (u32, u32) {
-        let (mut c, mut o) = (0u32, 0u32);
-        for i in 0..64 {
-            if (x >> i) & 1 != 0 {
-                o += 1;
-            } else if o > 0 {
-                o -= 1;
-            } else {
-                c += 1;
-            }
-        }
-        (c, o)
-    }
-
-    fn naive_min_prefix(x: u64) -> i32 {
-        let mut run = 0i32;
-        let mut min = i32::MAX;
-        for i in 0..64 {
-            run += if (x >> i) & 1 != 0 { 1 } else { -1 };
-            min = min.min(run);
-        }
-        min
-    }
-
-    fn naive_find_fwd(x: u64, d: u32) -> Option<u32> {
-        let mut run = 0i64;
-        for i in 0..64 {
-            run += if (x >> i) & 1 != 0 { 1 } else { -1 };
-            if run == -(d as i64) {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn naive_find_bwd(x: u64, d: u32) -> Option<u32> {
-        let mut run = 0i64;
-        for i in (0..64).rev() {
-            run += if (x >> i) & 1 != 0 { 1 } else { -1 };
-            if run == d as i64 {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn check_excess_word(x: u64) {
-        let (nc, no) = naive_unmatched(x);
-        let ew = ExcessWord::new(x);
-        assert_eq!(ew.unmatched_closers(), nc, "closers of {x:#x}");
-        assert_eq!(ew.unmatched_openers(), no, "openers of {x:#x}");
-        assert_eq!(min_prefix_excess(x), naive_min_prefix(x), "mp of {x:#x}");
-        assert_eq!(word_excess(x), 2 * x.count_ones() as i32 - 64);
-        assert_eq!(ew.find_fwd_excess(0), None);
-        assert_eq!(ew.find_bwd_excess(0), None);
-        for d in [
-            1u32,
-            2,
-            3,
-            nc.saturating_sub(1).max(1),
-            nc.max(1),
-            nc + 1,
-            64,
-        ] {
-            assert_eq!(
-                ew.find_fwd_excess(d),
-                naive_find_fwd(x, d),
-                "fwd {x:#x} d={d}"
-            );
-        }
-        for d in [
-            1u32,
-            2,
-            3,
-            no.saturating_sub(1).max(1),
-            no.max(1),
-            no + 1,
-            64,
-        ] {
-            assert_eq!(
-                ew.find_bwd_excess(d),
-                naive_find_bwd(x, d),
-                "bwd {x:#x} d={d}"
-            );
-        }
-    }
-
-    #[test]
-    fn excess_ladder_structured_patterns() {
-        for x in [
-            0u64,
-            u64::MAX,
-            1,
-            1 << 63,
-            0xAAAA_AAAA_AAAA_AAAA,
-            0x5555_5555_5555_5555,
-            0xFFFF_FFFF_0000_0000,
-            0x0000_0000_FFFF_FFFF,
-            0xF0F0_F0F0_0F0F_0F0F,
-            0x0123_4567_89AB_CDEF,
-            (1u64 << 32) - 1,
-            !((1u64 << 32) - 1),
-        ] {
-            check_excess_word(x);
-        }
-    }
-
-    #[test]
-    fn excess_ladder_exhaustive_16bit_embeddings() {
-        // Every 16-bit pattern, embedded at the bottom with three distinct
-        // upper paddings (all-open, all-close, alternating), exercises every
-        // combine level including cross-half interactions.
-        for v in 0u64..=0xFFFF {
-            check_excess_word(v | (!0u64 << 16));
-            check_excess_word(v);
-            check_excess_word(v | (0xAAAA_AAAA_AAAA_AAAA << 16));
-        }
-    }
-
-    #[test]
-    fn excess_ladder_pseudorandom() {
-        let mut s = 0xC0FF_EE11_D00D_F00Du64;
-        for _ in 0..20_000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            check_excess_word(s);
-        }
-    }
-
-    #[test]
-    fn pad_open_above_neutralises_tail() {
-        // Padding must neither add closers nor change the valid prefix mins.
-        let x = 0b0110u64; // valid 4 bits
-        let padded = pad_open_above(x, 4);
-        assert_eq!(padded & 0xF, x);
-        // b0 is an unmatched ')'; b3's ')' matches b2's '('; padding adds none.
-        assert_eq!(ExcessWord::new(padded).unmatched_closers(), 1);
-        assert_eq!(pad_open_above(x, 64), x);
-        assert_eq!(min_prefix_excess(pad_open_above(0, 1)), -1);
     }
 
     #[test]

@@ -32,8 +32,10 @@ use std::sync::Arc;
 /// First word of every archive: `"WVLTRIE\x01"` as a little-endian word.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"WVLTRIE\x01");
 
-/// Current (and only) format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current (and only) format version. Version 2 dropped the Wavelet
+/// Trie's DFUDS tree section: its nodes are numbered in level order, so
+/// the internal flags alone are the topology.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Structure kinds (high 32 bits of word 1) — one per archive-rooted type,
 /// so a file saved as one structure cannot be loaded as another.
@@ -46,10 +48,6 @@ pub mod kind {
     pub const RRR: u32 = 3;
     /// `EliasFano`.
     pub const ELIAS_FANO: u32 = 4;
-    /// `BpSupport`.
-    pub const BP: u32 = 5;
-    /// `Dfuds`.
-    pub const DFUDS: u32 = 6;
     /// Static `WaveletTrie` (also a sealed `TieredStore` segment).
     pub const WAVELET_TRIE: u32 = 7;
     /// `IndexedStrings` (byte-string facade over the static trie).

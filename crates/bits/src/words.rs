@@ -1,8 +1,8 @@
 //! Owned-vs-borrowed word storage — the substrate of zero-copy persistence.
 //!
 //! Every static container in this workspace ultimately stores flat arrays
-//! of little-endian `u64` words (RRR classes, rank directories, DFUDS
-//! parentheses, …). [`Words`] makes that storage *relocatable*: a freshly
+//! of little-endian `u64` words (RRR classes, rank directories, Elias–Fano
+//! halves, …). [`Words`] makes that storage *relocatable*: a freshly
 //! built structure owns its `Vec<u64>`, while a structure loaded from disk
 //! borrows a sub-range of one shared [`Arc`] buffer — the validate-then-view
 //! load path carves all components out of a single allocation with zero

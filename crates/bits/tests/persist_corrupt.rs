@@ -4,7 +4,7 @@
 //! length fields — every case must surface a typed [`LoadError`], never a
 //! panic, never a queryable structure.
 
-use wt_bits::persist::{crc64, from_bytes, kind, to_bytes, Archive, LoadError};
+use wt_bits::persist::{crc64, from_bytes, kind, to_bytes, Archive, LoadError, FORMAT_VERSION};
 use wt_bits::{EliasFano, Fid, RawBitVec, RrrVector};
 
 fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
@@ -121,15 +121,18 @@ fn wrong_magic_version_kind() {
         Archive::parse(&not_ours, k),
         Err(LoadError::BadMagic)
     ));
-    // Version is the low 32 bits of word 1; bumping it must be rejected
-    // even with checksums refixed (readers only know FORMAT_VERSION).
-    let mut vnext = bytes.clone();
-    vnext[8] = 2;
-    let vnext = refix_checksums(&vnext);
-    assert!(matches!(
-        Archive::parse(&vnext, k),
-        Err(LoadError::UnsupportedVersion { found: 2 })
-    ));
+    // Version is the low 32 bits of word 1; any other version, older or
+    // newer, must be rejected even with checksums refixed (readers only
+    // know FORMAT_VERSION).
+    for other in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+        let mut v = bytes.clone();
+        v[8..12].copy_from_slice(&other.to_le_bytes());
+        let v = refix_checksums(&v);
+        assert!(matches!(
+            Archive::parse(&v, k),
+            Err(LoadError::UnsupportedVersion { found }) if found == other
+        ));
+    }
     // A RawBitVec archive is not a Fid archive.
     assert!(matches!(
         Archive::parse(&bytes, kind::FID),

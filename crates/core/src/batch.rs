@@ -1,28 +1,28 @@
 //! Software-pipelined batched queries for the static Wavelet Trie.
 //!
 //! A scalar static descent (§3, Lemmas 3.2/3.3) is a chain of *dependent*
-//! cache misses and branchy directory probes: DFUDS word → label
-//! delimiter → labels → internal flag → bitvector delimiters → RRR
-//! superblock → classes → offsets, repeated per level. Independent queries
-//! have no such dependence on each other, so the group descent here
-//! advances all lanes level-by-level in lockstep, issuing the prefetches
-//! for every lane's directory words before any lane resolves — N
-//! sequential miss chains of depth `h` become ~`h` rounds of overlapped
-//! misses (the same trick path-decomposed-trie and packed-trie engines use
+//! cache misses and branchy directory probes: internal flag → label
+//! delimiter → labels → bitvector delimiters → RRR superblock → classes →
+//! offsets, repeated per level. Independent queries have no such
+//! dependence on each other, so the group descent here advances all lanes
+//! level-by-level in lockstep, issuing the prefetches for every lane's
+//! directory words before any lane resolves — N sequential miss chains of
+//! depth `h` become ~`h` rounds of overlapped misses (the same trick path-decomposed-trie and packed-trie engines use
 //! to reach memory bandwidth instead of memory latency).
 //!
 //! On top of the pipelining, lanes are kept in **node-group order**: a
 //! group is a run of lanes currently sitting in the same trie node, and a
 //! group's children are emitted as two consecutive runs, so grouping is
-//! preserved level to level with no sorting. All node metadata (preorder
-//! id, label delimiters, internal index, bitvector segment bounds) is
-//! resolved **once per group**, not once per lane — real traffic is
-//! Zipf-skewed, so batches share the hot top of the trie and often whole
-//! hot paths, and identical query strings collapse into a single descent.
+//! preserved level to level with no sorting. All node metadata (label
+//! delimiters, internal index, bitvector segment bounds) is resolved
+//! **once per group**, not once per lane — real traffic is Zipf-skewed,
+//! so batches share the hot top of the trie and often whole hot paths,
+//! and identical query strings collapse into a single descent.
 //!
 //! Every function here is **bit-identical** to its scalar counterpart in
 //! [`crate::nav`]; `tests/batch_model.rs` pins that across backends.
 
+use crate::nav::TrieNav;
 use crate::static_wt::WaveletTrie;
 use wt_bits::{BitRank, BitSelect};
 use wt_trie::{BitStr, BitString};
@@ -37,7 +37,6 @@ const MIN_BATCH: usize = 8;
 /// Per-level group scratch: parallel arrays indexed by group.
 #[derive(Default)]
 struct GroupMeta {
-    pid: Vec<usize>,
     lab: Vec<(u64, u64)>,
     j: Vec<usize>,
     /// `(segment start, ones before)` per group.
@@ -52,46 +51,31 @@ impl GroupMeta {
     /// segment bounds/ones (two pipelined EF rounds).
     fn resolve(&mut self, wt: &WaveletTrie, nodes: &[usize], need_seg: bool) {
         let g = nodes.len();
-        for &v in nodes {
-            wt.tree.prefetch_node(v);
+        for &p in nodes {
+            wt.internal.prefetch(p);
         }
-        self.pid.clear();
-        self.pid.extend(nodes.iter().map(|&v| wt.tree.preorder(v)));
         self.lab.clear();
         self.lab.resize(g, (0, 0));
-        wt.label_bounds.get_pair_batch(&self.pid, &mut self.lab);
+        wt.label_bounds.get_pair_batch(nodes, &mut self.lab);
         for &(ls, _) in &self.lab {
             wt.labels.prefetch(ls as usize);
         }
-        for &p in &self.pid {
-            wt.internal.prefetch(p);
-        }
         self.j.clear();
-        self.j
-            .extend(self.pid.iter().map(|&p| wt.internal.rank1(p)));
-        for &j in &self.j {
-            wt.tree.prefetch_child1(j);
-        }
+        self.j.extend(nodes.iter().map(|&p| wt.internal.rank1(p)));
         if need_seg {
             self.resolve_seg(wt);
         }
     }
 
     /// Slim variant of [`GroupMeta::resolve`] for passes that only need
-    /// each group's internal index `j` (no labels, no child prefetch):
-    /// the leaf-to-root mapping of `select_batch`.
+    /// each group's internal index `j` (no labels): the leaf-to-root
+    /// mapping of `select_batch`.
     fn resolve_rank_only(&mut self, wt: &WaveletTrie, nodes: &[usize]) {
-        for &v in nodes {
-            wt.tree.prefetch_node(v);
-        }
-        self.pid.clear();
-        self.pid.extend(nodes.iter().map(|&v| wt.tree.preorder(v)));
-        for &p in &self.pid {
+        for &p in nodes {
             wt.internal.prefetch(p);
         }
         self.j.clear();
-        self.j
-            .extend(self.pid.iter().map(|&p| wt.internal.rank1(p)));
+        self.j.extend(nodes.iter().map(|&p| wt.bv_index(p)));
     }
 
     /// Batched `(segment start, ones before)` for the internal indexes in
@@ -136,7 +120,7 @@ pub(crate) fn access_batch(wt: &WaveletTrie, positions: &[usize]) -> Vec<BitStri
     if m0 == 0 {
         return out;
     }
-    let root = wt.tree.root().expect("nonempty");
+    let root = wt.nav_root().expect("nonempty");
     // Lanes in group order (all start in the root group).
     let mut lane: Vec<u32> = (0..m0 as u32).collect();
     let mut pos: Vec<usize> = positions.to_vec();
@@ -159,7 +143,7 @@ pub(crate) fn access_batch(wt: &WaveletTrie, positions: &[usize]) -> Vec<BitStri
         let mut cur = 0usize;
         for (gi, &(v, len)) in groups.iter().enumerate() {
             let label = meta.label(wt, gi);
-            let leaf = wt.tree.is_leaf(v);
+            let leaf = wt.nav_is_leaf(v);
             let (s, _) = meta.seg[gi];
             for k in cur..cur + len as usize {
                 out[lane[k] as usize].push_str(label);
@@ -210,7 +194,7 @@ pub(crate) fn access_batch(wt: &WaveletTrie, positions: &[usize]) -> Vec<BitStri
                 }
                 if lane.len() > start {
                     let child = wt.child_fast(v, j, want);
-                    wt.tree.prefetch_node(child);
+                    wt.internal.prefetch(child);
                     groups2.push((child, (lane.len() - start) as u32));
                 }
             }
@@ -260,7 +244,7 @@ fn descend_batch(wt: &WaveletTrie, queries: &[BitStr<'_>], prefix: bool) -> Desc
     if m0 == 0 {
         return desc;
     }
-    let Some(root) = wt.tree.root() else {
+    let Some(root) = wt.nav_root() else {
         return desc;
     };
     let mut lane: Vec<u32> = (0..m0 as u32).collect();
@@ -279,7 +263,7 @@ fn descend_batch(wt: &WaveletTrie, queries: &[BitStr<'_>], prefix: bool) -> Desc
         let mut cur = 0usize;
         for (gi, &(v, len, delta, link)) in groups.iter().enumerate() {
             let label = meta.label(wt, gi);
-            let leaf = wt.tree.is_leaf(v);
+            let leaf = wt.nav_is_leaf(v);
             let run = cur..cur + len as usize;
             cur = run.end;
             // Per lane: lcp against the group label decides the outcome.
@@ -327,7 +311,7 @@ fn descend_batch(wt: &WaveletTrie, queries: &[BitStr<'_>], prefix: bool) -> Desc
                 if lane2.len() > start {
                     let bit = want == 1;
                     let child = wt.child_fast(v, meta.j[gi], bit);
-                    wt.tree.prefetch_node(child);
+                    wt.internal.prefetch(child);
                     desc.links.push((link, v, bit));
                     groups2.push((
                         child,
@@ -400,7 +384,7 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
     }
     let m0 = queries.len();
     let mut res = vec![0usize; m0];
-    let Some(root) = wt.tree.root() else {
+    let Some(root) = wt.nav_root() else {
         return res;
     };
     let mut lane: Vec<u32> = (0..m0 as u32).collect();
@@ -426,7 +410,7 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
         let mut cur = 0usize;
         for (gi, &(v, len, delta)) in groups.iter().enumerate() {
             let label = meta.label(wt, gi);
-            let leaf = wt.tree.is_leaf(v);
+            let leaf = wt.nav_is_leaf(v);
             let (s, _) = meta.seg[gi];
             for k in cur..cur + len as usize {
                 let l_id = lane[k] as usize;
@@ -470,7 +454,7 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
         for (gi, &(v, len, delta)) in groups.iter().enumerate() {
             let run = cur..cur + len as usize;
             cur = run.end;
-            if wt.tree.is_leaf(v) {
+            if wt.nav_is_leaf(v) {
                 continue; // no survivors registered targets here
             }
             let (s, ones) = meta.seg[gi];
@@ -498,7 +482,7 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
                 at = a;
                 if lane2.len() > start {
                     let child = wt.child_fast(v, meta.j[gi], want == 1);
-                    wt.tree.prefetch_node(child);
+                    wt.internal.prefetch(child);
                     groups2.push((child, (lane2.len() - start) as u32, child_delta));
                 }
             }
@@ -518,8 +502,8 @@ fn subtree_counts(wt: &WaveletTrie, fg: &FoundGroups) -> Vec<usize> {
         .iter()
         .zip(&fg.paths)
         .map(|(&(node, _), path)| {
-            if !wt.tree.is_leaf(node) {
-                let j = wt.internal.rank1(wt.tree.preorder(node));
+            if !wt.nav_is_leaf(node) {
+                let j = wt.bv_index(node);
                 let (s, e) = wt.bv_bounds.get_pair(j);
                 (e - s) as usize
             } else {
@@ -527,7 +511,7 @@ fn subtree_counts(wt: &WaveletTrie, fg: &FoundGroups) -> Vec<usize> {
                     Some(&(parent, b)) => {
                         // Count of `b` in the parent's bitvector, straight
                         // from the per-node ones directory.
-                        let j = wt.internal.rank1(wt.tree.preorder(parent));
+                        let j = wt.bv_index(parent);
                         let (s, e) = wt.bv_bounds.get_pair(j);
                         let (o0, o1) = wt.bv_ones.get_pair(j);
                         let ones = (o1 - o0) as usize;

@@ -1,7 +1,7 @@
 //! Structural conversion between the dynamic and static Wavelet Tries.
 //!
 //! [`DynWaveletTrie::freeze`] walks the dynamic trie **once** and emits the
-//! static representation of Theorem 3.7 directly — preorder DFUDS degrees,
+//! raw parts of the static representation of Theorem 3.7 — internal flags,
 //! the concatenated label bitvector `L`, and the concatenated node
 //! bitvectors — without re-inserting the `n` strings through the Patricia
 //! trie. Cost is O(total bits) with word-level copies, versus
@@ -34,7 +34,7 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
     }
 
     /// [`DynWaveletTrie::freeze`] with the succinct assembly spread over
-    /// `threads` scoped worker threads (DFUDS, delimiters and the
+    /// `threads` scoped worker threads (the delimiters and the
     /// chunk-parallel RRR encoding run concurrently); the structural walk
     /// itself stays sequential. Bit-identical to the serial freeze — this
     /// is what the tiered store's seal/compact path uses per segment.
@@ -49,52 +49,39 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
             None => return StaticParts::empty(),
             Some(r) => r,
         };
-        let mut degrees: Vec<usize> = Vec::new();
+        let mut internal: Vec<bool> = Vec::new();
         let mut labels = RawBitVec::new();
         let mut label_lens: Vec<u64> = Vec::new();
         let mut bv_concat = RawBitVec::new();
         let mut bv_lens: Vec<u64> = Vec::new();
         let mut bv_ones: Vec<u64> = Vec::new();
-        let mut nh0 = 0.0f64;
-        let root_label_len = root.label().len();
-        // Preorder DFS; each entry carries the subtree's occurrence count
-        // (= parent bitvector ones/zeros), which at a leaf is the count the
-        // empirical-entropy term needs.
-        let mut stack: Vec<(&Node<B>, usize)> = vec![(root, n)];
-        while let Some((node, m)) = stack.pop() {
+        let mut stack: Vec<&Node<B>> = vec![root];
+        while let Some(node) = stack.pop() {
             let label = node.label();
             label.as_bitstr().append_into(&mut labels);
             label_lens.push(label.len() as u64);
             match node {
-                Node::Leaf(_) => {
-                    degrees.push(0);
-                    let c = m as f64;
-                    nh0 += c * (n as f64 / c).log2();
-                }
+                Node::Leaf(_) => internal.push(false),
                 Node::Internal(int) => {
-                    degrees.push(2);
+                    internal.push(true);
                     let len = int.bv.wt_len();
-                    debug_assert_eq!(len, m, "node bitvector length = subtree count");
-                    let ones = int.bv.wt_rank(true, len);
                     int.bv.wt_append_into(&mut bv_concat);
                     bv_lens.push(len as u64);
-                    bv_ones.push(ones as u64);
+                    bv_ones.push(int.bv.wt_rank(true, len) as u64);
                     // Child 0 must pop first (preorder).
-                    stack.push((&int.children[1], ones));
-                    stack.push((&int.children[0], len - ones));
+                    stack.push(&int.children[1]);
+                    stack.push(&int.children[0]);
                 }
             }
         }
         StaticParts {
             n,
-            degrees,
+            internal,
             labels,
             label_lens,
             bv_concat,
             bv_lens,
             bv_ones,
-            nh0_bits: nh0,
-            root_label_len,
         }
     }
 }
@@ -216,6 +203,8 @@ mod tests {
         }
         let frozen = dynamic.freeze();
         let rebuilt = WaveletTrie::from_bitstrings(dynamic.iter_seq()).unwrap();
+        // Same preorder parts, same level-order assembly: same bytes.
+        assert_eq!(frozen.save_bytes(), rebuilt.save_bytes());
         let probes: Vec<BitString> = (0..60).map(encode).collect();
         assert_same_index(&frozen, &rebuilt, &probes);
         assert_same_index(&frozen, &dynamic, &probes);
@@ -280,6 +269,7 @@ mod tests {
             let a = serial.space_breakdown();
             let b = par.space_breakdown();
             assert_eq!(a.total_bits, b.total_bits, "threads={threads}");
+            assert_eq!(par.save_bytes(), serial.save_bytes(), "threads={threads}");
             for i in (0..3000).step_by(271) {
                 assert_eq!(par.access(i), serial.access(i), "access({i})");
             }

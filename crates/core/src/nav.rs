@@ -1,10 +1,11 @@
 //! Navigation abstraction shared by every Wavelet Trie variant, and the
 //! query algorithms of §3 (Lemmas 3.2/3.3) implemented once on top of it.
 //!
-//! The static structure addresses nodes through DFUDS positions; the
-//! dynamic ones through node references. [`TrieNav`] hides the difference so
-//! `Access`, `Rank`, `Select`, `RankPrefix`, `SelectPrefix` and all of §5's
-//! range algorithms have a single implementation, tested across backends.
+//! The static structures address nodes by level-order id or path-step
+//! handle; the dynamic ones through node references. [`TrieNav`] hides the
+//! difference so `Access`, `Rank`, `Select`, `RankPrefix`, `SelectPrefix`
+//! and all of §5's range algorithms have a single implementation, tested
+//! across backends.
 
 use wt_trie::{BitStr, BitString};
 

@@ -3,8 +3,8 @@
 //! Decompositions", applied to the Definition 3.1 binary trie).
 //!
 //! The binary wavelet trie pays one chain of dependent cache misses per
-//! *bit-level* of the descent: DFUDS word → internal-flag rank → three
-//! scattered Elias–Fano probes → RRR rank, every level. On near-distinct
+//! *bit-level* of the descent: internal-flag rank → three scattered
+//! Elias–Fano probes → RRR rank, every level. On near-distinct
 //! workloads (the 12M-key ints adversary) the trie is ~log n levels deep
 //! and the scalar path is latency-bound.
 //!
@@ -23,13 +23,13 @@
 //! to the wavelet trie's, so the whole [`SeqIndex`](crate::SeqIndex)
 //! surface — implemented once over [`TrieNav`] — answers identically;
 //! `tests/pd_model.rs` pins this. Construction is a structural conversion
-//! from either the static or the dynamic wavelet trie (word-level copies,
-//! no string re-emission), and [`PathDecompTrie::to_static`] /
-//! [`PathDecompTrie::thaw`] convert back for store compaction.
+//! from the static wavelet trie (word-level copies, no string
+//! re-emission), and [`PathDecompTrie::thaw`] melts back to the dynamic
+//! trie for store compaction.
 
 use crate::dyn_wt::{DynWaveletTrie, Node, WtBitVec};
 use crate::nav::TrieNav;
-use crate::static_wt::{StaticParts, WaveletTrie};
+use crate::static_wt::WaveletTrie;
 use std::collections::VecDeque;
 use wt_bits::persist::{kind, Archive, ArchiveWriter, LoadError, Persist};
 use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, RawBitVec, RrrVector, SpaceUsage};
@@ -93,7 +93,7 @@ impl PdNode {
 
 /// Raw BFS-order material of a path decomposition, assembled into the
 /// succinct directories by [`PathDecompTrie::assemble`].
-pub(crate) struct PdParts {
+struct PdParts {
     pub n: usize,
     /// Per-path branching-step counts, BFS order.
     pub degrees: Vec<u64>,
@@ -124,127 +124,6 @@ impl PdParts {
     }
 }
 
-/// Structural view of a binary wavelet trie the decomposition walk can
-/// consume with word-level copies — implemented by the static trie (via a
-/// one-shot RRR decode) and the dynamic tries (via their node bitvectors).
-pub(crate) trait PdSource {
-    type N: Copy;
-    fn root(&self) -> Option<Self::N>;
-    fn is_leaf(&self, v: Self::N) -> bool;
-    fn child(&self, v: Self::N, bit: bool) -> Self::N;
-    /// Appends the label of `v`; returns its length.
-    fn append_label(&self, v: Self::N, out: &mut RawBitVec) -> usize;
-    /// `(|β|, ones(β))` of internal node `v`.
-    fn bv_len_ones(&self, v: Self::N) -> (usize, usize);
-    /// Appends β of internal node `v`.
-    fn append_bv(&self, v: Self::N, out: &mut RawBitVec);
-}
-
-/// Static-trie source: the RRR concatenation is decoded to raw words once,
-/// so every per-node β copy is a word-level range copy.
-struct StaticSrc<'w> {
-    wt: &'w WaveletTrie,
-    raw: RawBitVec,
-}
-
-/// Label bounds plus, for internal nodes, `(seg_start, seg_len, ones)` of β.
-type NodeBounds = ((usize, usize), Option<(usize, usize, usize)>);
-
-impl StaticSrc<'_> {
-    #[inline]
-    fn bounds(&self, v: usize) -> NodeBounds {
-        let pid = self.wt.tree.preorder(v);
-        let (ls, le) = self.wt.label_bounds.get_pair(pid);
-        if self.wt.tree.is_leaf(v) {
-            ((ls as usize, le as usize), None)
-        } else {
-            let j = self.wt.internal.rank1(pid);
-            let (s, e) = self.wt.bv_bounds.get_pair(j);
-            let (o0, o1) = self.wt.bv_ones.get_pair(j);
-            (
-                (ls as usize, le as usize),
-                Some((s as usize, (e - s) as usize, (o1 - o0) as usize)),
-            )
-        }
-    }
-}
-
-impl PdSource for StaticSrc<'_> {
-    type N = usize;
-
-    fn root(&self) -> Option<usize> {
-        self.wt.nav_root()
-    }
-
-    fn is_leaf(&self, v: usize) -> bool {
-        self.wt.nav_is_leaf(v)
-    }
-
-    fn child(&self, v: usize, bit: bool) -> usize {
-        self.wt.nav_child(v, bit)
-    }
-
-    fn append_label(&self, v: usize, out: &mut RawBitVec) -> usize {
-        let ((ls, le), _) = self.bounds(v);
-        out.extend_from_range(&self.wt.labels, ls, le - ls);
-        le - ls
-    }
-
-    fn bv_len_ones(&self, v: usize) -> (usize, usize) {
-        let (_, seg) = self.bounds(v);
-        let (_, len, ones) = seg.expect("bv_len_ones on a leaf");
-        (len, ones)
-    }
-
-    fn append_bv(&self, v: usize, out: &mut RawBitVec) {
-        let (_, seg) = self.bounds(v);
-        let (s, len, _) = seg.expect("append_bv on a leaf");
-        out.extend_from_range(&self.raw, s, len);
-    }
-}
-
-impl<'s, B: WtBitVec> PdSource for &'s DynWaveletTrie<B> {
-    type N = &'s Node<B>;
-
-    fn root(&self) -> Option<&'s Node<B>> {
-        self.root.as_ref()
-    }
-
-    fn is_leaf(&self, v: &'s Node<B>) -> bool {
-        matches!(v, Node::Leaf(_))
-    }
-
-    fn child(&self, v: &'s Node<B>, bit: bool) -> &'s Node<B> {
-        match v {
-            Node::Internal(int) => &int.children[bit as usize],
-            Node::Leaf(_) => panic!("child of a leaf"),
-        }
-    }
-
-    fn append_label(&self, v: &'s Node<B>, out: &mut RawBitVec) -> usize {
-        let label = v.label();
-        label.as_bitstr().append_into(out);
-        label.len()
-    }
-
-    fn bv_len_ones(&self, v: &'s Node<B>) -> (usize, usize) {
-        match v {
-            Node::Internal(int) => {
-                let len = int.bv.wt_len();
-                (len, int.bv.wt_rank(true, len))
-            }
-            Node::Leaf(_) => panic!("bv_len_ones on a leaf"),
-        }
-    }
-
-    fn append_bv(&self, v: &'s Node<B>, out: &mut RawBitVec) {
-        match v {
-            Node::Internal(int) => int.bv.wt_append_into(out),
-            Node::Leaf(_) => panic!("append_bv on a leaf"),
-        }
-    }
-}
-
 /// The decomposition walk: BFS over decomposition nodes; within each, the
 /// heavy-path loop. Children are enqueued in step order, so BFS numbering
 /// makes every node's children a consecutive id range (the
@@ -252,34 +131,42 @@ impl<'s, B: WtBitVec> PdSource for &'s DynWaveletTrie<B> {
 /// *majority of occurrences* (centroid by subsequence count, ties to
 /// branch 0), so a uniformly random occurrence leaves the path with
 /// probability ≤ 1/2 per step and the decomposition tree has depth
-/// O(log n) on every workload.
-fn build_parts<S: PdSource>(src: &S, n: usize) -> PdParts {
+/// O(log n) on every workload. The trie is read through its own
+/// accessors, and its RRR concatenation is decoded to raw words once, so
+/// every label and β copy is a word-level range copy.
+fn build_parts(wt: &WaveletTrie) -> PdParts {
+    let n = wt.len();
     let mut parts = PdParts::empty();
     parts.n = n;
-    let Some(root) = src.root() else {
+    let Some(root) = wt.nav_root() else {
         return parts;
     };
-    let mut queue: VecDeque<(S::N, usize)> = VecDeque::new();
+    let raw = wt.bvs.to_raw();
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
     queue.push_back((root, n));
     let mut first = true;
     while let Some((head, count)) = queue.pop_front() {
         let (mut v, mut m) = (head, count);
         let mut k = 0u64;
         loop {
-            let ll = src.append_label(v, &mut parts.labels);
-            parts.label_lens.push(ll as u64);
+            let (ls, le) = wt.label_range(v);
+            parts.labels.extend_from_range(&wt.labels, ls, le - ls);
+            parts.label_lens.push((le - ls) as u64);
             if first {
-                parts.root_label_len = ll;
+                parts.root_label_len = le - ls;
                 first = false;
             }
-            if src.is_leaf(v) {
+            if wt.nav_is_leaf(v) {
                 let c = m as f64;
                 parts.nh0_bits += c * (n as f64 / c).log2();
                 break;
             }
-            let (len, ones) = src.bv_len_ones(v);
+            let j = wt.bv_index(v);
+            let (s, e) = wt.bv_bounds.get_pair(j);
+            let (o0, o1) = wt.bv_ones.get_pair(j);
+            let (len, ones) = ((e - s) as usize, (o1 - o0) as usize);
             debug_assert_eq!(len, m, "β length = subtree occurrence count");
-            src.append_bv(v, &mut parts.bv_concat);
+            parts.bv_concat.extend_from_range(&raw, s as usize, len);
             parts.bv_lens.push(len as u64);
             parts.bv_ones.push(ones as u64);
             let heavy = 2 * ones > len;
@@ -289,8 +176,8 @@ fn build_parts<S: PdSource>(src: &S, n: usize) -> PdParts {
             } else {
                 (ones, len - ones)
             };
-            queue.push_back((src.child(v, !heavy), light_m));
-            v = src.child(v, heavy);
+            queue.push_back((wt.nav_child(v, !heavy), light_m));
+            v = wt.nav_child(v, heavy);
             m = heavy_m;
             k += 1;
         }
@@ -312,22 +199,7 @@ impl PathDecompTrie {
     /// encoding runs on a worker while the main thread builds the
     /// Elias–Fano directories). Bit-identical to the serial conversion.
     pub fn from_static_with_threads(wt: &WaveletTrie, threads: usize) -> Self {
-        let src = StaticSrc {
-            wt,
-            raw: wt.bvs.to_raw(),
-        };
-        Self::assemble_with_threads(build_parts(&src, wt.len()), threads)
-    }
-
-    /// Converts a dynamic wavelet trie directly (any backend), without
-    /// freezing to the static form first and without re-emitting strings.
-    pub fn from_dynamic<B: WtBitVec>(d: &DynWaveletTrie<B>) -> Self {
-        Self::from_dynamic_with_threads(d, 1)
-    }
-
-    /// [`PathDecompTrie::from_dynamic`] with threaded assembly.
-    pub fn from_dynamic_with_threads<B: WtBitVec>(d: &DynWaveletTrie<B>, threads: usize) -> Self {
-        Self::assemble_with_threads(build_parts(&d, d.nav_len()), threads)
+        Self::assemble_with_threads(build_parts(wt), threads)
     }
 
     /// Builds from scratch via the static trie (conversion is structural,
@@ -341,7 +213,7 @@ impl PathDecompTrie {
     /// Compresses BFS raw parts into the succinct directories, with the
     /// RRR encoding on a scoped worker thread when `threads > 1`, like
     /// `WaveletTrie::assemble_with_threads`.
-    pub(crate) fn assemble_with_threads(parts: PdParts, threads: usize) -> Self {
+    fn assemble_with_threads(parts: PdParts, threads: usize) -> Self {
         let PdParts {
             n,
             degrees,
@@ -443,79 +315,10 @@ impl PathDecompTrie {
         node
     }
 
-    /// Ones in the β segment of internal node `v` (directory probe, no
-    /// bitvector scan).
-    #[inline]
-    pub(crate) fn seg_ones(&self, v: &PdNode) -> usize {
-        debug_assert!(v.j < v.k);
-        (self.bv_ones.get(v.step() + 1) - v.ones_before) as usize
-    }
-
     /// The label of `v` as a borrowed view.
     #[inline]
     pub(crate) fn label_view(&self, v: &PdNode) -> BitStr<'_> {
         BitStr::new(&self.labels, v.lab_start as usize, v.lab_len as usize)
-    }
-
-    /// Converts back to the preorder static representation (one preorder
-    /// walk with word-level copies) — the melt path of the tiered store.
-    pub fn to_static(&self) -> WaveletTrie {
-        self.to_static_with_threads(1)
-    }
-
-    /// [`PathDecompTrie::to_static`] with threaded assembly.
-    pub fn to_static_with_threads(&self, threads: usize) -> WaveletTrie {
-        let parts = self.to_static_parts();
-        if threads <= 1 {
-            WaveletTrie::assemble(parts)
-        } else {
-            WaveletTrie::assemble_with_threads(parts, threads)
-        }
-    }
-
-    fn to_static_parts(&self) -> StaticParts {
-        let Some(root) = self.nav_root() else {
-            return StaticParts::empty();
-        };
-        let raw = self.bvs.to_raw();
-        let n = self.n;
-        let mut degrees: Vec<usize> = Vec::new();
-        let mut labels = RawBitVec::new();
-        let mut label_lens: Vec<u64> = Vec::new();
-        let mut bv_concat = RawBitVec::new();
-        let mut bv_lens: Vec<u64> = Vec::new();
-        let mut bv_ones: Vec<u64> = Vec::new();
-        let mut nh0 = 0.0f64;
-        let mut stack: Vec<(PdNode, usize)> = vec![(root, n)];
-        while let Some((v, m)) = stack.pop() {
-            labels.extend_from_range(&self.labels, v.lab_start as usize, v.lab_len as usize);
-            label_lens.push(v.lab_len);
-            if self.nav_is_leaf(v) {
-                degrees.push(0);
-                let c = m as f64;
-                nh0 += c * (n as f64 / c).log2();
-                continue;
-            }
-            degrees.push(2);
-            bv_concat.extend_from_range(&raw, v.seg_start as usize, v.seg_len as usize);
-            bv_lens.push(v.seg_len);
-            let ones = self.seg_ones(&v);
-            bv_ones.push(ones as u64);
-            // Child 0 must pop first (preorder).
-            stack.push((self.nav_child(v, true), ones));
-            stack.push((self.nav_child(v, false), v.seg_len as usize - ones));
-        }
-        StaticParts {
-            n,
-            degrees,
-            labels,
-            label_lens,
-            bv_concat,
-            bv_lens,
-            bv_ones,
-            nh0_bits: nh0,
-            root_label_len: self.root_label_len,
-        }
     }
 
     /// Melts into a dynamic wavelet trie (any backend), structurally.
@@ -885,7 +688,7 @@ impl PathDecompTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::SeqIndex;
+    use crate::ops::{SeqIndex, SequenceOps};
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
@@ -944,10 +747,11 @@ mod tests {
             d.append(encode(next() % 4000).as_bitstr()).unwrap();
         }
         let wt = d.freeze();
+        let rebuilt = WaveletTrie::from_bitstrings(d.iter_seq()).unwrap();
         let a = PathDecompTrie::from_static(&wt);
-        let b = PathDecompTrie::from_dynamic(&d);
+        let b = PathDecompTrie::from_static(&rebuilt);
         let c = PathDecompTrie::from_static_with_threads(&wt, 4);
-        assert_eq!(a.save_bytes(), b.save_bytes(), "static vs dynamic source");
+        assert_eq!(a.save_bytes(), b.save_bytes(), "frozen vs rebuilt source");
         assert_eq!(a.save_bytes(), c.save_bytes(), "serial vs threaded");
         for i in (0..800).step_by(37) {
             assert_eq!(a.access(i), wt.access(i), "access({i})");
@@ -977,11 +781,6 @@ mod tests {
         let seq = figure2_seq();
         let wt = WaveletTrie::build(&seq).unwrap();
         let pd = PathDecompTrie::from_static(&wt);
-        // PD → static must reproduce the wavelet trie bit-for-bit.
-        let back = pd.to_static();
-        assert_eq!(back.save_bytes(), wt.save_bytes());
-        let back_t = pd.to_static_with_threads(3);
-        assert_eq!(back_t.save_bytes(), wt.save_bytes());
         // PD → dynamic stays editable and answers identically.
         let mut melted: crate::dyn_wt::DynamicWaveletTrie = pd.thaw();
         for (i, s) in seq.iter().enumerate() {

@@ -1,11 +1,17 @@
 //! The static Wavelet Trie (§3, Theorem 3.7).
 //!
-//! Representation exactly as in the paper:
-//! * tree shape: DFUDS (2 bits per node + o());
-//! * node labels α concatenated in preorder into the bitvector `L`,
+//! Representation:
+//! * tree shape: nodes numbered in level order (BFS, child 0 before
+//!   child 1) with one internal flag per node in a [`Fid`]. Every internal
+//!   node has exactly two children (Definition 3.1), so the children of
+//!   the j-th internal node are nodes `2j + 1` and `2j + 2`: the flags are
+//!   the whole topology (≈ 2 bits per distinct string), and the
+//!   `j = rank1(p)` every descent step already computes for the bitvector
+//!   directories is also its navigation step;
+//! * node labels α concatenated in level order into the bitvector `L`,
 //!   delimited by an Elias–Fano partial-sum structure;
-//! * node bitvectors β concatenated in (internal-node) preorder, compressed
-//!   with RRR, delimited by a second Elias–Fano structure.
+//! * node bitvectors β concatenated in internal-node level order,
+//!   compressed with RRR, delimited by a second Elias–Fano structure.
 //!
 //! Space is `LT(Sset) + nH0(S) + o(h̃n)` bits (Theorem 3.7) — measured and
 //! reported by [`WaveletTrie::space_breakdown`]; operations are
@@ -14,21 +20,20 @@
 use crate::nav::TrieNav;
 use wt_bits::persist::{kind, Archive, ArchiveWriter, LoadError, Persist};
 use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, Fid, RawBitVec, RrrVector, SpaceUsage};
-use wt_trie::dfuds::Dfuds;
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
 /// An immutable compressed indexed sequence of binary strings.
 #[derive(Clone, Debug)]
 pub struct WaveletTrie {
     pub(crate) n: usize,
-    pub(crate) tree: Dfuds,
-    /// Concatenated labels (all nodes, preorder; root label included).
+    /// Concatenated labels (all nodes, level order; root label included).
     pub(crate) labels: RawBitVec,
-    /// Prefix sums of label lengths, indexed by preorder id (len = nodes+1).
+    /// Prefix sums of label lengths, indexed by node id (len = nodes+1).
     pub(crate) label_bounds: EliasFano,
-    /// Preorder id → is internal.
+    /// Node id → is internal; the children of internal node `p` are
+    /// `2·rank1(p) + 1 + b`.
     pub(crate) internal: Fid,
-    /// Concatenated internal-node bitvectors, preorder order, RRR-compressed.
+    /// Concatenated internal-node bitvectors, level order, RRR-compressed.
     pub(crate) bvs: RrrVector,
     /// Prefix sums of bitvector lengths (len = internals+1).
     pub(crate) bv_bounds: EliasFano,
@@ -50,8 +55,6 @@ pub struct StaticSpaceBreakdown {
     pub n: usize,
     /// Distinct strings |Sset|.
     pub distinct: usize,
-    /// DFUDS bits including rank/select/rmM directories.
-    pub tree_bits: usize,
     /// Raw concatenated label bits (all nodes).
     pub label_bits: usize,
     /// Elias–Fano delimiters for labels.
@@ -60,7 +63,7 @@ pub struct StaticSpaceBreakdown {
     pub bv_bits: usize,
     /// Elias–Fano delimiters for bitvectors.
     pub bv_delim_bits: usize,
-    /// Internal-flag FID bits.
+    /// Internal-flag FID bits — in level order, the whole tree topology.
     pub flags_bits: usize,
     /// Total measured bits.
     pub total_bits: usize,
@@ -76,41 +79,125 @@ pub struct StaticSpaceBreakdown {
 
 /// The preorder raw material of a static Wavelet Trie, produced either by
 /// the recursive builder or by the structural freeze of a dynamic trie
-/// (`crate::convert`), and assembled into the succinct directories by
-/// [`WaveletTrie::assemble`].
+/// (`crate::convert`), then renumbered into level order and assembled into
+/// the succinct directories by [`WaveletTrie::assemble`].
 pub(crate) struct StaticParts {
     pub n: usize,
-    /// Preorder node degrees (0 or 2).
-    pub degrees: Vec<usize>,
-    /// Concatenated node labels, preorder.
+    /// Per-node internal flags.
+    pub internal: Vec<bool>,
+    /// Concatenated node labels.
     pub labels: RawBitVec,
-    /// Per-node label lengths, preorder.
+    /// Per-node label lengths.
     pub label_lens: Vec<u64>,
-    /// Concatenated internal-node bitvectors, preorder.
+    /// Concatenated internal-node bitvectors.
     pub bv_concat: RawBitVec,
     /// Per-internal-node bitvector lengths.
     pub bv_lens: Vec<u64>,
     /// Per-internal-node ones counts.
     pub bv_ones: Vec<u64>,
-    /// `n·H0(S)` in bits.
-    pub nh0_bits: f64,
-    /// Length of the root label.
-    pub root_label_len: usize,
 }
 
 impl StaticParts {
     pub(crate) fn empty() -> Self {
         StaticParts {
             n: 0,
-            degrees: Vec::new(),
+            internal: Vec::new(),
             labels: RawBitVec::new(),
             label_lens: Vec::new(),
             bv_concat: RawBitVec::new(),
             bv_lens: Vec::new(),
             bv_ones: Vec::new(),
-            nh0_bits: 0.0,
-            root_label_len: 0,
         }
+    }
+
+    /// Renumbers preorder parts into level order in one O(nodes + bits)
+    /// pass with word-level label and bitvector copies.
+    fn into_level_order(self) -> Self {
+        let m = self.internal.len();
+        // `at[i]`: one past the last preorder id of `i`'s subtree. Child 0
+        // of internal `i` is `i + 1`; child 1 starts where child 0's
+        // subtree ends.
+        let mut at = vec![0usize; m];
+        for i in (0..m).rev() {
+            at[i] = if self.internal[i] {
+                at[at[i + 1]]
+            } else {
+                i + 1
+            };
+        }
+        let mut order: Vec<usize> = Vec::with_capacity(m);
+        if m > 0 {
+            order.push(0);
+        }
+        let mut head = 0;
+        while head < order.len() {
+            let i = order[head];
+            head += 1;
+            if self.internal[i] {
+                order.push(i + 1);
+                order.push(at[i + 1]);
+            }
+        }
+        // From here on `at[i]` is preorder node `i`'s internal rank.
+        let mut internals = 0;
+        for (i, &int) in self.internal.iter().enumerate() {
+            at[i] = internals;
+            internals += int as usize;
+        }
+        let starts = |lens: &[u64]| -> Vec<usize> {
+            lens.iter()
+                .scan(0usize, |acc, &l| {
+                    let s = *acc;
+                    *acc += l as usize;
+                    Some(s)
+                })
+                .collect()
+        };
+        let label_at = starts(&self.label_lens);
+        let bv_at = starts(&self.bv_lens);
+        let mut out = StaticParts {
+            n: self.n,
+            internal: Vec::with_capacity(m),
+            labels: RawBitVec::with_capacity(self.labels.len()),
+            label_lens: Vec::with_capacity(m),
+            bv_concat: RawBitVec::with_capacity(self.bv_concat.len()),
+            bv_lens: Vec::with_capacity(internals),
+            bv_ones: Vec::with_capacity(internals),
+        };
+        for &i in &order {
+            let len = self.label_lens[i];
+            out.labels
+                .extend_from_range(&self.labels, label_at[i], len as usize);
+            out.label_lens.push(len);
+            out.internal.push(self.internal[i]);
+            if self.internal[i] {
+                let k = at[i];
+                let len = self.bv_lens[k];
+                out.bv_concat
+                    .extend_from_range(&self.bv_concat, bv_at[k], len as usize);
+                out.bv_lens.push(len);
+                out.bv_ones.push(self.bv_ones[k]);
+            }
+        }
+        out
+    }
+
+    /// `n·H0(S) = Σ c·log2(n/c)` over the leaves, each leaf's occurrence
+    /// count `c` read off its parent's bitvector (a root leaf has `c = n`
+    /// and adds 0). Summed in level order from the renumbered parts, so
+    /// serial, parallel and frozen builds store the same bits.
+    fn nh0_bits(&self) -> f64 {
+        let n = self.n as f64;
+        let mut nh0 = 0.0;
+        for (j, (&len, &ones)) in self.bv_lens.iter().zip(&self.bv_ones).enumerate() {
+            for (b, c) in [(0, len - ones), (1, ones)] {
+                if !self.internal[2 * j + 1 + b] {
+                    let c = c as f64;
+                    nh0 += c * (n / c).log2();
+                }
+            }
+        }
+        nh0
     }
 }
 
@@ -141,13 +228,12 @@ struct Frame {
 /// of a parallel build, or the whole tree in a serial one.
 #[derive(Default)]
 struct PartsChunk {
-    degrees: Vec<usize>,
+    internal: Vec<bool>,
     labels: RawBitVec,
     label_lens: Vec<u64>,
     bv_concat: RawBitVec,
     bv_lens: Vec<u64>,
     bv_ones: Vec<u64>,
-    nh0: f64,
 }
 
 /// Emits `frame`'s node (Definition 3.1) into `chunk`; returns the child
@@ -155,7 +241,6 @@ struct PartsChunk {
 fn emit_node(
     views: &[BitStr<'_>],
     frame: Frame,
-    n_total: usize,
     chunk: &mut PartsChunk,
 ) -> Result<Option<(Frame, Frame)>, PrefixFreeViolation> {
     let Frame { idx, delta } = frame;
@@ -181,13 +266,11 @@ fn emit_node(
     chunk.label_lens.push(l as u64);
     if l == min_rem {
         // All strings identical from delta: a leaf (Def. 3.1 case i).
-        chunk.degrees.push(0);
-        let c = idx.len() as f64;
-        chunk.nh0 += c * (n_total as f64 / c).log2();
+        chunk.internal.push(false);
         return Ok(None);
     }
     // Internal node (Def. 3.1 case ii).
-    chunk.degrees.push(2);
+    chunk.internal.push(true);
     let branch = delta + l;
     let mut idx0 = Vec::new();
     let mut idx1 = Vec::new();
@@ -217,15 +300,11 @@ fn emit_node(
 
 /// Runs the partition recursion for one whole subtree, emitting its nodes
 /// in preorder (child 1 is pushed below child 0 on the explicit stack).
-fn build_chunk(
-    views: &[BitStr<'_>],
-    root: Frame,
-    n_total: usize,
-) -> Result<PartsChunk, PrefixFreeViolation> {
+fn build_chunk(views: &[BitStr<'_>], root: Frame) -> Result<PartsChunk, PrefixFreeViolation> {
     let mut chunk = PartsChunk::default();
     let mut stack = vec![root];
     while let Some(f) = stack.pop() {
-        if let Some((f0, f1)) = emit_node(views, f, n_total, &mut chunk)? {
+        if let Some((f0, f1)) = emit_node(views, f, &mut chunk)? {
             stack.push(f1);
             stack.push(f0);
         }
@@ -239,26 +318,22 @@ fn parts_from_chunks(n: usize, chunks: Vec<PartsChunk>) -> StaticParts {
     let first = it.next().expect("at least one chunk");
     let mut acc = first;
     for c in it {
-        acc.degrees.extend_from_slice(&c.degrees);
+        acc.internal.extend_from_slice(&c.internal);
         acc.labels.extend_from_range(&c.labels, 0, c.labels.len());
         acc.label_lens.extend_from_slice(&c.label_lens);
         acc.bv_concat
             .extend_from_range(&c.bv_concat, 0, c.bv_concat.len());
         acc.bv_lens.extend_from_slice(&c.bv_lens);
         acc.bv_ones.extend_from_slice(&c.bv_ones);
-        acc.nh0 += c.nh0;
     }
-    let root_label_len = acc.label_lens.first().copied().unwrap_or(0) as usize;
     StaticParts {
         n,
-        degrees: acc.degrees,
+        internal: acc.internal,
         labels: acc.labels,
         label_lens: acc.label_lens,
         bv_concat: acc.bv_concat,
         bv_lens: acc.bv_lens,
         bv_ones: acc.bv_ones,
-        nh0_bits: acc.nh0,
-        root_label_len,
     }
 }
 
@@ -312,7 +387,7 @@ impl WaveletTrie {
     /// Builds with an explicit thread count: the partition recursion splits
     /// subtries across `threads` scoped worker threads once the preorder
     /// spine has produced enough independent subtrees, and the succinct
-    /// assembly encodes its components (DFUDS, RRR blocks, delimiters)
+    /// assembly encodes its components (RRR blocks, delimiters)
     /// concurrently. `threads <= 1` is the serial construction; any value
     /// produces a **bit-identical** structure, since workers emit the same
     /// preorder chunks the serial walk would.
@@ -338,7 +413,7 @@ impl WaveletTrie {
             delta: 0,
         };
         if threads == 1 {
-            let chunk = build_chunk(views, root, n)?;
+            let chunk = build_chunk(views, root)?;
             let parts = parts_from_chunks(n, vec![chunk]);
             return Ok(Self::assemble(parts));
         }
@@ -359,19 +434,19 @@ impl WaveletTrie {
         let mut stack = vec![root];
         while let Some(f) = stack.pop() {
             if f.idx.len() <= cutoff {
-                if !cur.degrees.is_empty() {
+                if !cur.internal.is_empty() {
                     pieces.push(Piece::Done(std::mem::take(&mut cur)));
                 }
                 pieces.push(Piece::Task(tasks.len()));
                 tasks.push(f);
                 continue;
             }
-            if let Some((f0, f1)) = emit_node(views, f, n, &mut cur)? {
+            if let Some((f0, f1)) = emit_node(views, f, &mut cur)? {
                 stack.push(f1);
                 stack.push(f0);
             }
         }
-        if !cur.degrees.is_empty() {
+        if !cur.internal.is_empty() {
             pieces.push(Piece::Done(cur));
         }
         let n_tasks = tasks.len();
@@ -389,7 +464,7 @@ impl WaveletTrie {
                     s.spawn(move || {
                         bucket
                             .into_iter()
-                            .map(|(i, f)| (i, build_chunk(views, f, n)))
+                            .map(|(i, f)| (i, build_chunk(views, f)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -413,79 +488,49 @@ impl WaveletTrie {
         ))
     }
 
-    /// Compresses preorder raw parts into the succinct representation of
-    /// Theorem 3.7 (DFUDS + Elias–Fano delimiters + RRR bitvectors).
+    /// Renumbers preorder raw parts into level order and compresses them
+    /// into the succinct representation of Theorem 3.7 (internal flags +
+    /// Elias–Fano delimiters + RRR bitvectors).
     pub(crate) fn assemble(parts: StaticParts) -> Self {
-        let StaticParts {
-            n,
-            degrees,
-            labels,
-            label_lens,
-            bv_concat,
-            bv_lens,
-            bv_ones,
-            nh0_bits,
-            root_label_len,
-        } = parts;
-        let tree = Dfuds::from_degrees(degrees.iter().copied());
-        let label_bounds = EliasFano::prefix_sums(label_lens.iter().copied());
-        let internal = Fid::from_bits(degrees.iter().map(|&d| d == 2));
-        let bv_bounds = EliasFano::prefix_sums(bv_lens.iter().copied());
-        let bv_ones = EliasFano::prefix_sums(bv_ones.iter().copied());
-        let bvs = RrrVector::new(&bv_concat);
-        WaveletTrie {
-            n,
-            tree,
-            labels,
-            label_bounds,
-            internal,
-            bvs,
-            bv_bounds,
-            bv_ones,
-            nh0_bits,
-            root_label_len,
-        }
+        Self::assemble_with_threads(parts, 1)
     }
 
-    /// [`WaveletTrie::assemble`] with the component builds spread over
-    /// scoped threads: the DFUDS/rmM tree and the RRR encoding (itself
-    /// chunk-parallel, the dominant cost) run on workers while the main
-    /// thread builds the Elias–Fano delimiters and the internal-flag FID.
-    /// Bit-identical to the serial assembly.
+    /// [`WaveletTrie::assemble`] with the RRR encoding (itself
+    /// chunk-parallel, the dominant cost) on scoped worker threads while
+    /// the main thread builds the Elias–Fano delimiters and the
+    /// internal-flag FID. Bit-identical to the serial assembly.
     pub(crate) fn assemble_with_threads(parts: StaticParts, threads: usize) -> Self {
-        if threads <= 1 {
-            return Self::assemble(parts);
-        }
+        let parts = parts.into_level_order();
+        let nh0_bits = parts.nh0_bits();
+        let root_label_len = parts.label_lens.first().map_or(0, |&l| l as usize);
         let StaticParts {
             n,
-            degrees,
+            internal,
             labels,
             label_lens,
             bv_concat,
             bv_lens,
             bv_ones,
-            nh0_bits,
-            root_label_len,
         } = parts;
-        let (tree, bvs, label_bounds, internal, bv_bounds, bv_ones) = std::thread::scope(|s| {
-            let t_tree = s.spawn(|| Dfuds::from_degrees(degrees.iter().copied()));
-            let t_bvs = s.spawn(|| RrrVector::from_raw_with_threads(&bv_concat, threads));
-            let label_bounds = EliasFano::prefix_sums(label_lens.iter().copied());
-            let internal = Fid::from_bits(degrees.iter().map(|&d| d == 2));
-            let bv_bounds = EliasFano::prefix_sums(bv_lens.iter().copied());
-            let bv_ones = EliasFano::prefix_sums(bv_ones.iter().copied());
+        let directories = || {
             (
-                t_tree.join().expect("DFUDS build panicked"),
-                t_bvs.join().expect("RRR build panicked"),
-                label_bounds,
-                internal,
-                bv_bounds,
-                bv_ones,
+                EliasFano::prefix_sums(label_lens.iter().copied()),
+                Fid::from_bits(internal.iter().copied()),
+                EliasFano::prefix_sums(bv_lens.iter().copied()),
+                EliasFano::prefix_sums(bv_ones.iter().copied()),
             )
-        });
+        };
+        let (bvs, (label_bounds, internal, bv_bounds, bv_ones)) = if threads <= 1 {
+            (RrrVector::new(&bv_concat), directories())
+        } else {
+            std::thread::scope(|s| {
+                let t_bvs = s.spawn(|| RrrVector::from_raw_with_threads(&bv_concat, threads));
+                let dirs = directories();
+                (t_bvs.join().expect("RRR build panicked"), dirs)
+            })
+        };
         WaveletTrie {
             n,
-            tree,
             labels,
             label_bounds,
             internal,
@@ -512,7 +557,7 @@ impl WaveletTrie {
     /// Number of trie nodes (2|Sset| − 1 for |Sset| ≥ 1).
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
+        self.internal.len()
     }
 
     /// Number of distinct strings (= trie leaves), O(1) off the
@@ -522,68 +567,48 @@ impl WaveletTrie {
         self.internal.len() - self.internal.count_ones()
     }
 
+    /// Bounds of node `p`'s label in the label concatenation.
     #[inline]
-    fn label_range(&self, v: usize) -> (usize, usize) {
-        let pid = self.tree.preorder(v);
-        let (s, e) = self.label_bounds.get_pair(pid);
+    pub(crate) fn label_range(&self, p: usize) -> (usize, usize) {
+        let (s, e) = self.label_bounds.get_pair(p);
         (s as usize, e as usize)
     }
 
     #[inline]
-    fn bv_range(&self, v: usize) -> (usize, usize) {
-        let j = self.bv_index(v);
+    fn bv_range(&self, p: usize) -> (usize, usize) {
+        let j = self.bv_index(p);
         let (s, e) = self.bv_bounds.get_pair(j);
         (s as usize, e as usize)
     }
 
-    /// Index of internal node `v` into the bitvector directories.
+    /// Index `j` of internal node `p` into the bitvector directories.
     #[inline]
-    fn bv_index(&self, v: usize) -> usize {
-        let pid = self.tree.preorder(v);
-        debug_assert!(self.internal.get(pid));
-        self.internal.rank1(pid)
+    pub(crate) fn bv_index(&self, p: usize) -> usize {
+        debug_assert!(self.internal.get(p));
+        self.internal.rank1(p)
     }
 
-    /// Child of internal node `v` on branch `bit`, given `v`'s internal
+    /// Child of internal node `p` on branch `bit`, given `p`'s internal
     /// index `j` (which every descent computes anyway for the bitvector
-    /// directories). Wavelet-Trie internal nodes always have degree 2
-    /// ("110" in DFUDS), so child 0 follows immediately at `v + 3` and
-    /// child 1 comes from the O(1) skip directory — no balanced-
-    /// parenthesis excursion on the query path.
+    /// directories): in level order the children of the j-th internal
+    /// node are `2j + 1` and `2j + 2`.
     #[inline]
-    pub(crate) fn child_fast(&self, v: usize, j: usize, bit: bool) -> usize {
-        debug_assert!(!self.tree.is_leaf(v), "child_fast on a leaf");
-        if !bit {
-            return v + 3;
-        }
-        match self.tree.child1_by_internal_rank(j) {
-            Some(p) => {
-                // Pins the alignment invariant the directory relies on:
-                // `internal` ranks degree-2 nodes while the directory is
-                // indexed by degree-≥1 rank — identical for Wavelet Tries,
-                // whose internal nodes are always binary.
-                debug_assert_eq!(p, self.tree.child(v, 1), "child-1 directory misaligned");
-                p
-            }
-            None => self.tree.child(v, 1),
-        }
+    pub(crate) fn child_fast(&self, p: usize, j: usize, bit: bool) -> usize {
+        debug_assert!(self.internal.get(p), "child_fast on a leaf");
+        debug_assert_eq!(j, self.internal.rank1(p));
+        2 * j + 1 + bit as usize
     }
 
-    /// Bits of internal node `v`'s bitvector, in order (used by `thaw`,
+    /// Bits of internal node `p`'s bitvector, in order (used by `thaw`,
     /// which wants the segment bounds resolved once, not per bit).
-    pub(crate) fn bv_bits(&self, v: usize) -> impl Iterator<Item = bool> + '_ {
-        let (s, e) = self.bv_range(v);
+    pub(crate) fn bv_bits(&self, p: usize) -> impl Iterator<Item = bool> + '_ {
+        let (s, e) = self.bv_range(p);
         (s..e).map(move |i| self.bvs.get(i))
     }
 
     /// Measured vs. information-theoretic space (experiment E4).
     pub fn space_breakdown(&self) -> StaticSpaceBreakdown {
-        let distinct = if self.n == 0 {
-            0
-        } else {
-            self.tree.n_nodes().div_ceil(2)
-        };
-        let tree_bits = self.tree.size_bits();
+        let distinct = self.n_distinct();
         let label_bits = self.labels.len();
         let label_delim_bits = self.label_bounds.size_bits();
         let bv_bits = self.bvs.size_bits();
@@ -591,15 +616,11 @@ impl WaveletTrie {
         // segment-start ranks.
         let bv_delim_bits = self.bv_bounds.size_bits() + self.bv_ones.size_bits();
         let flags_bits = self.internal.size_bits();
-        let total_bits = self.labels.size_bits()
-            + tree_bits
-            + label_delim_bits
-            + bv_bits
-            + bv_delim_bits
-            + flags_bits;
+        let total_bits =
+            self.labels.size_bits() + label_delim_bits + bv_bits + bv_delim_bits + flags_bits;
         // LT(Sset) = |L| + e + B(e, |L| + e), L excluding the root label.
         let l_bits = label_bits.saturating_sub(self.root_label_len);
-        let e = self.tree.n_nodes().saturating_sub(1);
+        let e = self.n_nodes().saturating_sub(1);
         let lt_bits = if distinct <= 1 {
             l_bits as f64
         } else {
@@ -608,7 +629,6 @@ impl WaveletTrie {
         StaticSpaceBreakdown {
             n: self.n,
             distinct,
-            tree_bits,
             label_bits,
             label_delim_bits,
             bv_bits,
@@ -633,7 +653,6 @@ impl WaveletTrie {
 /// Section tags of a Wavelet-Trie archive, one per component.
 mod sec {
     pub const META: u32 = 0;
-    pub const TREE: u32 = 1;
     pub const LABELS: u32 = 2;
     pub const LABEL_BOUNDS: u32 = 3;
     pub const INTERNAL: u32 = 4;
@@ -697,7 +716,6 @@ impl WaveletTrie {
                 self.root_label_len as u64,
             ],
         );
-        push_section(&mut w, sec::TREE, &self.tree);
         push_section(&mut w, sec::LABELS, &self.labels);
         push_section(&mut w, sec::LABEL_BOUNDS, &self.label_bounds);
         push_section(&mut w, sec::INTERNAL, &self.internal);
@@ -714,7 +732,6 @@ impl WaveletTrie {
         let nh0_bits = meta.read_f64()?;
         let root_label_len = meta.read_len()?;
         meta.finish()?;
-        let tree: Dfuds = read_section(&a, sec::TREE)?;
         let labels: RawBitVec = read_section(&a, sec::LABELS)?;
         let label_bounds: EliasFano = read_section(&a, sec::LABEL_BOUNDS)?;
         let internal: Fid = read_section(&a, sec::INTERNAL)?;
@@ -723,9 +740,18 @@ impl WaveletTrie {
         let bv_ones: EliasFano = read_section(&a, sec::BV_ONES)?;
         // Cross-component invariants — O(1) directory-length probes that
         // pin every index computed on the query path inside bounds.
-        let n_nodes = tree.n_nodes();
+        let n_nodes = internal.len();
+        let internals = internal.count_ones();
         if (n == 0) != (n_nodes == 0) {
             return Err(LoadError::Invalid("empty trie encoding"));
+        }
+        // A full binary trie: with `child = 2·rank1(p) + 1 + b` this keeps
+        // every reachable child in range and strictly deeper (by id) than
+        // its parent, so every descent terminates.
+        if n_nodes > 0 && n_nodes != 2 * internals + 1 {
+            return Err(LoadError::Invalid(
+                "internal flags are not a full binary trie",
+            ));
         }
         if n_nodes > 0 && n < n_nodes.div_ceil(2) {
             return Err(LoadError::Invalid("fewer strings than leaves"));
@@ -739,10 +765,6 @@ impl WaveletTrie {
         if root_label_len > labels.len() {
             return Err(LoadError::Invalid("root label length"));
         }
-        if internal.len() != n_nodes {
-            return Err(LoadError::Invalid("internal-flag length"));
-        }
-        let internals = internal.count_ones();
         if bv_bounds.len() != internals + 1 || bv_ones.len() != internals + 1 {
             return Err(LoadError::Invalid("bitvector delimiter count"));
         }
@@ -755,9 +777,31 @@ impl WaveletTrie {
         if !nh0_bits.is_finite() || nh0_bits < 0.0 {
             return Err(LoadError::Invalid("entropy metadata"));
         }
+        // Every child's segment holds exactly the positions its parent
+        // routes to it, so a descent never maps a position past its node's
+        // segment. Directory probes only, no per-bit work.
+        let segment = |j: usize| {
+            let (s, e) = bv_bounds.get_pair(j);
+            let (o0, o1) = bv_ones.get_pair(j);
+            (e - s, o1 - o0)
+        };
+        if internals > 0 && segment(0).0 != n as u64 {
+            return Err(LoadError::Invalid("root bitvector length"));
+        }
+        for j in 0..internals {
+            let (len, ones) = segment(j);
+            if ones > len {
+                return Err(LoadError::Invalid("bitvector ones exceed length"));
+            }
+            for (b, count) in [(0, len - ones), (1, ones)] {
+                let c = 2 * j + 1 + b;
+                if internal.get(c) && segment(internal.rank1(c)).0 != count {
+                    return Err(LoadError::Invalid("child bitvector length"));
+                }
+            }
+        }
         Ok(WaveletTrie {
             n,
-            tree,
             labels,
             label_bounds,
             internal,
@@ -781,11 +825,7 @@ impl TrieNav for WaveletTrie {
 
     #[inline]
     fn nav_root(&self) -> Option<usize> {
-        if self.n == 0 {
-            None
-        } else {
-            self.tree.root()
-        }
+        (self.n > 0).then_some(0)
     }
 
     #[inline]
@@ -794,19 +834,13 @@ impl TrieNav for WaveletTrie {
     }
 
     #[inline]
-    fn nav_is_leaf(&self, v: usize) -> bool {
-        self.tree.is_leaf(v)
+    fn nav_is_leaf(&self, p: usize) -> bool {
+        !self.internal.get(p)
     }
 
     #[inline]
-    fn nav_child(&self, v: usize, bit: bool) -> usize {
-        debug_assert!(!self.tree.is_leaf(v), "nav_child on a leaf");
-        if !bit {
-            // Degree-2 encoding "110": child 0 is the next node.
-            return v + 3;
-        }
-        let j = self.internal.rank1(self.tree.preorder(v));
-        self.child_fast(v, j, true)
+    fn nav_child(&self, p: usize, bit: bool) -> usize {
+        self.child_fast(p, self.bv_index(p), bit)
     }
 
     #[inline]
@@ -1131,6 +1165,7 @@ mod tests {
             let a = serial.space_breakdown();
             let b = par.space_breakdown();
             assert_eq!(a.total_bits, b.total_bits, "threads={threads}");
+            assert_eq!(par.save_bytes(), serial.save_bytes(), "threads={threads}");
             assert_eq!(a.hn_bits, b.hn_bits);
             assert!((a.nh0_bits - b.nh0_bits).abs() < 1e-6);
             for i in (0..seq.len()).step_by(97) {

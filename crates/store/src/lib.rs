@@ -137,13 +137,13 @@ impl Default for StoreConfig {
 
 /// The representation of a sealed segment's payload, chosen adaptively at
 /// seal/compact time (see [`StaticRepr::choose_with_threads`]): shallow
-/// url-like segments keep the preorder wavelet trie, deep near-distinct
+/// url-like segments keep the level-order wavelet trie, deep near-distinct
 /// ints-like segments get the centroid path decomposition of the same
 /// binary trie. The two answer every query bit-identically, so the choice
 /// is invisible to the read path.
 #[derive(Debug)]
 pub(crate) enum StaticRepr {
-    /// The preorder static wavelet trie (Theorem 3.7).
+    /// The level-order static wavelet trie (Theorem 3.7).
     Wt(WaveletTrie),
     /// The path-decomposed static trie over the same binary trie.
     Pd(PathDecompTrie),
@@ -218,7 +218,7 @@ impl StaticRepr {
 pub enum SegmentKind {
     /// Mutable dynamic segment (the hot tail or a melted middle).
     Hot,
-    /// Sealed segment in the preorder wavelet-trie layout.
+    /// Sealed segment in the level-order wavelet-trie layout.
     Wavelet,
     /// Sealed segment in the path-decomposed layout.
     PathDecomp,
@@ -508,7 +508,7 @@ impl TieredStore {
     /// [`TieredStore::seal`] with an explicit worker-thread count: multiple
     /// hot segments (a melted middle plus the tail) freeze concurrently on
     /// scoped threads; a single hot segment spreads its succinct assembly
-    /// (RRR encode, DFUDS, delimiters) across the workers instead. The
+    /// (RRR encode, delimiters) across the workers instead. The
     /// resulting segments are bit-identical to a serial seal.
     ///
     /// # Panics

@@ -5,24 +5,21 @@
 //!
 //! * [`bitstr`] — binary strings at bit granularity ([`BitString`],
 //!   [`BitStr`]): LCP, slicing, ordering.
-//! * [`bp`] — balanced-parentheses navigation with a range-min tree
-//!   ([`BpSupport`]): `excess`/`find_close`/`find_open`.
-//! * [`dfuds`] — DFUDS succinct ordinal trees ([`Dfuds`]), the shape
-//!   encoding of the static Wavelet Trie (§3).
 //! * [`patricia`] — the dynamic Patricia trie of Appendix B
 //!   ([`PatriciaSet`]), with O(|s|) insert and merge-on-delete.
 //! * [`pathdecomp`] — BFS skeleton of a centroid path decomposition
 //!   ([`PathSkeleton`]), the shape directory of the path-decomposed
 //!   static trie.
+//!
+//! The static Wavelet Trie needs no tree encoding from this crate: its
+//! internal nodes are always binary, so numbering nodes in level order
+//! makes one internal flag per node the whole topology (see
+//! `wavelet_trie::WaveletTrie`).
 
 pub mod bitstr;
-pub mod bp;
-pub mod dfuds;
 pub mod pathdecomp;
 pub mod patricia;
 
 pub use bitstr::{BitStr, BitString};
-pub use bp::BpSupport;
-pub use dfuds::{Dfuds, NodeId};
 pub use pathdecomp::PathSkeleton;
 pub use patricia::{PatriciaSet, PrefixFreeViolation};

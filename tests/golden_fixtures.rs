@@ -1,5 +1,5 @@
 //! Golden-fixture compatibility suite: small canonical `.wt` archives
-//! checked into `tests/fixtures/` freeze format version 1 on disk. Two
+//! checked into `tests/fixtures/` freeze format version 2 on disk. Two
 //! guarantees per fixture:
 //!
 //! * **reader compat** — the loader reads the checked-in bytes and answers
@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use wavelet_trie::{BitString, IndexedStrings, PathDecompTrie, SeqIndex, WaveletTrie};
-use wt_bits::persist::{kind, to_bytes};
+use wt_bits::persist::{kind, to_bytes, Archive, ArchiveWriter};
 use wt_bits::{
     BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, RawBitVec, RrrVector,
 };
@@ -78,11 +78,11 @@ fn raw_bitvec_fixture() {
     for b in fixture_bits() {
         bv.push(b);
     }
-    check_fixture("raw-v1.wt", &to_bytes(kind::RAW, &bv));
+    check_fixture("raw-v2.wt", &to_bytes(kind::RAW, &bv));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("raw-v1.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("raw-v2.wt")).unwrap();
     let loaded: RawBitVec = wt_bits::persist::from_bytes(kind::RAW, &bytes).unwrap();
     for (i, b) in fixture_bits().into_iter().enumerate() {
         assert_eq!(loaded.get(i), b, "bit {i}");
@@ -92,11 +92,11 @@ fn raw_bitvec_fixture() {
 #[test]
 fn rrr_fixture() {
     let rrr = RrrVector::from_bits(fixture_bits());
-    check_fixture("rrr-v1.wt", &to_bytes(kind::RRR, &rrr));
+    check_fixture("rrr-v2.wt", &to_bytes(kind::RRR, &rrr));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("rrr-v1.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("rrr-v2.wt")).unwrap();
     let loaded: RrrVector = wt_bits::persist::from_bytes(kind::RRR, &bytes).unwrap();
     let bits = fixture_bits();
     assert_eq!(loaded.len(), bits.len());
@@ -114,11 +114,11 @@ fn elias_fano_fixture() {
     let mut sorted = values;
     sorted.sort_unstable();
     let ef = EliasFano::new(&sorted);
-    check_fixture("ef-v1.wt", &to_bytes(kind::ELIAS_FANO, &ef));
+    check_fixture("ef-v2.wt", &to_bytes(kind::ELIAS_FANO, &ef));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("ef-v1.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("ef-v2.wt")).unwrap();
     let loaded: EliasFano = wt_bits::persist::from_bytes(kind::ELIAS_FANO, &bytes).unwrap();
     for (i, &v) in sorted.iter().enumerate() {
         assert_eq!(loaded.get(i), v, "get({i})");
@@ -128,11 +128,11 @@ fn elias_fano_fixture() {
 #[test]
 fn indexed_strings_fixture() {
     let idx = IndexedStrings::build(fixture_urls());
-    check_fixture("urls-v1.wt", &idx.save_bytes());
+    check_fixture("urls-v2.wt", &idx.save_bytes());
     if regen() {
         return;
     }
-    let loaded = IndexedStrings::load(fixture_dir().join("urls-v1.wt")).unwrap();
+    let loaded = IndexedStrings::load(fixture_dir().join("urls-v2.wt")).unwrap();
     let urls = fixture_urls();
     assert_eq!(loaded.len(), urls.len());
     for (i, u) in urls.iter().enumerate() {
@@ -160,11 +160,11 @@ fn fixture_codes() -> Vec<BitString> {
 fn path_decomp_fixture() {
     let wt = WaveletTrie::build(&fixture_codes()).expect("prefix-free");
     let pd = PathDecompTrie::from_static(&wt);
-    check_fixture("pd-v1.wt", &pd.save_bytes());
+    check_fixture("pd-v2.wt", &pd.save_bytes());
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("pd-v1.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("pd-v2.wt")).unwrap();
     let loaded = PathDecompTrie::load_bytes(&bytes).unwrap();
     // Reader compat: the loaded view answers like the wavelet-trie oracle.
     let codes = fixture_codes();
@@ -229,17 +229,46 @@ fn assert_store_matches(loaded: &TieredStrings, st: &TieredStrings) {
     );
 }
 
+/// Writes the pre-generation layout into `dir` from the current writer's
+/// output: a generation-1 save with its segments renamed `seg-NNN.*` and
+/// a bare `manifest.wt` holding only section 0 (policy + segment table).
+fn write_legacy_fixture(st: &TieredStrings, dir: &Path) {
+    let src = std::env::temp_dir().join(format!("wt-golden-legacy-src-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&src);
+    st.save_dir(&src).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    for name in dir_names(&src, "legacy source") {
+        let path = src.join(&name);
+        if let Some(rest) = name.strip_prefix("seg-g00000001-") {
+            std::fs::copy(&path, dir.join(format!("seg-{rest}"))).unwrap();
+            continue;
+        }
+        assert_eq!(name, "manifest-g00000001.wt");
+        let a = Archive::parse(&std::fs::read(&path).unwrap(), kind::MANIFEST).unwrap();
+        let mut r = a.section(0).unwrap();
+        let n = r.remaining();
+        let words: Vec<u64> = (0..n).map(|_| r.read_u64().unwrap()).collect();
+        let mut w = ArchiveWriter::new(kind::MANIFEST);
+        w.section(0, words);
+        std::fs::write(dir.join("manifest.wt"), w.finish()).unwrap();
+    }
+    std::fs::remove_dir_all(&src).unwrap();
+}
+
 #[test]
 fn tiered_store_legacy_fixture() {
-    // `store-v1` is the pre-generation layout (bare `manifest.wt` +
+    // `store-v2` is the pre-generation layout (bare `manifest.wt` +
     // `seg-NNN.*`, no atomic-commit naming). The current writer no longer
     // produces it — this fixture is **reader compat only**, pinning that
     // images written before the commit protocol keep loading, as
-    // generation 0. It is never regenerated.
+    // generation 0. A format bump re-freezes it from the current writer's
+    // segments (`write_legacy_fixture`); otherwise it is never regenerated.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-v1");
+    let dir = fixture_dir().join("store-v2");
     if regen() {
-        return; // checked-in legacy bytes are immutable
+        write_legacy_fixture(&st, &dir);
+        return;
     }
     let loaded = TieredStrings::load_dir(&dir).unwrap();
     assert_store_matches(&loaded, &st);
@@ -255,10 +284,10 @@ fn tiered_store_legacy_fixture() {
 
 #[test]
 fn tiered_store_generation_fixture() {
-    // `store-gen-v1` freezes the atomic-commit layout: generation-numbered
+    // `store-gen-v2` freezes the atomic-commit layout: generation-numbered
     // segments plus `manifest-g00000001.wt` as the commit point.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-gen-v1");
+    let dir = fixture_dir().join("store-gen-v2");
     if regen() {
         let _ = std::fs::remove_dir_all(&dir);
         st.save_dir(&dir).unwrap();
@@ -268,7 +297,7 @@ fn tiered_store_generation_fixture() {
     let tmp = std::env::temp_dir().join(format!("wt-golden-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     st.save_dir(&tmp).unwrap();
-    let names = dir_names(&dir, "store-gen-v1");
+    let names = dir_names(&dir, "store-gen-v2");
     assert_eq!(names, dir_names(&tmp, "fresh save"), "file set changed");
     assert!(
         names.contains(&"manifest-g00000001.wt".to_string()),
@@ -322,17 +351,17 @@ fn write_torn_fixture(dir: &Path) {
 
 #[test]
 fn tiered_store_torn_fixture() {
-    // `store-torn-v1` freezes the aftermath of a crash mid-save: the old
+    // `store-torn-v2` freezes the aftermath of a crash mid-save: the old
     // committed generation plus a partial temp of the never-committed next
     // one. Both loaders must serve the OLD image — and keep doing so
     // byte-for-byte as the recovery code evolves.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-torn-v1");
+    let dir = fixture_dir().join("store-torn-v2");
     if regen() {
         write_torn_fixture(&dir);
         return;
     }
-    let names = dir_names(&dir, "store-torn-v1");
+    let names = dir_names(&dir, "store-torn-v2");
     assert!(
         names.iter().any(|n| n.ends_with(".tmp")),
         "torn fixture must hold a partial temp: {names:?}"

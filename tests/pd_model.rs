@@ -2,13 +2,13 @@
 //!
 //! The path-decomposed static trie is a *drop-in* representation: it must
 //! answer every `SeqIndex` operation — scalar, prefix, range-analytic and
-//! batched — **bit-identically** to the preorder [`WaveletTrie`] it was
-//! converted from, on every trie shape (random, all-equal, all-distinct,
-//! deep-skewed, empty, singleton). The tiered store then mixes both
+//! batched — **bit-identically** to the level-order [`WaveletTrie`] it
+//! was converted from, on every trie shape (random, all-equal,
+//! all-distinct, deep-skewed, empty, singleton). The tiered store then mixes both
 //! representations across segments; the mix must stay invisible through
 //! seal, compact and melt.
 
-use wavelet_trie::{BitStr, BitString, DynamicWaveletTrie, PathDecompTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{BitStr, BitString, PathDecompTrie, SeqIndex, WaveletTrie};
 use wt_store::{SegmentKind, StoreConfig, TieredStore};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -266,20 +266,6 @@ fn pd_matches_wavelet_trie_on_every_shape() {
         assert_same_structure(name, &wt, &pd);
         assert_same_index(name, &wt, &pd, &seq);
         assert_same_batches(name, &wt, &pd, &seq);
-    }
-}
-
-#[test]
-fn pd_from_dynamic_matches_oracle() {
-    for (name, seq) in shapes() {
-        let mut d = DynamicWaveletTrie::new();
-        for s in &seq {
-            d.append(s.as_bitstr()).unwrap();
-        }
-        let pd = PathDecompTrie::from_dynamic(&d);
-        let wt = WaveletTrie::build(&seq).expect("prefix-free");
-        assert_same_structure(name, &wt, &pd);
-        assert_same_index(name, &wt, &pd, &seq);
     }
 }
 

@@ -1,19 +1,19 @@
 //! Round-trip property suite for the zero-copy persistence layer: every
 //! persistent container — `RawBitVec`, `Fid`, `RrrVector`, `EliasFano`,
-//! `BpSupport`, `Dfuds`, `WaveletTrie`, `IndexedStrings`, `TieredStore` —
-//! must answer **bit-identically** after a save → load cycle, across
-//! randomized workloads and the degenerate shapes (empty, singleton,
-//! all-equal, deep-skewed), and a save-after-load-after-save must
-//! reproduce the byte image exactly (the canonical-form invariant the
-//! golden fixtures rely on).
+//! `WaveletTrie`, `IndexedStrings`, `TieredStore` — must answer
+//! **bit-identically** after a save → load cycle, across randomized
+//! workloads and the degenerate shapes (empty, singleton, all-equal,
+//! deep-skewed), and a save-after-load-after-save must reproduce the byte
+//! image exactly (the canonical-form invariant the golden fixtures rely
+//! on). The Wavelet Trie's topology check gets checksum-valid hostile
+//! images too: flags that are no full binary trie, and swapped flag bits.
 
 use wavelet_trie::{BitString, IndexedStrings, SeqIndex, WaveletTrie};
-use wt_bits::persist::{from_bytes, kind, to_bytes};
+use wt_bits::persist::{from_bytes, kind, to_bytes, Archive, ArchiveWriter, LoadError};
 use wt_bits::{
     BitAccess, BitRank, BitSelect, EliasFano, Fid, Persist, RawBitVec, RrrVector, SpaceUsage,
 };
 use wt_store::{StoreConfig, TieredStrings};
-use wt_trie::{BpSupport, Dfuds};
 
 fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
     move || {
@@ -131,96 +131,6 @@ fn elias_fano_roundtrip() {
     }
 }
 
-/// Parenthesis sequences: balanced trees of several shapes, including the
-/// deep-skewed chain that stresses the rmM-tree excursions.
-fn paren_shapes() -> Vec<RawBitVec> {
-    let mut shapes = Vec::new();
-    let mut push_str = |s: &str| {
-        let mut bv = RawBitVec::new();
-        for c in s.chars() {
-            bv.push(c == '(');
-        }
-        shapes.push(bv);
-    };
-    push_str("");
-    push_str("()");
-    push_str("(())()((()))");
-    // deep-skewed: 2000 nested pairs
-    let deep: String = "(".repeat(2000) + &")".repeat(2000);
-    push_str(&deep);
-    // wide: 3000 sibling pairs under a root
-    let wide: String = "(".to_string() + &"()".repeat(3000) + ")";
-    push_str(&wide);
-    shapes
-}
-
-#[test]
-fn bp_roundtrip() {
-    for bits in paren_shapes() {
-        let bp = BpSupport::new(bits);
-        let bytes = to_bytes(kind::BP, &bp);
-        let loaded: BpSupport = from_bytes(kind::BP, &bytes).expect("valid BP archive");
-        assert_eq!(to_bytes(kind::BP, &loaded), bytes, "byte stability");
-        assert_eq!(loaded.len(), bp.len());
-        for i in 0..bp.len() {
-            assert_eq!(loaded.excess(i), bp.excess(i), "excess({i})");
-            if bp.is_open(i) {
-                assert_eq!(loaded.find_close(i), bp.find_close(i), "find_close({i})");
-            } else {
-                assert_eq!(loaded.find_open(i), bp.find_open(i), "find_open({i})");
-            }
-        }
-    }
-}
-
-#[test]
-fn dfuds_roundtrip() {
-    // Degree sequences in preorder: empty, single leaf, full binary trees,
-    // and a deep left-spine (every internal node has a leaf + internal
-    // child) — the deep-skewed shape for tree navigation.
-    let mut degree_seqs: Vec<Vec<usize>> = vec![vec![], vec![0], vec![2, 0, 0]];
-    let mut full = vec![2; 1023];
-    full.extend(vec![0; 1024]);
-    // preorder of a complete binary tree is interleaved, but any sequence
-    // with the right shape works; build it properly instead:
-    fn complete(depth: usize, out: &mut Vec<usize>) {
-        if depth == 0 {
-            out.push(0);
-        } else {
-            out.push(2);
-            complete(depth - 1, out);
-            complete(depth - 1, out);
-        }
-    }
-    let mut c = Vec::new();
-    complete(9, &mut c);
-    degree_seqs.push(c);
-    let mut spine = Vec::new();
-    for _ in 0..1500 {
-        spine.push(2);
-        spine.push(0); // left leaf
-    }
-    spine.push(0); // final right leaf
-    degree_seqs.push(spine);
-    let _ = full;
-    for degs in degree_seqs {
-        let t = Dfuds::from_degrees(degs.iter().copied());
-        let bytes = to_bytes(kind::DFUDS, &t);
-        let loaded: Dfuds = from_bytes(kind::DFUDS, &bytes).expect("valid DFUDS archive");
-        assert_eq!(to_bytes(kind::DFUDS, &loaded), bytes, "byte stability");
-        assert_eq!(loaded.n_nodes(), t.n_nodes());
-        assert_eq!(loaded.root(), t.root());
-        for (pid, v) in t.preorder_iter().enumerate() {
-            assert_eq!(loaded.by_preorder(pid), v);
-            assert_eq!(loaded.degree(v), t.degree(v), "degree({v})");
-            assert_eq!(loaded.parent(v), t.parent(v), "parent({v})");
-            for c in 0..t.degree(v) {
-                assert_eq!(loaded.child(v, c), t.child(v, c), "child({v},{c})");
-            }
-        }
-    }
-}
-
 /// String workloads for the trie-level structures, including the
 /// degenerate shapes: empty, singleton, all-equal, and a deep-skewed set
 /// (shared long prefix, so the trie degenerates toward a path).
@@ -295,6 +205,140 @@ fn wavelet_trie_roundtrip() {
         assert_eq!(loaded.save_bytes(), bytes, "byte stability");
         check_wt_equal(&wt, &loaded, &encoded);
     }
+}
+
+/// Section tags of a Wavelet-Trie archive, in the order the writer emits
+/// them: meta, labels, label bounds, internal flags, bitvectors,
+/// bitvector bounds, ones directory.
+const WT_SECTIONS: [u32; 7] = [0, 2, 3, 4, 5, 6, 7];
+/// Tag of the internal-flag section (a `Fid`, whose raw bits lead).
+const WT_INTERNAL: u32 = 4;
+
+/// Every section of a Wavelet-Trie archive as raw words, in tag order.
+fn wt_sections(bytes: &[u8]) -> Vec<(u32, Vec<u64>)> {
+    let a = Archive::parse(bytes, kind::WAVELET_TRIE).expect("valid archive");
+    WT_SECTIONS
+        .iter()
+        .map(|&tag| {
+            let mut r = a.section(tag).expect("section present");
+            let n = r.remaining();
+            (tag, (0..n).map(|_| r.read_u64().unwrap()).collect())
+        })
+        .collect()
+}
+
+/// Writes sections back as a Wavelet-Trie archive with fresh checksums.
+fn wt_archive(sections: &[(u32, Vec<u64>)]) -> Vec<u8> {
+    let mut w = ArchiveWriter::new(kind::WAVELET_TRIE);
+    for (tag, words) in sections {
+        w.section(*tag, words.clone());
+    }
+    w.finish()
+}
+
+fn encoded<T: Persist>(value: &T) -> Vec<u64> {
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    out
+}
+
+/// A synthetic three-string archive with level-order `flags` and two
+/// internal nodes whose bitvectors are `011` and `01`: every section
+/// agrees with every other on its counts, whatever the flags.
+fn synthetic_wt(flags: &[bool]) -> Vec<u8> {
+    assert_eq!(flags.iter().filter(|&&f| f).count(), 2);
+    let bits = [false, true, true, false, true];
+    let payloads = [
+        vec![3, 0f64.to_bits(), 0],
+        encoded(&RawBitVec::new()),
+        encoded(&EliasFano::new(&vec![0; flags.len() + 1])),
+        encoded(&Fid::from_bits(flags.iter().copied())),
+        encoded(&RrrVector::from_bits(bits)),
+        encoded(&EliasFano::new(&[0, 3, 5])),
+        encoded(&EliasFano::new(&[0, 2, 3])),
+    ];
+    let sections: Vec<(u32, Vec<u64>)> = WT_SECTIONS.into_iter().zip(payloads).collect();
+    wt_archive(&sections)
+}
+
+#[test]
+fn wavelet_trie_rejects_flags_that_are_no_full_binary_trie() {
+    // The consistent shape: root (β = 011) → leaf, internal (β = 01) →
+    // two leaves.
+    let ok = WaveletTrie::load_bytes(&synthetic_wt(&[true, false, true, false, false]))
+        .expect("a full binary trie loads");
+    assert_eq!(ok.len(), 3);
+    assert_eq!(ok.n_nodes(), 5);
+    // Same counts everywhere, but `n_nodes ≠ 2·internals + 1`.
+    for flags in [
+        vec![true, true, false, false],
+        vec![true, false, true, false],
+        vec![false, true, true, false],
+        vec![true, true, false, false, false, false],
+    ] {
+        match WaveletTrie::load_bytes(&synthetic_wt(&flags)) {
+            Err(LoadError::Invalid(why)) => {
+                assert!(why.contains("full binary trie"), "{flags:?}: {why}")
+            }
+            other => panic!("{flags:?}: expected Invalid, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn swapped_internal_flag_bits_reject_or_answer() {
+    // Two bits of one flag word swapped keep every directory total intact,
+    // so only the loader's topology checks stand between such an image
+    // and the query paths: each must be rejected or answer every
+    // access/count without panicking.
+    const MUTANTS: usize = 600;
+    let mut rnd = xorshift(0x5A9F);
+    let code = |v: u64| BitString::from_bits((0..12).rev().map(move |k| (v >> k) & 1 != 0));
+    let strings: Vec<BitString> = (0..500).map(|_| code(rnd() % 300)).collect();
+    let mut distinct = strings.clone();
+    distinct.sort();
+    distinct.dedup();
+    let wt = WaveletTrie::build(&strings).unwrap();
+    let bytes = wt.save_bytes();
+    let sections = wt_sections(&bytes);
+    assert_eq!(wt_archive(&sections), bytes, "archive section layout");
+    let at = WT_SECTIONS.iter().position(|&t| t == WT_INTERNAL).unwrap();
+    let n_flags = sections[at].1[0] as usize;
+    assert_eq!(n_flags, wt.n_nodes());
+    let (mut made, mut rejected) = (0, 0);
+    let mut panicked = Vec::new();
+    while made < MUTANTS {
+        let word = (rnd() % n_flags.div_ceil(64) as u64) as usize;
+        let valid = (n_flags - 64 * word).min(64) as u64;
+        let (a, b) = (rnd() % valid, rnd() % valid);
+        let w = sections[at].1[1 + word];
+        if (w >> a) & 1 == (w >> b) & 1 {
+            continue;
+        }
+        made += 1;
+        let mut m = sections.clone();
+        m[at].1[1 + word] ^= (1 << a) | (1 << b);
+        let Ok(t) = WaveletTrie::load_bytes(&wt_archive(&m)) else {
+            rejected += 1;
+            continue;
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for i in 0..t.len() {
+                std::hint::black_box(t.access(i));
+            }
+            for s in &distinct {
+                std::hint::black_box(t.count(s.as_bitstr()));
+            }
+        }));
+        if run.is_err() {
+            panicked.push((word, a, b));
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} of {MUTANTS} mutants ({rejected} rejected) panicked: {panicked:?}",
+        panicked.len()
+    );
 }
 
 #[test]
