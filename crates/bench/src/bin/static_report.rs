@@ -20,8 +20,7 @@
 //! gains `baseline_ns_per_op` and `speedup`, so a single file carries the
 //! before/after pair a perf PR claims.
 
-use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wavelet_trie::{BitString, IndexedStrings, PathDecompTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::IndexedStrings;
 use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
 use wt_bits::{BitSelect, Fid, RawBitVec, RrrVector, SpaceUsage};
 use wt_workloads::urls::{url_log, UrlLogConfig};
@@ -199,116 +198,6 @@ fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
     println!();
 }
 
-/// Fixed-width random integers: near-distinct, so the binary trie is
-/// deep and every scalar descent is a dependent pointer-chase — the
-/// workload the path decomposition exists to fix.
-fn random_ints(n: usize, width: usize, seed: u64) -> Vec<BitString> {
-    let mut next = xorshift(seed);
-    (0..n)
-        .map(|_| {
-            let v = next() & ((1u64 << width) - 1);
-            BitString::from_bits((0..width).rev().map(move |k| (v >> k) & 1 != 0))
-        })
-        .collect()
-}
-
-/// Head-to-head scalar latency of the two static representations over the
-/// *same* binary trie (bit-identical answers, different layouts): the
-/// level-order wavelet trie vs its centroid path decomposition. The ints
-/// lane is the near-distinct pointer-chase regime; url/words check the
-/// decomposition costs nothing on shallow skewed tries.
-fn bench_representations(quick: bool, out: &mut Vec<Measurement>) {
-    let (n_url, n_words, n_ints) = if quick {
-        (50_000, 50_000, 200_000)
-    } else {
-        (1_000_000, 1_000_000, 12_000_000)
-    };
-    let iters = if quick { 5_000 } else { 20_000 };
-    println!("== static representations: level-order WT vs path decomposition ==\n");
-    let t = Table::new(
-        &[
-            "workload",
-            "structure",
-            "access",
-            "rank",
-            "select",
-            "count_prefix",
-            "bits/str",
-        ],
-        &[10, 16, 9, 9, 9, 12, 9],
-    );
-    let coder = NinthBitCoder;
-    let enc = |strings: Vec<String>| -> Vec<BitString> {
-        strings.iter().map(|s| coder.encode(s.as_bytes())).collect()
-    };
-    let url_cfg = UrlLogConfig {
-        hosts: 2000,
-        ..UrlLogConfig::default()
-    };
-    let workloads: [(&'static str, Vec<BitString>); 3] = [
-        ("url", enc(url_log(n_url, url_cfg, 5))),
-        ("words", enc(word_text(n_words, 2000, 7))),
-        ("ints", random_ints(n_ints, 28, 99)),
-    ];
-    for (dist, encoded) in &workloads {
-        let dist = *dist;
-        let n = encoded.len();
-        let wt = WaveletTrie::build_with_threads(encoded, 4).expect("prefix-free");
-        let pd = PathDecompTrie::from_static_with_threads(&wt, 4);
-        let structures: [(&'static str, &dyn SeqIndex, usize); 2] = [
-            ("WaveletTrie", &wt, wt.size_bits()),
-            ("PathDecompTrie", &pd, pd.size_bits()),
-        ];
-        for (name, idx, bits) in structures {
-            let bits_per = bits as f64 / n as f64;
-            let mut next = xorshift(3);
-            let access = time_per_op_ns(iters, 7, || {
-                let pos = (next() % n as u64) as usize;
-                std::hint::black_box(idx.access(pos));
-            });
-            let rank = time_per_op_ns(iters, 7, || {
-                let s = &encoded[(next() % n as u64) as usize];
-                let pos = (next() % (n as u64 + 1)) as usize;
-                std::hint::black_box(idx.rank(s.as_bitstr(), pos));
-            });
-            let select = time_per_op_ns(iters, 7, || {
-                let s = &encoded[(next() % n as u64) as usize];
-                std::hint::black_box(idx.select(s.as_bitstr(), 0));
-            });
-            let count_prefix = time_per_op_ns(iters, 7, || {
-                let s = &encoded[(next() % n as u64) as usize];
-                let p = s.as_bitstr().prefix((s.len() / 2).min(18));
-                std::hint::black_box(idx.count_prefix(p));
-            });
-            t.row(&[
-                dist,
-                name,
-                &fmt_ns(access),
-                &fmt_ns(rank),
-                &fmt_ns(select),
-                &fmt_ns(count_prefix),
-                &format!("{bits_per:.0}"),
-            ]);
-            for (op, ns) in [
-                ("access", access),
-                ("rank", rank),
-                ("select", select),
-                ("count_prefix", count_prefix),
-            ] {
-                out.push(Measurement {
-                    structure: name,
-                    dist,
-                    op,
-                    n,
-                    ns_per_op: ns,
-                    space_bits_per: bits_per,
-                });
-            }
-        }
-    }
-    println!();
-}
-
 /// Pulls `"key": {...` ns figures out of a previous report without a JSON
 /// dependency: looks up `"structure" ... "dist" ... "op"` triples.
 fn parse_baseline(text: &str) -> Vec<(String, f64)> {
@@ -389,6 +278,5 @@ fn main() {
     let mut results = Vec::new();
     bench_static_bitvecs(quick, &mut results);
     bench_static_wt(quick, &mut results);
-    bench_representations(quick, &mut results);
     write_json(&out_path, mode, &results, &baseline);
 }

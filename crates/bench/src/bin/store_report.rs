@@ -139,21 +139,6 @@ fn bench_tiered_overhead(n: usize, iters: usize, out: &mut Vec<Measurement>) {
         tiered.size_bits() as f64 / n as f64,
         stat.size_bits() as f64 / n as f64,
     );
-    // Per-segment trie-shape probe: the measured h̃ vs log2 n that drives
-    // the adaptive representation choice at seal time.
-    println!("per-segment shape (h̃ vs log2 n → representation):");
-    let shapes = tiered.inner().segment_shapes();
-    for (i, (shape, kind)) in shapes
-        .iter()
-        .zip(tiered.inner().segment_kinds())
-        .enumerate()
-    {
-        println!(
-            "  seg {i}: n={} distinct={} depth avg={:.1} max={} log2n={:.1} → {:?}",
-            shape.n, shape.distinct, shape.avg_depth, shape.max_depth, shape.log2n, kind
-        );
-    }
-    println!();
 
     let t = Table::new(
         &["structure", "access", "rank", "select", "count_prefix"],

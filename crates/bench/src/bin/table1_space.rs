@@ -8,8 +8,7 @@
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{
-    AppendWaveletTrie, BitString, DynamicWaveletTrie, PathDecompTrie, SeqIndex, SequenceStats,
-    WaveletTrie,
+    AppendWaveletTrie, BitString, DynamicWaveletTrie, SeqIndex, SequenceStats, WaveletTrie,
 };
 use wt_baselines::{BTreeIndex, DictSequence, NaiveSeq};
 use wt_bench::{bits_per, Table};
@@ -29,8 +28,6 @@ fn report(name: &str, data: Vec<String>) {
 
     let wt = WaveletTrie::build(&seq).expect("NinthBitCoder output is prefix-free");
     let sp = wt.space_breakdown();
-    let pd = PathDecompTrie::from_static(&wt);
-    let psp = pd.space_breakdown();
 
     let mut app = AppendWaveletTrie::new();
     let mut dy = DynamicWaveletTrie::new();
@@ -74,13 +71,6 @@ fn report(name: &str, data: Vec<String>) {
         "LB + o(h̃n)  (Thm 3.7)",
     ]);
     t.row(&[
-        "path-decomp WT",
-        &psp.total_bits.to_string(),
-        &bits_per(psp.total_bits, n),
-        &xlb(psp.total_bits),
-        "same trie, centroid paths (§3)",
-    ]);
-    t.row(&[
         "append-only WT",
         &(apt + abv).to_string(),
         &bits_per(apt + abv, n),
@@ -119,15 +109,6 @@ fn report(name: &str, data: Vec<String>) {
     println!(
         "   static breakdown: labels={} (+delim {}) bitvectors={} (+delim {}) flags={}",
         sp.label_bits, sp.label_delim_bits, sp.bv_bits, sp.bv_delim_bits, sp.flags_bits
-    );
-    println!(
-        "   path-decomp breakdown: skeleton={} labels={} (+delim {}) dirs={} bitvectors={} (+delim {})",
-        psp.skeleton_bits,
-        psp.label_bits,
-        psp.label_delim_bits,
-        psp.dir_bits,
-        psp.bv_bits,
-        psp.bv_delim_bits
     );
 }
 

@@ -12,7 +12,7 @@
 //! | `balance_report` | E8 | §6 height bound `(α+2)·log|Σ|`, hashed-tree op costs |
 //! | `alphabet_report` | E9 | dynamic alphabet vs rebuild/two-copy baselines, `RankPrefix` |
 //! | `dynamic_report` | E11 | §4.2 hot-path throughput → `BENCH_dynamic.json` |
-//! | `static_report` | E12, E16 | §2/§3 static-stack throughput, PD vs preorder → `BENCH_static.json` |
+//! | `static_report` | E12 | §2/§3 static-stack throughput → `BENCH_static.json` |
 //! | `store_report` | E13 | tiered store: freeze vs rebuild, query overhead → `BENCH_store.json` |
 //! | `throughput_report` | E14 | batched queries, parallel build, read scaling → `BENCH_throughput.json` |
 //! | `persist_report` | E15 | cold load vs rebuild, recovery → `BENCH_persist.json` |

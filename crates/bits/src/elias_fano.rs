@@ -6,17 +6,9 @@
 //! Elias–Fano is the standard engineered equivalent with the same
 //! `B(m, n) + o(n)` space and O(1) access (DESIGN.md substitution #1).
 
-use crate::broadword::{select_in_word, PIPELINE_LANES};
+use crate::broadword::PIPELINE_LANES;
 use crate::persist::{LoadError, Persist, WordsReader};
-use crate::words::U32Words;
 use crate::{BitRank, BitSelect, Fid, RawBitVec, SpaceUsage};
-
-/// Cursor-seat sampling rate: the position of every `SEAT_SAMPLE`-th
-/// upper-bits one is stored verbatim, so seating a cursor is one sample
-/// read plus a short popcount scan instead of a sampled binary search —
-/// and, crucially, the sample address is a pure function of the index, so
-/// a seat can be prefetched *exactly* one memory round ahead.
-const SEAT_SAMPLE: usize = 64;
 
 /// A compressed monotone non-decreasing sequence of `u64`s with O(1) access.
 #[derive(Clone, Debug)]
@@ -27,29 +19,6 @@ pub struct EliasFano {
     low_width: usize,
     low: RawBitVec,
     high: Fid,
-    /// Position of every [`SEAT_SAMPLE`]-th upper-bits one (empty when the
-    /// upper bitvector outgrows `u32` addressing — the seat path then falls
-    /// back to the directory select). Rebuilt on load, never serialized.
-    seats: U32Words,
-}
-
-/// A sequential read position inside an [`EliasFano`] sequence: the index
-/// and the resolved position of its upper-bits one. Seated once with
-/// [`EliasFano::cursor`], then advanced index-by-index without further
-/// directory selects — the access pattern of a heavy-path descent, where
-/// consecutive steps read consecutive delimiter entries.
-#[derive(Clone, Copy, Debug)]
-pub struct EfCursor {
-    i: usize,
-    p: usize,
-}
-
-impl EfCursor {
-    /// The index the cursor is seated on.
-    #[inline]
-    pub fn index(&self) -> usize {
-        self.i
-    }
 }
 
 impl EliasFano {
@@ -66,7 +35,6 @@ impl EliasFano {
                 low_width: 0,
                 low: RawBitVec::new(),
                 high: Fid::new(RawBitVec::new()),
-                seats: U32Words::from_vec(Vec::new()),
             };
         }
         let max = *values.last().expect("nonempty");
@@ -95,37 +63,13 @@ impl EliasFano {
             high.push(true);
         }
         high.push(false); // fence so the last bucket is closed
-        let high = Fid::new(high);
-        let seats = Self::build_seats(&high);
         EliasFano {
             n,
             u,
             low_width,
             low,
-            high,
-            seats,
+            high: Fid::new(high),
         }
-    }
-
-    /// Scans the upper bits once and records the position of every
-    /// [`SEAT_SAMPLE`]-th one. Derived data: rebuilt at load, not stored.
-    fn build_seats(high: &Fid) -> U32Words {
-        if high.count_ones() == 0 || high.raw().len() > u32::MAX as usize {
-            return U32Words::from_vec(Vec::new());
-        }
-        let mut v = Vec::with_capacity(high.count_ones().div_ceil(SEAT_SAMPLE));
-        let mut seen = 0usize;
-        for (wi, &w) in high.raw().words().iter().enumerate() {
-            let c = w.count_ones() as usize;
-            // All samples with target < seen are already pushed, so the
-            // next target is in this word iff it is < seen + c.
-            while v.len() * SEAT_SAMPLE < seen + c {
-                let k = (v.len() * SEAT_SAMPLE - seen) as u32;
-                v.push((wi * 64) as u32 + select_in_word(w, k));
-            }
-            seen += c;
-        }
-        U32Words::from_vec(v)
     }
 
     /// Encodes the prefix sums `0, w₀, w₀+w₁, …` of the given weights;
@@ -221,18 +165,6 @@ impl EliasFano {
         }
     }
 
-    /// Hints the CPU towards the directory and payload words `get(i)` /
-    /// `get_pair(i)` will touch: the upper-bits select window and the
-    /// low-bits word. Issued for all lanes of a batch up front so the
-    /// misses of independent lanes overlap.
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        if self.low_width != 0 {
-            self.low.prefetch(i * self.low_width);
-        }
-        self.high.prefetch_select1(i);
-    }
-
     /// Batched [`EliasFano::get`]: all lanes' upper-bit selects run through
     /// the pipelined [`Fid::select1_batch`], with the low-bits words
     /// prefetched up front — so a batch pays overlapped misses instead of
@@ -291,150 +223,6 @@ impl EliasFano {
                 *o = self.pair_from_first(i, p);
             }
         }
-    }
-
-    /// Position of the `i`-th upper-bits one via the dense seat samples:
-    /// one sample read plus a popcount scan over at most a few words, with
-    /// a directory-select fallback for pathological gaps (or when the
-    /// samples are absent). Branch-light — no binary search — so multiple
-    /// seats in flight pipeline instead of serializing on mispredicts.
-    #[inline]
-    fn seat_select1(&self, i: usize) -> usize {
-        if self.seats.is_empty() {
-            return self.high.select1(i).expect("directory");
-        }
-        let s = self.seats.get(i / SEAT_SAMPLE) as usize;
-        let mut need = i % SEAT_SAMPLE;
-        let words = self.high.raw().words();
-        let mut w = s / 64;
-        let mut cur = words[w] & (!0u64 << (s % 64));
-        let mut budget = 16usize;
-        loop {
-            let c = cur.count_ones() as usize;
-            if need < c {
-                return w * 64 + select_in_word(cur, need as u32) as usize;
-            }
-            need -= c;
-            w += 1;
-            budget -= 1;
-            if budget == 0 || w >= words.len() {
-                return self.high.select1(i).expect("directory");
-            }
-            cur = words[w];
-        }
-    }
-
-    /// Seats a sequential cursor on index `i` (one seat-sample probe).
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    #[inline]
-    pub fn cursor(&self, i: usize) -> EfCursor {
-        assert!(
-            i < self.n,
-            "EliasFano cursor index {i} out of bounds (len {})",
-            self.n
-        );
-        EfCursor {
-            i,
-            p: self.seat_select1(i),
-        }
-    }
-
-    /// Hints every line a [`EliasFano::cursor`] seat at `i` will touch:
-    /// the seat-sample word, the low-bits word, and the upper-bits data
-    /// word at the `i`-th one's *expected* position (the density estimate
-    /// is exact for evenly grown prefix sums and within a line for most
-    /// others). All three addresses are pure functions of `i`, so the hint
-    /// can run a full memory round ahead of the seat.
-    #[inline]
-    pub fn prefetch_cursor(&self, i: usize) {
-        if self.low_width != 0 {
-            self.low.prefetch(i * self.low_width);
-        }
-        if self.seats.is_empty() {
-            self.high.prefetch_select1(i);
-            return;
-        }
-        self.seats.prefetch(i / SEAT_SAMPLE);
-        let est = i * self.high.raw().len() / self.n;
-        self.high.raw().prefetch(est);
-    }
-
-    /// Two-level seat hint: *reads* the seat sample for `i` — an
-    /// off-critical-path load, since its value feeds only prefetches — and
-    /// hints the exact upper-bits words the seat scan will walk, plus the
-    /// low-bits word. One memory round after the sample lands, every line
-    /// of a subsequent `cursor(i)` is resident; unlike
-    /// [`EliasFano::prefetch_cursor`] no estimate is involved.
-    #[inline]
-    pub fn prefetch_cursor_deep(&self, i: usize) {
-        if self.low_width != 0 {
-            self.low.prefetch(i * self.low_width);
-        }
-        if self.seats.is_empty() {
-            self.high.prefetch_select1(i);
-            return;
-        }
-        let s = self.seats.get(i / SEAT_SAMPLE) as usize;
-        self.high.raw().prefetch(s);
-        self.high.raw().prefetch(s + 512);
-    }
-
-    /// `get(i)` resolved through the seat samples — same value as
-    /// [`EliasFano::get`], seat-path cost (no directory binary search).
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    #[inline]
-    pub fn get_seated(&self, i: usize) -> u64 {
-        let c = self.cursor(i);
-        self.cursor_value(c)
-    }
-
-    /// `(get(i), get(i + 1))` through the seat samples — the pair-probe
-    /// analogue of [`EliasFano::get_seated`], touching exactly the lines
-    /// [`EliasFano::prefetch_cursor_deep`]`(i)` hints.
-    ///
-    /// # Panics
-    /// If `i + 1 >= len()`.
-    #[inline]
-    pub fn get_pair_seated(&self, i: usize) -> (u64, u64) {
-        let mut c = self.cursor(i);
-        let lo = self.cursor_value(c);
-        self.advance(&mut c);
-        (lo, self.cursor_value(c))
-    }
-
-    /// The value under the cursor — no directory probe, just the low-bits
-    /// word (the upper part is carried by the cursor position).
-    #[inline]
-    pub fn cursor_value(&self, c: EfCursor) -> u64 {
-        let hi = (c.p - c.i) as u64;
-        if self.low_width == 0 {
-            hi
-        } else {
-            (hi << self.low_width) | self.low_of(c.i)
-        }
-    }
-
-    /// Advances the cursor to index `i + 1` by scanning the upper bits for
-    /// the next set bit — for adjacent entries (the per-step directory walk
-    /// of a path decomposition) this stays inside the word already in
-    /// cache. A pathological gap falls back to one directory select, so the
-    /// cursor never degrades to a linear walk.
-    ///
-    /// # Panics
-    /// If the cursor is already at the last index.
-    #[inline]
-    pub fn advance(&self, c: &mut EfCursor) {
-        assert!(
-            c.i + 1 < self.n,
-            "EliasFano cursor advance past the end (len {})",
-            self.n
-        );
-        c.p = self.next_one_after(c.i, c.p);
-        c.i += 1;
     }
 
     /// Position of the `(i+1)`-th upper-bits one given the `i`-th at `p`:
@@ -516,7 +304,7 @@ impl EliasFano {
 
 impl SpaceUsage for EliasFano {
     fn size_bits(&self) -> usize {
-        self.low.size_bits() + self.high.size_bits() + self.seats.size_bits() + 4 * 64
+        self.low.size_bits() + self.high.size_bits() + 4 * 64
     }
 }
 
@@ -542,16 +330,12 @@ impl Persist for EliasFano {
         if high.count_ones() != n {
             return Err(LoadError::Invalid("elias-fano upper bucket count"));
         }
-        // Seat samples are derived data: rebuilt here, never serialized,
-        // so the on-disk format is unchanged.
-        let seats = Self::build_seats(&high);
         Ok(EliasFano {
             n,
             u,
             low_width,
             low,
             high,
-            seats,
         })
     }
 }
@@ -628,6 +412,9 @@ mod tests {
 
     #[test]
     fn cursor_walks_sequences() {
+        // In-order walks pairing each value with its successor: `get_pair`
+        // steps through the whole sequence, and `get_pair_batch`/`get_batch`
+        // walk it from the front and from mid-sequence.
         for values in [
             vec![0u64],
             vec![0, 0, 0, 1, 1, 2],
@@ -638,22 +425,20 @@ mod tests {
                 .collect(),
         ] {
             let ef = EliasFano::new(&values);
-            // Full walk from the front.
-            let mut c = ef.cursor(0);
-            assert_eq!(ef.cursor_value(c), values[0]);
-            for (i, &v) in values.iter().enumerate().skip(1) {
-                ef.advance(&mut c);
-                assert_eq!(c.index(), i);
-                assert_eq!(ef.cursor_value(c), v, "cursor at {i}");
+            let steps = values.len() - 1;
+            for i in 0..steps {
+                assert_eq!(ef.get_pair(i), (values[i], values[i + 1]), "pair at {i}");
             }
-            // Seat mid-sequence.
-            let mid = values.len() / 2;
-            let mut c = ef.cursor(mid);
-            for (i, &v) in values.iter().enumerate().skip(mid) {
-                if i > mid {
-                    ef.advance(&mut c);
+            for start in [0, values.len() / 2] {
+                let idxs: Vec<usize> = (start..steps).collect();
+                let mut pairs = vec![(0, 0); idxs.len()];
+                ef.get_pair_batch(&idxs, &mut pairs);
+                let mut vals = vec![0; idxs.len()];
+                ef.get_batch(&idxs, &mut vals);
+                for (k, &i) in idxs.iter().enumerate() {
+                    assert_eq!(pairs[k], (values[i], values[i + 1]), "batched pair at {i}");
+                    assert_eq!(vals[k], values[i], "batched value at {i}");
                 }
-                assert_eq!(ef.cursor_value(c), v, "reseated cursor at {i}");
             }
         }
     }

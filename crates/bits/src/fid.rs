@@ -101,8 +101,10 @@ pub struct Fid {
 }
 
 impl Fid {
-    /// Builds the directory over `bits`.
-    pub fn new(bits: RawBitVec) -> Self {
+    /// Builds the directory over `bits`, dropping their growth slack so
+    /// the built footprint equals the loaded one.
+    pub fn new(mut bits: RawBitVec) -> Self {
+        bits.shrink_to_fit();
         let n_blocks = bits.len().div_ceil(BLOCK_BITS).max(1);
         let mut block_rank = Vec::with_capacity(n_blocks + 1);
         let mut sub_rank = Vec::with_capacity(n_blocks);
@@ -181,18 +183,6 @@ impl Fid {
         prefetch_read(self.block_rank.as_ptr().wrapping_add(block));
         prefetch_read(self.sub_rank.as_ptr().wrapping_add(block));
         self.bits.prefetch(i);
-    }
-
-    /// Hints the CPU towards the select-hint entry and the first candidate
-    /// block a `select1(k)` will inspect (approximate: the binary search may
-    /// touch further directory words, but the hint entry pins its range).
-    #[inline]
-    pub fn prefetch_select1(&self, k: usize) {
-        if let Some(b) = self.hints1.get_opt(k / SELECT_SAMPLE) {
-            let b = b as usize;
-            prefetch_read(self.block_rank.as_ptr().wrapping_add(b));
-            self.bits.prefetch(b * BLOCK_BITS);
-        }
     }
 
     /// Batched [`BitRank::rank1`]: per 64-lane chunk, prefetches every

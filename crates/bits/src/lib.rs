@@ -40,7 +40,7 @@ pub mod words;
 
 pub use append_only::{AppendBitVec, AppendConfig};
 pub use dynamic::DynamicBitVec;
-pub use elias_fano::{EfCursor, EliasFano};
+pub use elias_fano::EliasFano;
 pub use entropy::SpaceUsage;
 pub use fid::{BitAccess, BitRank, BitSelect, Fid};
 pub use offset::OffsetBitVec;

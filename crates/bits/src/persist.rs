@@ -56,7 +56,12 @@ pub mod kind {
     pub const MANIFEST: u32 = 9;
     /// Hot-segment string log (re-appended on load).
     pub const HOT_LOG: u32 = 10;
-    /// Path-decomposed static trie (also a sealed `TieredStore` segment).
+    /// Retired: the path-decomposed static trie, once a sealed
+    /// `TieredStore` segment. No reader accepts it; the code stays
+    /// reserved so such an archive fails with [`LoadError::WrongKind`]
+    /// instead of being misread.
+    ///
+    /// [`LoadError::WrongKind`]: super::LoadError::WrongKind
     pub const PATH_DECOMP: u32 = 11;
 }
 

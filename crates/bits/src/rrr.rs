@@ -344,30 +344,6 @@ impl RrrVector {
         self.classes.prefetch(class_bit + 64);
     }
 
-    /// Resolves the block directory for bit `i` and prefetches its offset
-    /// word plus `spread` lines on either side — the line set a later
-    /// `rank1`/`get` near `i` touches.
-    ///
-    /// Unlike [`RrrVector::prefetch`] this *reads* the superblock and class
-    /// words now (stalling if they are cold), so it pays off when those
-    /// lines were hinted a round earlier and the probe position is known —
-    /// or estimated to within `spread` lines of offset stream — ahead of a
-    /// dependent chain.
-    #[inline]
-    pub fn prefetch_deep(&self, i: usize, spread: usize) {
-        if i >= self.len {
-            return;
-        }
-        let (_, ptr, c) = self.locate_block(i / RRR_BLOCK_BITS);
-        if OFFSET_WIDTH[c as usize] > 0 {
-            self.offsets.prefetch(ptr);
-        }
-        for k in 1..=spread {
-            self.offsets.prefetch(ptr + k * 512);
-            self.offsets.prefetch(ptr.saturating_sub(k * 512));
-        }
-    }
-
     /// Fused `get(i)` / `rank1(i)`: one block locate and one partial decode
     /// answer both — the access hot path of a Wavelet Trie descent, which
     /// always needs `β[i]` and the rank of that bit together.
@@ -666,15 +642,19 @@ impl RrrVector {
 
     /// Seals the streams + directory into a queryable vector: appends the
     /// sentinel superblock and derives the sampled select hints. Shared by
-    /// [`RrrBuilder::finish`] and the parallel construction.
+    /// [`RrrBuilder::finish`] and the parallel construction. The streams
+    /// drop their growth slack, so the built footprint equals the loaded
+    /// one.
     fn finalize(
         target_len: usize,
         ones: usize,
-        classes: RawBitVec,
-        offsets: RawBitVec,
+        mut classes: RawBitVec,
+        mut offsets: RawBitVec,
         mut sb_rank: Vec<u64>,
         mut sb_ptr: Vec<u64>,
     ) -> RrrVector {
+        classes.shrink_to_fit();
+        offsets.shrink_to_fit();
         // Sentinel superblock so binary searches have an upper fence.
         sb_rank.push(ones as u64);
         sb_ptr.push(offsets.len() as u64);

@@ -187,12 +187,6 @@ impl U32Words {
         (i < self.len).then(|| self.get(i))
     }
 
-    /// Hints the cache to fetch the word holding entry `i`.
-    #[inline]
-    pub fn prefetch(&self, i: usize) {
-        crate::broadword::prefetch_read(self.words.as_ptr().wrapping_add(i / 2));
-    }
-
     /// The packed backing words.
     #[inline]
     pub fn words(&self) -> &Words {

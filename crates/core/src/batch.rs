@@ -7,8 +7,8 @@
 //! dependence on each other, so the group descent here advances all lanes
 //! level-by-level in lockstep, issuing the prefetches for every lane's
 //! directory words before any lane resolves — N sequential miss chains of
-//! depth `h` become ~`h` rounds of overlapped misses (the same trick path-decomposed-trie and packed-trie engines use
-//! to reach memory bandwidth instead of memory latency).
+//! depth `h` become ~`h` rounds of overlapped misses, so a batch runs at
+//! memory bandwidth instead of memory latency.
 //!
 //! On top of the pipelining, lanes are kept in **node-group order**: a
 //! group is a run of lanes currently sitting in the same trie node, and a

@@ -62,8 +62,6 @@ pub mod dyn_wt;
 pub mod hashed;
 pub mod nav;
 pub mod ops;
-pub mod pd;
-mod pd_scalar;
 pub mod range;
 pub mod static_wt;
 pub mod stats;
@@ -73,10 +71,9 @@ pub use dyn_wt::{AppendWaveletTrie, DynWaveletTrie, DynamicWaveletTrie, WtBitVec
 pub use hashed::RandomizedWaveletTree;
 pub use nav::TrieNav;
 pub use ops::{SeqIndex, SequenceOps};
-pub use pd::{PathDecompTrie, PdSpaceBreakdown};
 pub use range::RangeIter;
 pub use static_wt::{StaticSpaceBreakdown, WaveletTrie};
-pub use stats::{SequenceStats, TrieShape};
+pub use stats::SequenceStats;
 pub use text::{AppendLog, DynamicStrings, IndexedStrings};
 
 // Re-export the substrate types users need for the bit-level API.

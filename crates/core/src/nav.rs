@@ -1,11 +1,11 @@
 //! Navigation abstraction shared by every Wavelet Trie variant, and the
 //! query algorithms of §3 (Lemmas 3.2/3.3) implemented once on top of it.
 //!
-//! The static structures address nodes by level-order id or path-step
-//! handle; the dynamic ones through node references. [`TrieNav`] hides the
-//! difference so `Access`, `Rank`, `Select`, `RankPrefix`, `SelectPrefix`
-//! and all of §5's range algorithms have a single implementation, tested
-//! across backends.
+//! The static structure addresses nodes by level-order id, the dynamic
+//! ones through node references. [`TrieNav`] hides the difference so
+//! `Access`, `Rank`, `Select`, `RankPrefix`, `SelectPrefix` and all of
+//! §5's range algorithms have a single implementation, tested across
+//! backends.
 
 use wt_trie::{BitStr, BitString};
 
@@ -71,18 +71,16 @@ pub trait TrieNav {
     // --- batched queries ---------------------------------------------------
     //
     // Hooks behind the `SeqIndex::*_batch` surface. The defaults loop the
-    // scalar hooks below, so a backend with specialized scalar walkers (the
-    // path-decomposed trie) batches through them; backends whose descents
-    // are chains of cache misses (the static trie) override them with a
-    // software-pipelined group descent that advances all lanes
-    // level-by-level in lockstep.
+    // scalar algorithms below; the static trie, whose descents are chains
+    // of cache misses, overrides them with a software-pipelined group
+    // descent that advances all lanes level-by-level in lockstep.
 
     /// Batched `Access`: the strings at `positions`, in order.
     fn nav_access_batch(&self, positions: &[usize]) -> Vec<BitString>
     where
         Self: Sized,
     {
-        positions.iter().map(|&p| self.nav_access(p)).collect()
+        positions.iter().map(|&p| access(self, p)).collect()
     }
 
     /// Batched `Rank` over `(string, position)` queries.
@@ -90,10 +88,7 @@ pub trait TrieNav {
     where
         Self: Sized,
     {
-        queries
-            .iter()
-            .map(|&(s, pos)| self.nav_rank(s, pos))
-            .collect()
+        queries.iter().map(|&(s, pos)| rank(self, s, pos)).collect()
     }
 
     /// Batched `Select` over `(string, occurrence index)` queries.
@@ -103,7 +98,7 @@ pub trait TrieNav {
     {
         queries
             .iter()
-            .map(|&(s, idx)| self.nav_select(s, idx))
+            .map(|&(s, idx)| select(self, s, idx))
             .collect()
     }
 
@@ -112,54 +107,7 @@ pub trait TrieNav {
     where
         Self: Sized,
     {
-        prefixes.iter().map(|&p| self.nav_count_prefix(p)).collect()
-    }
-
-    // --- scalar queries ----------------------------------------------------
-    //
-    // Hooks behind the scalar `SeqIndex` surface. The defaults run the
-    // generic descent; backends with a cheaper specialized walk (the
-    // path-decomposed trie's cursor descent) override them. Every override
-    // must answer bit-identically to the generic algorithms.
-
-    /// Scalar `Access(pos)`.
-    fn nav_access(&self, pos: usize) -> BitString
-    where
-        Self: Sized,
-    {
-        access(self, pos)
-    }
-
-    /// Scalar `Rank(s, pos)`.
-    fn nav_rank(&self, s: BitStr<'_>, pos: usize) -> usize
-    where
-        Self: Sized,
-    {
-        rank(self, s, pos)
-    }
-
-    /// Scalar `Select(s, idx)`.
-    fn nav_select(&self, s: BitStr<'_>, idx: usize) -> Option<usize>
-    where
-        Self: Sized,
-    {
-        select(self, s, idx)
-    }
-
-    /// Scalar `Count(s)`.
-    fn nav_count(&self, s: BitStr<'_>) -> usize
-    where
-        Self: Sized,
-    {
-        count(self, s)
-    }
-
-    /// Scalar `CountPrefix(p)`.
-    fn nav_count_prefix(&self, p: BitStr<'_>) -> usize
-    where
-        Self: Sized,
-    {
-        count_prefix(self, p)
+        prefixes.iter().map(|&p| count_prefix(self, p)).collect()
     }
 }
 
@@ -434,14 +382,23 @@ pub(crate) fn admits<T: TrieNav>(t: &T, s: BitStr<'_>) -> bool {
     }
 }
 
-/// Number of occurrences of `s` in the whole sequence.
+/// Number of occurrences of `s` in the whole sequence: the size of its
+/// leaf, one probe of the parent's bitvector instead of one rank per level
+/// to map `n` down the path.
 pub(crate) fn count<T: TrieNav>(t: &T, s: BitStr<'_>) -> usize {
-    rank(t, s, t.nav_len())
+    match descend_exact(t, s) {
+        Descent::Absent => 0,
+        Descent::Found { node, path } => subtree_count(t, node, &path),
+    }
 }
 
-/// Number of strings with prefix `p` in the whole sequence.
+/// Number of strings with prefix `p` in the whole sequence: the size of
+/// the subtree where `p` ends, as in [`count`].
 pub(crate) fn count_prefix<T: TrieNav>(t: &T, p: BitStr<'_>) -> usize {
-    rank_prefix(t, p, t.nav_len())
+    match descend_prefix(t, p) {
+        Descent::Absent => 0,
+        Descent::Found { node, path } => subtree_count(t, node, &path),
+    }
 }
 
 /// Maximum number of internal nodes on any root-to-leaf path (trie height).

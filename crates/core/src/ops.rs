@@ -175,15 +175,15 @@ impl<T: TrieNav> SeqIndex for T {
     }
 
     fn access(&self, pos: usize) -> BitString {
-        self.nav_access(pos)
+        nav::access(self, pos)
     }
 
     fn rank(&self, s: BitStr<'_>, pos: usize) -> usize {
-        self.nav_rank(s, pos)
+        nav::rank(self, s, pos)
     }
 
     fn select(&self, s: BitStr<'_>, idx: usize) -> Option<usize> {
-        self.nav_select(s, idx)
+        nav::select(self, s, idx)
     }
 
     fn rank_prefix(&self, p: BitStr<'_>, pos: usize) -> usize {
@@ -195,11 +195,11 @@ impl<T: TrieNav> SeqIndex for T {
     }
 
     fn count(&self, s: BitStr<'_>) -> usize {
-        self.nav_count(s)
+        nav::count(self, s)
     }
 
     fn count_prefix(&self, p: BitStr<'_>) -> usize {
-        self.nav_count_prefix(p)
+        nav::count_prefix(self, p)
     }
 
     fn admits(&self, s: BitStr<'_>) -> bool {

@@ -118,103 +118,6 @@ pub fn average_height_of(seq: &[BitString]) -> f64 {
     }
 }
 
-/// Minimum segment length for path decomposition to pay off: below this
-/// the whole trie fits in cache and the wavelet trie's pointer chase is
-/// free anyway.
-pub const PD_MIN_N: usize = 1024;
-
-/// Average-depth threshold for path decomposition, as a fraction of
-/// `log2 n`: a trie at least this deep on average is "ints-like" (long
-/// dependent miss chains), a shallower one is "url-like" (shared hot top,
-/// already cache-friendly).
-pub const PD_DEPTH_FACTOR: f64 = 0.8;
-
-/// The adaptive static-representation choice used at seal/compact time by
-/// the tiered store: path-decompose iff the segment is big enough, its
-/// strings are mostly distinct (at least half — duplication-heavy
-/// segments are the best case of the wavelet trie's grouped batch
-/// kernels, which dedup shared descents, while the decomposition batches
-/// by looping its scalar walkers), and its
-/// occurrence-weighted average depth `h̃` (= `total_bitvector_bits / n`,
-/// an O(1) read off a built trie) is a constant fraction of `log2 n`.
-/// All three inputs are O(1) reads off the frozen trie's directories.
-pub fn prefers_path_decomposition(n: usize, distinct: usize, avg_depth: f64) -> bool {
-    n >= PD_MIN_N
-        && distinct.saturating_mul(2) >= n
-        && avg_depth >= PD_DEPTH_FACTOR * (n as f64).log2()
-}
-
-/// Shape summary of a binary trie: the evidence behind the adaptive
-/// representation choice, printed by `store_report`.
-#[derive(Clone, Debug)]
-pub struct TrieShape {
-    /// Sequence length n.
-    pub n: usize,
-    /// Distinct strings (= leaves).
-    pub distinct: usize,
-    /// Deepest leaf, in internal nodes traversed.
-    pub max_depth: usize,
-    /// Occurrence-weighted average leaf depth — exactly `h̃` of
-    /// Definition 3.4 (`Σ|β_v| / n`).
-    pub avg_depth: f64,
-    /// `log2 n` (0 for an empty trie), the yardstick for `avg_depth`.
-    pub log2n: f64,
-    /// Leaves per depth; `depth_hist[d]` counts leaves at depth `d`.
-    pub depth_hist: Vec<usize>,
-    /// Node counts by fanout `[0, 1, 2]`; compacted binary tries have no
-    /// unary nodes, so `fanout[1] == 0`.
-    pub fanout: [usize; 3],
-}
-
-impl TrieShape {
-    /// Whether the seal heuristic would pick the path-decomposed
-    /// representation for this shape.
-    pub fn prefers_path_decomposition(&self) -> bool {
-        prefers_path_decomposition(self.n, self.distinct, self.avg_depth)
-    }
-}
-
-/// Probes the shape of any navigable trie in one DFS, carrying occurrence
-/// counts down via the per-node bitvector ones directories (no string
-/// materialization).
-pub fn trie_shape<T: crate::nav::TrieNav>(t: &T) -> TrieShape {
-    let n = t.nav_len();
-    let mut shape = TrieShape {
-        n,
-        distinct: 0,
-        max_depth: 0,
-        avg_depth: 0.0,
-        log2n: if n > 0 { (n as f64).log2() } else { 0.0 },
-        depth_hist: Vec::new(),
-        fanout: [0; 3],
-    };
-    let Some(root) = t.nav_root() else {
-        return shape;
-    };
-    let mut weighted = 0.0f64;
-    let mut stack = vec![(root, 0usize, n)];
-    while let Some((v, depth, m)) = stack.pop() {
-        if t.nav_is_leaf(v) {
-            shape.distinct += 1;
-            shape.fanout[0] += 1;
-            shape.max_depth = shape.max_depth.max(depth);
-            if shape.depth_hist.len() <= depth {
-                shape.depth_hist.resize(depth + 1, 0);
-            }
-            shape.depth_hist[depth] += 1;
-            weighted += (m * depth) as f64;
-        } else {
-            shape.fanout[2] += 1;
-            let len = t.nav_bv_len(v);
-            let ones = t.nav_bv_rank(v, true, len);
-            stack.push((t.nav_child(v, false), depth + 1, len - ones));
-            stack.push((t.nav_child(v, true), depth + 1, ones));
-        }
-    }
-    shape.avg_depth = if n == 0 { 0.0 } else { weighted / n as f64 };
-    shape
-}
-
 /// Per-string trie depth `h_s` (internal nodes traversed when searching
 /// `s`), computed against a Patricia trie of the distinct set.
 pub fn string_depth<T: crate::nav::TrieNav>(t: &T, s: BitStr<'_>) -> Option<usize> {
@@ -288,44 +191,47 @@ mod tests {
 
     #[test]
     fn trie_shape_figure2() {
+        use crate::nav::TrieNav;
         use crate::ops::SeqIndex;
         let seq: Vec<BitString> = ["0001", "0011", "0100", "00100", "0100", "00100", "0100"]
             .iter()
             .map(|s| bs(s))
             .collect();
         let wt = crate::static_wt::WaveletTrie::build(&seq).unwrap();
-        let shape = trie_shape(&wt);
-        assert_eq!(shape.n, 7);
-        assert_eq!(shape.distinct, 4);
-        assert_eq!(shape.max_depth, 3);
         // Leaves: 0100×3 at depth 1, 0001×1 at 2, 0011×1 and 00100×2 at 3.
-        assert_eq!(shape.depth_hist, vec![0, 1, 1, 2]);
-        assert_eq!(shape.fanout, [4, 0, 3]);
+        let depths: Vec<usize> = seq
+            .iter()
+            .map(|s| string_depth(&wt, s.as_bitstr()).unwrap())
+            .collect();
+        assert_eq!(depths, vec![2, 3, 1, 3, 1, 3, 1]);
+        let mut distinct = seq.clone();
+        distinct.sort();
+        distinct.dedup();
+        let mut depth_hist = vec![0usize; wt.height() + 1];
+        for s in &distinct {
+            depth_hist[string_depth(&wt, s.as_bitstr()).unwrap()] += 1;
+        }
+        assert_eq!(depth_hist, vec![0, 1, 1, 2]);
+        // A compacted binary trie: 4 leaves, 3 binary internal nodes.
+        let mut fanout = [0usize; 3];
+        let mut stack = vec![wt.nav_root().unwrap()];
+        while let Some(v) = stack.pop() {
+            if wt.nav_is_leaf(v) {
+                fanout[0] += 1;
+            } else {
+                fanout[2] += 1;
+                stack.push(wt.nav_child(v, false));
+                stack.push(wt.nav_child(v, true));
+            }
+        }
+        assert_eq!(fanout, [4, 0, 3]);
+        assert_eq!(wt.distinct_len(), 4);
+        // h̃ is the occurrence-weighted leaf depth, read off the directories.
         let expect = (3 + 2 + 3 * 3) as f64 / 7.0;
-        assert!((shape.avg_depth - expect).abs() < 1e-9);
-        // h̃ from the probe must agree with the O(1) directory read.
-        assert!((shape.avg_depth - wt.avg_height()).abs() < 1e-9);
-        // The probe is representation-independent.
-        let pd = crate::pd::PathDecompTrie::from_static(&wt);
-        let ps = trie_shape(&pd);
-        assert_eq!(ps.depth_hist, shape.depth_hist);
-        assert_eq!(ps.fanout, shape.fanout);
-        assert!((ps.avg_depth - shape.avg_depth).abs() < 1e-9);
-        // Tiny and shallow: the heuristic keeps the wavelet trie.
-        assert!(!shape.prefers_path_decomposition());
-    }
-
-    #[test]
-    fn adaptive_choice_thresholds() {
-        // Deep near-distinct segment: decompose.
-        assert!(prefers_path_decomposition(1 << 20, 1 << 20, 20.0));
-        // Shallow url-like segment (h̃ ≪ log n): keep the wavelet trie.
-        assert!(!prefers_path_decomposition(1 << 20, 1 << 20, 8.0));
-        // Deep but duplication-heavy (distinct < n/2): the wavelet trie's
-        // grouped batch kernels dedup the shared descents.
-        assert!(!prefers_path_decomposition(1 << 20, 1 << 18, 20.0));
-        // Too small to matter, however deep and distinct.
-        assert!(!prefers_path_decomposition(512, 512, 40.0));
+        assert!((wt.avg_height() - expect).abs() < 1e-9);
+        assert!((average_height_of(&seq) - expect).abs() < 1e-9);
+        let weighted = depths.iter().sum::<usize>() as f64 / 7.0;
+        assert!((weighted - expect).abs() < 1e-9);
     }
 
     #[test]

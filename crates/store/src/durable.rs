@@ -61,13 +61,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use wavelet_trie::{DynamicWaveletTrie, PathDecompTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{DynamicWaveletTrie, SeqIndex, WaveletTrie};
 use wt_bits::persist::{kind, Archive, ArchiveWriter, LoadError};
 use wt_bits::storage::{tmp_path, FsStorage, RetryPolicy, RetryingStorage, Storage};
 use wt_trie::BitStr;
 
 use crate::error::{Quarantine, RecoveryReport, StoreError, StoreOp};
-use crate::{Segment, SegmentKind, StaticRepr, StoreConfig, TieredStore};
+use crate::{Segment, StoreConfig, TieredStore};
 
 // --- file naming -------------------------------------------------------------
 
@@ -122,20 +122,19 @@ const SEC_GENERATION: u32 = 1;
 struct ManifestData {
     config: StoreConfig,
     total_len: usize,
-    /// `(kind, length)` per segment, in sequence order.
-    entries: Vec<(SegmentKind, usize)>,
+    /// `(tag, length)` per segment, in sequence order.
+    entries: Vec<(u64, usize)>,
 }
 
-/// Manifest tag of a segment kind. Hot = 0 and Wavelet = 1 match the
-/// pre-PR-9 `is_sealed as u64` encoding, so manifests of stores without
-/// path-decomposed segments stay byte-identical and old images load.
-fn kind_tag(kind: SegmentKind) -> u64 {
-    match kind {
-        SegmentKind::Hot => 0,
-        SegmentKind::Wavelet => 1,
-        SegmentKind::PathDecomp => 2,
-    }
-}
+/// Manifest tag of a hot segment (a string log).
+const TAG_HOT: u64 = 0;
+/// Manifest tag of a sealed level-order wavelet-trie segment.
+const TAG_WAVELET: u64 = 1;
+/// Retired manifest tag of a path-decomposed sealed segment. Still parsed,
+/// so that such a segment fails to load with a typed error naming its file
+/// (and [`TieredStore::recover_dir`] quarantines just that segment), but
+/// never written.
+const TAG_PATH_DECOMP: u64 = 2;
 
 fn manifest_bytes(store: &TieredStore, generation: u64) -> Vec<u8> {
     let mut payload = vec![
@@ -145,7 +144,7 @@ fn manifest_bytes(store: &TieredStore, generation: u64) -> Vec<u8> {
         store.segments.len() as u64,
     ];
     for g in &store.segments {
-        payload.push(kind_tag(g.kind()));
+        payload.push(if g.is_sealed() { TAG_WAVELET } else { TAG_HOT });
         payload.push(g.len() as u64);
     }
     let mut w = ArchiveWriter::new(kind::MANIFEST);
@@ -168,13 +167,11 @@ fn parse_manifest(bytes: &[u8], generation: u64) -> Result<ManifestData, LoadErr
     }
     let mut entries = Vec::with_capacity(n_segments);
     for _ in 0..n_segments {
-        let kind = match r.read_u64()? {
-            0 => SegmentKind::Hot,
-            1 => SegmentKind::Wavelet,
-            2 => SegmentKind::PathDecomp,
-            _ => return Err(LoadError::Invalid("manifest segment tag")),
-        };
-        entries.push((kind, r.read_u64()? as usize));
+        let tag = r.read_u64()?;
+        if tag > TAG_PATH_DECOMP {
+            return Err(LoadError::Invalid("manifest segment tag"));
+        }
+        entries.push((tag, r.read_u64()? as usize));
     }
     r.finish()?;
     if generation > 0 {
@@ -402,15 +399,16 @@ impl TieredStore {
     }
 }
 
-/// Loads a sealed segment archive as the representation its manifest tag
-/// names. The embedded archive kind (`WAVELET_TRIE` vs `PATH_DECOMP`)
-/// cross-checks the tag: a mismatch fails with `WrongKind`.
-fn load_sealed(kind: SegmentKind, bytes: &[u8]) -> Result<StaticRepr, LoadError> {
-    match kind {
-        SegmentKind::Wavelet => WaveletTrie::load_bytes(bytes).map(StaticRepr::Wt),
-        SegmentKind::PathDecomp => PathDecompTrie::load_bytes(bytes).map(StaticRepr::Pd),
-        SegmentKind::Hot => unreachable!("hot segments are string logs, not sealed archives"),
+/// Loads a sealed segment archive. A segment tagged with the retired
+/// path-decomposed kind fails with `WrongKind`, whatever its bytes hold.
+fn load_sealed(tag: u64, bytes: &[u8]) -> Result<WaveletTrie, LoadError> {
+    if tag == TAG_PATH_DECOMP {
+        return Err(LoadError::WrongKind {
+            expected: kind::WAVELET_TRIE,
+            found: kind::PATH_DECOMP,
+        });
     }
+    WaveletTrie::load_bytes(bytes)
 }
 
 /// Committed generations present in `dir`, sorted ascending.
@@ -440,21 +438,21 @@ fn load_generation(
     let manifest = parse_manifest(&bytes, generation).map_err(|e| StoreError::format(&mpath, e))?;
     let mut segments = Vec::with_capacity(manifest.entries.len());
     let mut sum = 0usize;
-    for (i, &(kind, seg_len)) in manifest.entries.iter().enumerate() {
-        let sealed = kind != SegmentKind::Hot;
+    for (i, &(tag, seg_len)) in manifest.entries.iter().enumerate() {
+        let sealed = tag != TAG_HOT;
         let spath = dir.join(segment_name(generation, i, sealed));
         let bytes = storage
             .read(&spath)
             .map_err(|e| StoreError::io(StoreOp::Read, &spath, e))?;
         if sealed {
-            let repr = load_sealed(kind, &bytes).map_err(|e| StoreError::format(&spath, e))?;
-            if repr.len() != seg_len || seg_len == 0 {
+            let wt = load_sealed(tag, &bytes).map_err(|e| StoreError::format(&spath, e))?;
+            if wt.len() != seg_len || seg_len == 0 {
                 return Err(StoreError::validate(
                     &spath,
                     "sealed segment length vs manifest",
                 ));
             }
-            segments.push(Segment::Sealed(Arc::new(repr)));
+            segments.push(Segment::Sealed(Arc::new(wt)));
         } else {
             let (h, _) =
                 replay_hot_log(&bytes, false).map_err(|e| StoreError::format(&spath, e))?;
@@ -536,8 +534,8 @@ impl TieredStore {
         };
         report.generation = generation;
         let mut segments: Vec<Segment> = Vec::with_capacity(manifest.entries.len());
-        for (i, &(kind, seg_len)) in manifest.entries.iter().enumerate() {
-            let sealed = kind != SegmentKind::Hot;
+        for (i, &(tag, seg_len)) in manifest.entries.iter().enumerate() {
+            let sealed = tag != TAG_HOT;
             let spath = dir.join(segment_name(generation, i, sealed));
             let bytes = match storage.read(&spath) {
                 Ok(b) => b,
@@ -552,10 +550,10 @@ impl TieredStore {
                 }
             };
             if sealed {
-                match load_sealed(kind, &bytes) {
-                    Ok(repr) if repr.len() == seg_len && seg_len > 0 => {
+                match load_sealed(tag, &bytes) {
+                    Ok(wt) if wt.len() == seg_len && seg_len > 0 => {
                         report.strings_recovered += seg_len;
-                        segments.push(Segment::Sealed(Arc::new(repr)));
+                        segments.push(Segment::Sealed(Arc::new(wt)));
                     }
                     Ok(_) => {
                         report.quarantined.push(Quarantine {

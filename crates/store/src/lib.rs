@@ -80,7 +80,7 @@ use std::sync::Arc;
 
 use crate::merged::{impl_seq_index_for_segmented, SegmentedRead};
 use crate::snapshot::{Epoch, EpochSlot};
-use wavelet_trie::{DynamicWaveletTrie, PathDecompTrie, SeqIndex, TrieShape, WaveletTrie};
+use wavelet_trie::{DynamicWaveletTrie, SeqIndex, WaveletTrie};
 use wt_bits::SpaceUsage;
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
@@ -98,10 +98,8 @@ const _: () = {
     // The concurrent-serving surface.
     assert_send_sync::<StoreReader>();
     assert_send_sync::<StoreSnapshot>();
-    // Sealed-segment payloads (and anything built from them): both static
-    // representations a seal can choose.
+    // The sealed-segment payload.
     assert_send_sync::<WaveletTrie>();
-    assert_send_sync::<PathDecompTrie>();
     // The compressed bitvector substrate of every static segment.
     assert_send_sync::<wt_bits::RrrVector>();
     // The hot tier freezes on worker threads via `&DynamicWaveletTrie`.
@@ -135,101 +133,12 @@ impl Default for StoreConfig {
     }
 }
 
-/// The representation of a sealed segment's payload, chosen adaptively at
-/// seal/compact time (see [`StaticRepr::choose_with_threads`]): shallow
-/// url-like segments keep the level-order wavelet trie, deep near-distinct
-/// ints-like segments get the centroid path decomposition of the same
-/// binary trie. The two answer every query bit-identically, so the choice
-/// is invisible to the read path.
-#[derive(Debug)]
-pub(crate) enum StaticRepr {
-    /// The level-order static wavelet trie (Theorem 3.7).
-    Wt(WaveletTrie),
-    /// The path-decomposed static trie over the same binary trie.
-    Pd(PathDecompTrie),
-}
-
-impl StaticRepr {
-    /// Picks the representation for a freshly frozen segment from its
-    /// measured shape: path-decompose iff the segment is mostly-distinct
-    /// AND its occurrence-weighted average trie depth `h̃` is a constant
-    /// fraction of `log2 n` (all O(1) reads off the frozen trie — no
-    /// extra walk for the decision itself). Duplication-heavy segments
-    /// stay on the wavelet trie even when deep: their queries collapse
-    /// into shared descents, which only the wavelet trie's grouped batch
-    /// kernels exploit. The conversion, when chosen, is one
-    /// structural walk with the RRR re-encoding spread over `threads`
-    /// workers.
-    pub(crate) fn choose_with_threads(wt: WaveletTrie, threads: usize) -> Self {
-        if wavelet_trie::stats::prefers_path_decomposition(
-            wt.len(),
-            wt.n_distinct(),
-            SeqIndex::avg_height(&wt),
-        ) {
-            StaticRepr::Pd(PathDecompTrie::from_static_with_threads(&wt, threads))
-        } else {
-            StaticRepr::Wt(wt)
-        }
-    }
-
-    /// The object-safe query view.
-    pub(crate) fn index(&self) -> &dyn SeqIndex {
-        match self {
-            StaticRepr::Wt(wt) => wt,
-            StaticRepr::Pd(pd) => pd,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            StaticRepr::Wt(wt) => wt.len(),
-            StaticRepr::Pd(pd) => pd.len(),
-        }
-    }
-
-    /// Melts back to the dynamic form, structurally for either layout.
-    pub(crate) fn thaw(&self) -> DynamicWaveletTrie {
-        match self {
-            StaticRepr::Wt(wt) => wt.thaw(),
-            StaticRepr::Pd(pd) => pd.thaw(),
-        }
-    }
-
-    /// Versioned archive bytes; the embedded archive kind distinguishes
-    /// the two layouts on load.
-    pub(crate) fn save_bytes(&self) -> Vec<u8> {
-        match self {
-            StaticRepr::Wt(wt) => wt.save_bytes(),
-            StaticRepr::Pd(pd) => pd.save_bytes(),
-        }
-    }
-
-    pub(crate) fn size_bits(&self) -> usize {
-        match self {
-            StaticRepr::Wt(wt) => wt.size_bits(),
-            StaticRepr::Pd(pd) => pd.size_bits(),
-        }
-    }
-}
-
-/// Kind of a segment, as reported by [`TieredStore::segment_kinds`] — the
-/// observable face of the adaptive representation choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// Mutable dynamic segment (the hot tail or a melted middle).
-    Hot,
-    /// Sealed segment in the level-order wavelet-trie layout.
-    Wavelet,
-    /// Sealed segment in the path-decomposed layout.
-    PathDecomp,
-}
-
 /// One tier member: an immutable sealed segment or a hot dynamic one.
 /// Cloning is an `Arc` bump — epochs share segments with the live store;
 /// the writer mutates hot segments copy-on-write via [`Arc::make_mut`].
 #[derive(Clone, Debug)]
 pub(crate) enum Segment {
-    Sealed(Arc<StaticRepr>),
+    Sealed(Arc<WaveletTrie>),
     Hot(Arc<DynamicWaveletTrie>),
 }
 
@@ -242,18 +151,8 @@ impl Segment {
     /// indistinguishable to the read path.
     pub(crate) fn index(&self) -> &dyn SeqIndex {
         match self {
-            Segment::Sealed(s) => s.index(),
+            Segment::Sealed(s) => s.as_ref(),
             Segment::Hot(h) => h.as_ref(),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> SegmentKind {
-        match self {
-            Segment::Sealed(s) => match **s {
-                StaticRepr::Wt(_) => SegmentKind::Wavelet,
-                StaticRepr::Pd(_) => SegmentKind::PathDecomp,
-            },
-            Segment::Hot(_) => SegmentKind::Hot,
         }
     }
 
@@ -372,26 +271,6 @@ impl TieredStore {
     /// Lengths of the segments, in sequence order.
     pub fn segment_lens(&self) -> Vec<usize> {
         self.segments.iter().map(|g| g.len()).collect()
-    }
-
-    /// Representation of each segment, in sequence order.
-    pub fn segment_kinds(&self) -> Vec<SegmentKind> {
-        self.segments.iter().map(|g| g.kind()).collect()
-    }
-
-    /// Trie-shape probe of each segment, in sequence order. O(distinct)
-    /// per segment — a diagnostic, not a hot-path call.
-    pub fn segment_shapes(&self) -> Vec<TrieShape> {
-        self.segments
-            .iter()
-            .map(|g| match g {
-                Segment::Hot(h) => wavelet_trie::stats::trie_shape(&**h),
-                Segment::Sealed(s) => match &**s {
-                    StaticRepr::Wt(wt) => wavelet_trie::stats::trie_shape(wt),
-                    StaticRepr::Pd(pd) => wavelet_trie::stats::trie_shape(pd),
-                },
-            })
-            .collect()
     }
 
     /// Object-safe view of segment `i` (sequence order).

@@ -38,11 +38,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavelet_trie::DynamicWaveletTrie;
+use wavelet_trie::{DynamicWaveletTrie, SequenceOps, WaveletTrie};
 use wt_bits::storage::{RetryPolicy, Storage};
 
 use crate::error::StoreError;
-use crate::{auto_freeze_threads, Segment, StaticRepr, TieredStore};
+use crate::{auto_freeze_threads, Segment, TieredStore};
 
 use self::MaintenanceStep::*;
 
@@ -264,7 +264,7 @@ impl TieredStore {
             })
             .collect();
         let threads = threads.max(1);
-        type Frozen = (usize, Result<StaticRepr, MaintenanceFailure>);
+        type Frozen = (usize, Result<WaveletTrie, MaintenanceFailure>);
         let frozen: Vec<Frozen> = if jobs.len() <= 1 || threads == 1 {
             // One hot segment (or one worker): spread its freeze across
             // the workers internally instead.
@@ -275,7 +275,7 @@ impl TieredStore {
                         *i,
                         run_step(step, || {
                             probe.step(step);
-                            StaticRepr::choose_with_threads(h.freeze_with_threads(threads), threads)
+                            h.freeze_with_threads(threads)
                         }),
                     )
                 })
@@ -292,7 +292,7 @@ impl TieredStore {
                                 i,
                                 run_step(step, || {
                                     probe.step(step);
-                                    StaticRepr::choose_with_threads(h.freeze(), 1)
+                                    h.freeze()
                                 }),
                             )
                         })
@@ -369,7 +369,7 @@ impl TieredStore {
                 unreachable!("merge_probed called on a non-sealed pair");
             };
             let mut melted: DynamicWaveletTrie = a.thaw();
-            for s in b.index().iter_seq_boxed() {
+            for s in b.iter_seq() {
                 // The two segments coexist in one store, whose inserts
                 // check admits() across *all* segments — so their union
                 // is prefix-free and append cannot fail.
@@ -377,7 +377,7 @@ impl TieredStore {
                     .append(s.as_bitstr())
                     .expect("segments are jointly prefix-free");
             }
-            StaticRepr::choose_with_threads(melted.freeze(), 1)
+            melted.freeze()
         });
         let merged = match merged {
             Ok(m) => m,

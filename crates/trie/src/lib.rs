@@ -7,9 +7,6 @@
 //!   [`BitStr`]): LCP, slicing, ordering.
 //! * [`patricia`] — the dynamic Patricia trie of Appendix B
 //!   ([`PatriciaSet`]), with O(|s|) insert and merge-on-delete.
-//! * [`pathdecomp`] — BFS skeleton of a centroid path decomposition
-//!   ([`PathSkeleton`]), the shape directory of the path-decomposed
-//!   static trie.
 //!
 //! The static Wavelet Trie needs no tree encoding from this crate: its
 //! internal nodes are always binary, so numbering nodes in level order
@@ -17,9 +14,7 @@
 //! `wavelet_trie::WaveletTrie`).
 
 pub mod bitstr;
-pub mod pathdecomp;
 pub mod patricia;
 
 pub use bitstr::{BitStr, BitString};
-pub use pathdecomp::PathSkeleton;
 pub use patricia::{PatriciaSet, PrefixFreeViolation};

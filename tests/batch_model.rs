@@ -2,15 +2,14 @@
 //!
 //! Every `SeqIndex::*_batch` entry point must return **bit-identical**
 //! results to the scalar API it accelerates, for every backend: the static
-//! Wavelet Trie (software-pipelined group descent), the path-decomposed
-//! trie (default loop over its specialized scalar walkers), the
-//! append-only and fully dynamic tries (default scalar-loop impls), and
-//! the tiered store (directory-routed per-segment sub-batches). The suite
-//! drives all five through `&dyn SeqIndex` with random, adversarial
-//! (all-equal, all-distinct, deep-skewed) and empty/singleton batches.
+//! Wavelet Trie (software-pipelined group descent), the append-only and
+//! fully dynamic tries (default scalar-loop impls), and the tiered store
+//! (directory-routed per-segment sub-batches). The suite drives all four
+//! through `&dyn SeqIndex` with random, adversarial (all-equal,
+//! all-distinct, deep-skewed) and empty/singleton batches.
 
 use wavelet_trie::{
-    AppendWaveletTrie, BitStr, BitString, DynamicWaveletTrie, PathDecompTrie, SeqIndex, WaveletTrie,
+    AppendWaveletTrie, BitStr, BitString, DynamicWaveletTrie, SeqIndex, WaveletTrie,
 };
 use wt_store::{StoreConfig, TieredStore};
 
@@ -44,10 +43,9 @@ fn deep(depth: usize, tail: u64) -> BitString {
     s
 }
 
-/// All five backends over the same sequence, behind the object-safe trait.
+/// All four backends over the same sequence, behind the object-safe trait.
 fn backends(seq: &[BitString]) -> Vec<(&'static str, Box<dyn SeqIndex>)> {
     let stat = WaveletTrie::build(seq).expect("prefix-free");
-    let pd = PathDecompTrie::from_static(&stat);
     let mut app = AppendWaveletTrie::new();
     let mut dynamic = DynamicWaveletTrie::new();
     for s in seq {
@@ -65,7 +63,6 @@ fn backends(seq: &[BitString]) -> Vec<(&'static str, Box<dyn SeqIndex>)> {
     }
     vec![
         ("static", Box::new(stat)),
-        ("path_decomp", Box::new(pd)),
         ("append", Box::new(app)),
         ("dynamic", Box::new(dynamic)),
         ("tiered", Box::new(tiered)),

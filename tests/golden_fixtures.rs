@@ -12,10 +12,11 @@
 
 use std::path::{Path, PathBuf};
 
-use wavelet_trie::{BitString, IndexedStrings, PathDecompTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{IndexedStrings, WaveletTrie};
 use wt_bits::persist::{kind, to_bytes, Archive, ArchiveWriter};
 use wt_bits::{
-    BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, RawBitVec, RrrVector,
+    BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, LoadError, RawBitVec,
+    RrrVector,
 };
 use wt_store::{StoreConfig, TieredStrings};
 
@@ -146,39 +147,52 @@ fn indexed_strings_fixture() {
     );
 }
 
-/// Bit-level codes behind the path-decomposition fixture: a mix of
-/// repeated shallow values and an all-distinct stretch, so the fixture
-/// trie has both fat multi-step paths and degenerate one-step ones.
-fn fixture_codes() -> Vec<BitString> {
-    let encode = |v: u64| BitString::from_bits((0..10).rev().map(move |k| (v >> k) & 1 != 0));
-    let mut codes: Vec<BitString> = (0..120u64).map(|i| encode(i * i % 23)).collect();
-    codes.extend((0..80u64).map(|v| encode(512 + v)));
-    codes
-}
-
+/// The retired path-decomposition layout: no writer produces it and no
+/// bytes of it are checked in, but its kind code stays frozen at 11 and
+/// reserved. An archive of that kind is still a well-formed container,
+/// and every static loader refuses it with a typed `WrongKind` error
+/// instead of misreading it.
 #[test]
 fn path_decomp_fixture() {
-    let wt = WaveletTrie::build(&fixture_codes()).expect("prefix-free");
-    let pd = PathDecompTrie::from_static(&wt);
-    check_fixture("pd-v2.wt", &pd.save_bytes());
-    if regen() {
-        return;
-    }
-    let bytes = std::fs::read(fixture_dir().join("pd-v2.wt")).unwrap();
-    let loaded = PathDecompTrie::load_bytes(&bytes).unwrap();
-    // Reader compat: the loaded view answers like the wavelet-trie oracle.
-    let codes = fixture_codes();
-    assert_eq!(loaded.len(), codes.len());
-    for (i, c) in codes.iter().enumerate() {
-        assert_eq!(&SeqIndex::access(&loaded, i), c, "access({i})");
-    }
-    for c in codes.iter().step_by(7) {
-        let s = c.as_bitstr();
-        assert_eq!(loaded.rank(s, codes.len()), wt.rank(s, codes.len()));
-        assert_eq!(loaded.select(s, 0), wt.select(s, 0));
-    }
-    // Writer compat round-trips through the zero-copy view.
-    assert_eq!(loaded.save_bytes(), bytes);
+    assert_eq!(kind::PATH_DECOMP, 11);
+    let live = [
+        kind::RAW,
+        kind::FID,
+        kind::RRR,
+        kind::ELIAS_FANO,
+        kind::WAVELET_TRIE,
+        kind::INDEXED_STRINGS,
+        kind::MANIFEST,
+        kind::HOT_LOG,
+    ];
+    assert!(!live.contains(&kind::PATH_DECOMP), "kind 11 reused");
+
+    let mut w = ArchiveWriter::new(kind::PATH_DECOMP);
+    w.section(0, vec![200]);
+    let bytes = w.finish();
+    assert!(Archive::parse(&bytes, kind::PATH_DECOMP).is_ok());
+    let wrong_kind = |r: Result<(), LoadError>, expected: u32| {
+        assert!(
+            matches!(
+                r,
+                Err(LoadError::WrongKind { expected: e, found })
+                    if e == expected && found == kind::PATH_DECOMP
+            ),
+            "{r:?}"
+        );
+    };
+    wrong_kind(
+        WaveletTrie::load_bytes(&bytes).map(drop),
+        kind::WAVELET_TRIE,
+    );
+    wrong_kind(
+        IndexedStrings::load_bytes(&bytes).map(drop),
+        kind::INDEXED_STRINGS,
+    );
+    wrong_kind(
+        wt_bits::persist::from_bytes::<RrrVector>(kind::RRR, &bytes).map(drop),
+        kind::RRR,
+    );
 }
 
 /// The canonical fixture store: sealed segments AND a non-empty hot tail,

@@ -1,15 +1,20 @@
-//! Path-decomposition oracle suite.
+//! Deep-segment oracle suite.
 //!
-//! The path-decomposed static trie is a *drop-in* representation: it must
-//! answer every `SeqIndex` operation — scalar, prefix, range-analytic and
-//! batched — **bit-identically** to the level-order [`WaveletTrie`] it
-//! was converted from, on every trie shape (random, all-equal,
-//! all-distinct, deep-skewed, empty, singleton). The tiered store then mixes both
-//! representations across segments; the mix must stay invisible through
-//! seal, compact and melt.
+//! The file keeps the name of the path-decomposition oracle it grew out
+//! of. That representation is retired: every sealed segment, the deep and
+//! mostly-distinct ones it once served included, is now a level-order
+//! [`WaveletTrie`] answered by the grouped batch kernels. The same oracles
+//! now check what replaced it. On every trie shape (random, all-equal,
+//! all-distinct, deep-skewed, empty, singleton), a reloaded trie and a
+//! store sealing the shape in segments must answer every `SeqIndex`
+//! operation — scalar, prefix, range-analytic and batched —
+//! **bit-identically** to the trie built from the whole sequence. A store
+//! whose segments split between shallow duplication-heavy and deep
+//! all-distinct halves must stay exact through seal, melt, compaction,
+//! save/load and recovery.
 
-use wavelet_trie::{BitStr, BitString, PathDecompTrie, SeqIndex, WaveletTrie};
-use wt_store::{SegmentKind, StoreConfig, TieredStore};
+use wavelet_trie::{BitStr, BitString, SeqIndex, WaveletTrie};
+use wt_store::{StoreConfig, TieredStore};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed.max(1);
@@ -39,10 +44,9 @@ fn deep(depth: usize, tail: u64) -> BitString {
     s
 }
 
-/// The sequence shapes the oracle runs over. Each stresses a different
-/// part of the decomposition: random (mixed fanout), all-equal (a single
-/// root leaf), all-distinct (maximal P), deep-skewed (long heavy paths),
-/// empty and singleton (degenerate skeletons).
+/// The sequence shapes the oracle runs over: random (mixed fanout),
+/// all-equal (a single root leaf), all-distinct (one leaf per string),
+/// deep-skewed (long dependent descents), empty and singleton.
 fn shapes() -> Vec<(&'static str, Vec<BitString>)> {
     let mut next = xorshift(0x9D_0DE1);
     let random: Vec<BitString> = (0..1200).map(|_| encode(next() % 90, 9)).collect();
@@ -85,8 +89,8 @@ fn probes(seq: &[BitString]) -> Vec<BitString> {
     out
 }
 
-/// Full-surface bit-identity: `got` (the path-decomposed trie) must match
-/// `want` (the preorder wavelet trie) on every operation.
+/// Full-surface bit-identity: `got` must match `want` (a wavelet trie
+/// built from the whole sequence) on every operation.
 fn assert_same_index(name: &str, want: &dyn SeqIndex, got: &dyn SeqIndex, seq: &[BitString]) {
     let n = want.seq_len();
     assert_eq!(got.seq_len(), n, "{name}: len");
@@ -258,14 +262,23 @@ fn assert_same_structure(name: &str, want: &dyn SeqIndex, got: &dyn SeqIndex) {
     );
 }
 
+/// Every shape the path decomposition was checked on now seals to the
+/// level-order trie. The archive view a sealed segment serves after a load,
+/// and a store sealing the shape in several segments, must both answer
+/// like the trie built from the whole sequence.
 #[test]
 fn pd_matches_wavelet_trie_on_every_shape() {
     for (name, seq) in shapes() {
         let wt = WaveletTrie::build(&seq).expect("prefix-free");
-        let pd = PathDecompTrie::from_static(&wt);
-        assert_same_structure(name, &wt, &pd);
-        assert_same_index(name, &wt, &pd, &seq);
-        assert_same_batches(name, &wt, &pd, &seq);
+        let loaded = WaveletTrie::load_bytes(&wt.save_bytes()).expect("round trip");
+        assert_same_structure(name, &wt, &loaded);
+        assert_same_index(name, &wt, &loaded, &seq);
+        assert_same_batches(name, &wt, &loaded, &seq);
+
+        let store = fill_store(&seq, (seq.len() / 4).max(1), 64);
+        assert_eq!(store.segment_lens().iter().sum::<usize>(), seq.len());
+        assert_same_index(name, &wt, &store, &seq);
+        assert_same_batches(name, &wt, &store, &seq);
     }
 }
 
@@ -282,74 +295,144 @@ fn fill_store(seq: &[BitString], seal_at: usize, max_sealed: usize) -> TieredSto
     store
 }
 
-/// A sequence whose sealed segments split between representations: the
-/// first half is 40 shallow values repeated (h̃ ≪ log n → wavelet trie),
-/// the second half all-distinct 16-bit codes (h̃ = 16 > 0.8·log n → path
-/// decomposition). Segment size 1500 clears the `PD_MIN_N = 1024` floor.
+/// Fixed-width 16-bit code.
+fn code16(v: u64) -> BitString {
+    encode(v, 16)
+}
+
+/// 40 repeated shallow values, then all-distinct 16-bit codes: sealed in
+/// segments of 1,500, the first half is duplication-heavy and the second
+/// deep and near-distinct (h̃ = 16 ≥ 0.8·log2 n), the regime that once
+/// sealed to a different representation.
 fn mixed_repr_sequence() -> Vec<BitString> {
     let mut next = xorshift(0x3A7ED);
-    let mut seq: Vec<BitString> = (0..3000).map(|_| encode(next() % 40, 16)).collect();
-    seq.extend((0..3000).map(|v| encode(4096 + v, 16)));
+    let mut seq: Vec<BitString> = (0..3000).map(|_| code16(next() % 40)).collect();
+    seq.extend((0..3000).map(|v| code16(4096 + v)));
     seq
 }
 
+/// Scalar and batched queries against a naive scan of `oracle`.
+fn check_bits(name: &str, idx: &dyn SeqIndex, oracle: &[BitString]) {
+    let n = oracle.len();
+    assert_eq!(idx.seq_len(), n, "{name}: len");
+    let all: Vec<usize> = (0..n).collect();
+    assert_eq!(idx.access_batch(&all), oracle, "{name}: access_batch");
+    for pos in (0..n).step_by(97) {
+        assert_eq!(idx.access(pos), oracle[pos], "{name}: access({pos})");
+    }
+    // Every shallow value, strides of both deep ranges, and absent codes.
+    let mut probes: Vec<BitString> = (0..40).map(code16).collect();
+    probes.extend((4096..4096 + 3300).step_by(61).map(code16));
+    probes.extend((8192..8192 + 1500).step_by(61).map(code16));
+    probes.push(code16(40_001));
+    let ends = [0, n / 3, n / 2, n];
+    let mut rank_q = Vec::new();
+    let mut want_rank = Vec::new();
+    for p in &probes {
+        let s = p.as_bitstr();
+        let occs: Vec<usize> = (0..n).filter(|&i| oracle[i] == *p).collect();
+        assert_eq!(idx.count(s), occs.len(), "{name}: count({p:?})");
+        for &pos in &ends {
+            let naive = occs.iter().filter(|&&o| o < pos).count();
+            assert_eq!(idx.rank(s, pos), naive, "{name}: rank({p:?},{pos})");
+            rank_q.push((s, pos));
+            want_rank.push(naive);
+        }
+        for k in [0, occs.len() / 2, occs.len()] {
+            assert_eq!(idx.select(s, k), occs.get(k).copied(), "{name}: select");
+        }
+    }
+    assert_eq!(idx.rank_batch(&rank_q), want_rank, "{name}: rank_batch");
+    let prefixes: Vec<_> = probes
+        .iter()
+        .flat_map(|p| [4, 9, 13].map(|l| p.as_bitstr().prefix(l)))
+        .collect();
+    let want_cp: Vec<usize> = prefixes
+        .iter()
+        .map(|p| {
+            oracle
+                .iter()
+                .filter(|s| s.as_bitstr().starts_with(p))
+                .count()
+        })
+        .collect();
+    for (p, &want) in prefixes.iter().zip(&want_cp) {
+        assert_eq!(idx.count_prefix(*p), want, "{name}: count_prefix");
+    }
+    assert_eq!(
+        idx.count_prefix_batch(&prefixes),
+        want_cp,
+        "{name}: count_prefix_batch"
+    );
+}
+
+/// The mixed store driven through seal → melt a deep middle → re-seal →
+/// compact, checked against the naive oracle after every step. Returns the
+/// store (four sealed segments, an empty hot tail) and its oracle.
+fn churned_store() -> (TieredStore, Vec<BitString>) {
+    let mut oracle = mixed_repr_sequence();
+    let mut st = fill_store(&oracle, 1500, 4);
+    assert_eq!(st.segment_lens(), vec![1500, 1500, 1500, 1500, 0]);
+    check_bits("sealed", &st, &oracle);
+
+    // Insert into the middle of the first deep segment: it melts.
+    let extra = code16(40_000);
+    st.insert(extra.as_bitstr(), 3750).unwrap();
+    oracle.insert(3750, extra);
+    assert_eq!(st.sealed_segments(), 3, "the insert melts one segment");
+    check_bits("melted", &st, &oracle);
+    st.seal();
+    assert_eq!(st.sealed_segments(), 4);
+    check_bits("resealed", &st, &oracle);
+
+    // A fifth full tail seals and then compacts back to four segments.
+    for v in 0..1500 {
+        let s = code16(8192 + v);
+        st.append(s.as_bitstr()).unwrap();
+        oracle.push(s);
+    }
+    assert_eq!(st.sealed_segments(), 4, "compaction bounds the segments");
+    assert_eq!(st.segment_lens().iter().sum::<usize>(), oracle.len());
+    check_bits("compacted", &st, &oracle);
+    (st, oracle)
+}
+
+/// Shallow and deep segments seal to the same level-order layout, and the
+/// store stays bit-identical to the trie built from the whole sequence.
 #[test]
 fn store_mixes_representations_and_stays_bit_identical() {
     let seq = mixed_repr_sequence();
     let store = fill_store(&seq, 1500, 64);
-    let kinds = store.segment_kinds();
-    assert!(
-        kinds.contains(&SegmentKind::Wavelet),
-        "expected a wavelet-trie segment, got {kinds:?}"
-    );
-    assert!(
-        kinds.contains(&SegmentKind::PathDecomp),
-        "expected a path-decomposed segment, got {kinds:?}"
-    );
+    assert_eq!(store.segment_lens(), vec![1500, 1500, 1500, 1500, 0]);
     let oracle = WaveletTrie::build(&seq).expect("prefix-free");
     assert_same_index("mixed store", &oracle, &store, &seq);
     assert_same_batches("mixed store", &oracle, &store, &seq);
-
-    // The shape probe agrees with the adaptive choice, segment by segment.
-    for (shape, kind) in store.segment_shapes().iter().zip(&kinds) {
-        match kind {
-            SegmentKind::Wavelet => assert!(!shape.prefers_path_decomposition()),
-            SegmentKind::PathDecomp => assert!(shape.prefers_path_decomposition()),
-            SegmentKind::Hot => {}
-        }
-    }
 }
 
 #[test]
 fn mixed_store_save_load_recover_round_trip() {
-    let seq = mixed_repr_sequence();
-    let store = fill_store(&seq, 1500, 64);
-    let kinds = store.segment_kinds();
-    assert!(kinds.contains(&SegmentKind::Wavelet) && kinds.contains(&SegmentKind::PathDecomp));
-
-    let dir = std::env::temp_dir().join(format!("wt-pd-mixed-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    store.save_dir(&dir).unwrap();
-
-    // Strict load preserves the per-segment representation choice and the
-    // bytes: a re-save of the loaded store reproduces every file.
+    let (st, oracle) = churned_store();
+    let tmp = |tag: &str| {
+        let d = std::env::temp_dir().join(format!("wt-mixed-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    };
+    let (dir, resave) = (tmp("save"), tmp("resave"));
+    st.save_dir(&dir).unwrap();
     let loaded = TieredStore::load_dir(&dir).unwrap();
-    assert_eq!(loaded.segment_kinds(), kinds);
-    assert_eq!(loaded.segment_lens(), store.segment_lens());
-    let oracle = WaveletTrie::build(&seq).expect("prefix-free");
-    assert_same_index("loaded mixed store", &oracle, &loaded, &seq);
+    assert_eq!(loaded.segment_lens(), st.segment_lens());
+    check_bits("loaded", &loaded, &oracle);
 
-    let resave = std::env::temp_dir().join(format!("wt-pd-mixed-resave-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&resave);
+    // Both directories commit generation 1, so a re-save of the loaded
+    // store reproduces every file name and byte.
     loaded.save_dir(&resave).unwrap();
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     names.sort();
+    assert!(names.len() > 5, "{names:?}");
     for name in &names {
-        // The resave dir is fresh, so it commits as generation 1 too —
-        // names and bytes must match exactly.
         assert_eq!(
             std::fs::read(dir.join(name)).unwrap(),
             std::fs::read(resave.join(name)).unwrap(),
@@ -360,24 +443,28 @@ fn mixed_store_save_load_recover_round_trip() {
     // Resilient recovery of the healthy image is clean and identical.
     let (recovered, report) = TieredStore::recover_dir(&dir).unwrap();
     assert!(report.is_clean(), "healthy mixed dir not clean: {report}");
-    assert_eq!(recovered.segment_kinds(), kinds);
-    assert_same_index("recovered mixed store", &oracle, &recovered, &seq);
+    check_bits("recovered", &recovered, &oracle);
 
-    // A corrupted path-decomposed segment is quarantined, not fatal: the
-    // rest of the store keeps serving.
-    let pd_seg = kinds
-        .iter()
-        .position(|k| *k == SegmentKind::PathDecomp)
-        .unwrap();
-    let victim = dir.join(format!("seg-g00000001-{pd_seg:03}.wt"));
+    // A corrupted deep segment (the last, all-distinct codes) is
+    // quarantined, not fatal: the strict load names the file and refuses,
+    // and recovery keeps the other segments serving.
+    let lens = st.segment_lens();
+    let victim_seg = st.sealed_segments() - 1;
+    let victim = dir.join(format!("seg-g00000001-{victim_seg:03}.wt"));
     let mut bytes = std::fs::read(&victim).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&victim, &bytes).unwrap();
+    let err = TieredStore::load_dir(&dir).expect_err("strict load must refuse");
+    assert_eq!(err.file().unwrap(), victim);
     let (damaged, report) = TieredStore::recover_dir(&dir).unwrap();
     assert_eq!(report.quarantined.len(), 1, "{report}");
-    assert_eq!(report.strings_lost, store.segment_lens()[pd_seg]);
-    assert_eq!(damaged.len(), store.len() - report.strings_lost);
+    assert_eq!(report.quarantined[0].file, victim);
+    assert_eq!(report.strings_lost, lens[victim_seg]);
+    let start: usize = lens[..victim_seg].iter().sum();
+    let mut survivors = oracle.clone();
+    survivors.drain(start..start + lens[victim_seg]);
+    check_bits("quarantined", &damaged, &survivors);
 
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&resave).unwrap();
@@ -385,39 +472,18 @@ fn mixed_store_save_load_recover_round_trip() {
 
 #[test]
 fn store_mix_survives_seal_compact_and_melt() {
+    // Seal, melt a deep middle, re-seal and compact (checked inside).
+    let (st, oracle) = churned_store();
+    let wt = WaveletTrie::build(&oracle).expect("prefix-free");
+    assert_same_batches("churned store", &wt, &st, &oracle);
+
+    // An explicit compaction of many small segments merges them down to
+    // the configured bound and stays exact.
     let seq = mixed_repr_sequence();
-    let mut store = fill_store(&seq, 1500, 64);
-    let oracle = WaveletTrie::build(&seq).expect("prefix-free");
-
-    // Melt a path-decomposed middle: insert into a sealed segment.
-    let kinds = store.segment_kinds();
-    let pd_seg = kinds
-        .iter()
-        .position(|k| *k == SegmentKind::PathDecomp)
-        .expect("a path-decomposed segment");
-    let lens = store.segment_lens();
-    let pos: usize = lens[..pd_seg].iter().sum::<usize>() + lens[pd_seg] / 2;
-    let extra = encode(40_000, 16);
-    store.insert(extra.as_bitstr(), pos).unwrap();
-    let mut expect: Vec<BitString> = seq.clone();
-    expect.insert(pos, extra);
-    assert!(
-        store.segment_kinds().contains(&SegmentKind::Hot),
-        "insert into a sealed segment must melt it"
-    );
-
-    // Re-seal: the melted middle re-freezes, choosing its representation
-    // afresh — the all-distinct segment comes back path-decomposed.
-    store.seal();
-    assert!(store.segment_kinds().contains(&SegmentKind::PathDecomp));
-    let oracle2 = WaveletTrie::build(&expect).expect("prefix-free");
-    assert_same_index("resealed store", &oracle2, &store, &expect);
-
-    // Compact down to few segments: merges melt + re-freeze pairs, again
-    // re-deciding the representation per merged segment.
     let mut store = fill_store(&seq, 700, 3);
     store.compact();
     assert!(store.sealed_segments() <= store.config().max_sealed);
-    assert_same_index("compacted store", &oracle, &store, &seq);
-    assert_same_batches("compacted store", &oracle, &store, &seq);
+    let wt = WaveletTrie::build(&seq).expect("prefix-free");
+    assert_same_index("compacted store", &wt, &store, &seq);
+    assert_same_batches("compacted store", &wt, &store, &seq);
 }

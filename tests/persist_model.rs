@@ -8,7 +8,8 @@
 //! on). The Wavelet Trie's topology check gets checksum-valid hostile
 //! images too: flags that are no full binary trie, and swapped flag bits.
 
-use wavelet_trie::{BitString, IndexedStrings, SeqIndex, WaveletTrie};
+use wavelet_trie::binarize::{Coder, NinthBitCoder};
+use wavelet_trie::{BitString, DynamicWaveletTrie, IndexedStrings, SeqIndex, WaveletTrie};
 use wt_bits::persist::{from_bytes, kind, to_bytes, Archive, ArchiveWriter, LoadError};
 use wt_bits::{
     BitAccess, BitRank, BitSelect, EliasFano, Fid, Persist, RawBitVec, RrrVector, SpaceUsage,
@@ -131,6 +132,101 @@ fn elias_fano_roundtrip() {
     }
 }
 
+/// Bit vectors large enough that every builder stream grows past its
+/// first allocation: dense, sparse and run-structured, at sizes that are
+/// and are not multiples of the 63-bit RRR block and the 64-bit word.
+fn grown_bit_shapes() -> Vec<Vec<bool>> {
+    let mut rnd = xorshift(0x5AC7);
+    let mut shapes = Vec::new();
+    for n in [63 * 64 * 16, 300_007] {
+        shapes.push((0..n).map(|_| rnd() % 2 == 1).collect());
+        shapes.push((0..n).map(|_| rnd().is_multiple_of(64)).collect());
+        shapes.push((0..n).map(|i| (i / 301) % 2 == 0).collect());
+    }
+    shapes
+}
+
+#[test]
+fn rrr_size_bits_matches_after_save_load() {
+    for bits in grown_bit_shapes() {
+        let rrr = RrrVector::from_bits(bits.iter().copied());
+        let loaded = roundtrip(kind::RRR, &rrr);
+        assert_eq!(loaded.size_bits(), rrr.size_bits(), "n = {}", bits.len());
+        let mut raw = RawBitVec::new();
+        for &b in &bits {
+            raw.push(b);
+        }
+        let parallel = RrrVector::from_raw_with_threads(&raw, 3);
+        assert_eq!(parallel.size_bits(), rrr.size_bits(), "n = {}", bits.len());
+    }
+}
+
+#[test]
+fn fid_size_bits_matches_after_save_load() {
+    for bits in grown_bit_shapes().into_iter().chain(bit_shapes()) {
+        let fid = Fid::from_bits(bits.iter().copied());
+        let loaded = roundtrip(kind::FID, &fid);
+        assert_eq!(loaded.size_bits(), fid.size_bits(), "n = {}", bits.len());
+    }
+}
+
+#[test]
+fn elias_fano_size_bits_matches_after_save_load() {
+    let mut rnd = xorshift(0xEF5);
+    let mut sequences: Vec<Vec<u64>> = vec![
+        vec![],
+        vec![0],
+        (0..64u64).collect(),
+        (0..1000u64).map(|i| i * 3).collect(),
+    ];
+    for n in [4096usize, 100_000] {
+        let mut v: Vec<u64> = (0..n).map(|_| rnd() % (n as u64 * 40)).collect();
+        v.sort_unstable();
+        sequences.push(v);
+    }
+    for values in sequences {
+        let ef = EliasFano::new(&values);
+        let loaded = roundtrip(kind::ELIAS_FANO, &ef);
+        assert_eq!(loaded.size_bits(), ef.size_bits(), "n = {}", values.len());
+    }
+}
+
+#[test]
+fn wavelet_trie_size_bits_matches_after_save_load() {
+    // Near-distinct 28-bit ints, as in one sealed segment of a numeric
+    // store, and a duplicated URL-like log.
+    let mut rnd = xorshift(0x1D5);
+    let ints: Vec<BitString> = (0..10_000)
+        .map(|_| {
+            let v = rnd() & ((1 << 28) - 1);
+            BitString::from_bits((0..28).rev().map(move |k| (v >> k) & 1 != 0))
+        })
+        .collect();
+    let urls: Vec<BitString> = (0..5_000)
+        .map(|i| {
+            NinthBitCoder.encode(format!("http://h{}.com/p{}", rnd() % 50, i % 700).as_bytes())
+        })
+        .collect();
+    for seq in [ints, urls] {
+        let mut hot = DynamicWaveletTrie::new();
+        for s in &seq {
+            hot.append(s.as_bitstr()).unwrap();
+        }
+        for threads in [1, 3] {
+            let wt = WaveletTrie::build_with_threads(&seq, threads).expect("prefix-free");
+            let loaded = WaveletTrie::load_bytes(&wt.save_bytes()).expect("valid archive");
+            assert_eq!(loaded.size_bits(), wt.size_bits(), "threads = {threads}");
+            // The store's seal path: a structural freeze of a hot trie.
+            let frozen = hot.freeze_with_threads(threads);
+            assert_eq!(
+                frozen.size_bits(),
+                wt.size_bits(),
+                "freeze, threads = {threads}"
+            );
+        }
+    }
+}
+
 /// String workloads for the trie-level structures, including the
 /// degenerate shapes: empty, singleton, all-equal, and a deep-skewed set
 /// (shared long prefix, so the trie degenerates toward a path).
@@ -155,14 +251,9 @@ fn string_workloads() -> Vec<Vec<String>> {
 fn check_wt_equal(a: &WaveletTrie, b: &WaveletTrie, strings: &[BitString]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.n_nodes(), b.n_nodes());
-    // Owned storage counts Vec capacity, views count their exact span, so
-    // the loaded footprint can only be at or below the built one.
-    assert!(
-        b.size_bits() <= a.size_bits(),
-        "loaded footprint {} above built {}",
-        b.size_bits(),
-        a.size_bits()
-    );
+    // Builders drop their growth slack, so the built footprint equals the
+    // loaded one, whose views count their exact span.
+    assert_eq!(b.size_bits(), a.size_bits(), "built vs loaded footprint");
     for (i, s) in strings.iter().enumerate() {
         assert_eq!(b.access(i), *s, "access({i})");
     }

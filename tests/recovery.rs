@@ -10,7 +10,8 @@
 use std::path::Path;
 
 use wavelet_trie::SeqIndex;
-use wt_bits::{FaultPlan, FaultStorage, MemFs, Storage};
+use wt_bits::persist::{kind, Archive, ArchiveWriter};
+use wt_bits::{FaultPlan, FaultStorage, LoadError, MemFs, Storage};
 use wt_store::{StoreConfig, StoreErrorCause, TieredStore};
 use wt_trie::BitString;
 
@@ -241,4 +242,58 @@ fn empty_or_foreign_directory_reports_no_generation() {
         "{err}"
     );
     assert!(TieredStore::recover_dir_with(&fs, dir).is_err());
+}
+
+#[test]
+fn retired_path_decomposed_segment_fails_typed_and_quarantines() {
+    // Manifest tag 2 once named a path-decomposed sealed segment. That
+    // representation is gone, but the tag stays reserved: a directory
+    // still holding such a segment must fail with a typed error naming the
+    // file, never be misread, and recovery must set aside only it.
+    let dir = Path::new("store");
+    let st = sample_store();
+    let seg_lens = st.segment_lens();
+    let fs = MemFs::new();
+    st.save_dir_with(&fs, dir).unwrap();
+    let victim = dir.join(&sealed_files(&fs, dir)[1]);
+
+    // Re-tag segment 1 in the manifest. Payload layout: seal_at,
+    // max_sealed, total length, segment count, then (tag, length) pairs.
+    let mpath = dir.join("manifest-g00000001.wt");
+    let manifest = Archive::parse(&fs.read(&mpath).unwrap(), kind::MANIFEST).unwrap();
+    let mut r = manifest.section(0).unwrap();
+    let mut payload: Vec<u64> = (0..r.remaining()).map(|_| r.read_u64().unwrap()).collect();
+    assert_eq!(payload[4 + 2], 1, "segment 1 is a sealed wavelet trie");
+    payload[4 + 2] = 2;
+    let mut w = ArchiveWriter::new(kind::MANIFEST);
+    w.section(0, payload);
+    w.section(1, vec![1]);
+    fs.write(&mpath, &w.finish()).unwrap();
+    // The segment file holds an archive of the retired kind.
+    let mut pd = ArchiveWriter::new(kind::PATH_DECOMP);
+    pd.section(0, vec![seg_lens[1] as u64]);
+    fs.write(&victim, &pd.finish()).unwrap();
+
+    let err = TieredStore::load_dir_with(&fs, dir).expect_err("retired kind must not load");
+    assert_eq!(err.file().unwrap(), victim);
+    assert!(
+        matches!(
+            err.cause(),
+            StoreErrorCause::Format(LoadError::WrongKind { expected, found })
+                if *expected == kind::WAVELET_TRIE && *found == kind::PATH_DECOMP
+        ),
+        "{err}"
+    );
+
+    let (rec, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
+    assert_eq!(report.quarantined.len(), 1, "{report}");
+    assert_eq!(report.quarantined[0].file, victim);
+    assert_eq!(report.strings_lost, seg_lens[1]);
+    let mut expected = strings_of(&st);
+    expected.drain(seg_lens[0]..seg_lens[0] + seg_lens[1]);
+    assert_eq!(
+        strings_of(&rec),
+        expected,
+        "the other segments keep serving"
+    );
 }
