@@ -166,6 +166,7 @@ impl SpaceUsage for IntWaveletTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     fn check(seq: &[u64], sigma: u64) {
         let wt = IntWaveletTree::new(seq, sigma);
@@ -203,13 +204,7 @@ mod tests {
 
     #[test]
     fn pseudorandom() {
-        let mut s = 777u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(777);
         let seq: Vec<u64> = (0..5000).map(|_| next() % 100).collect();
         check(&seq, 100);
         let seq: Vec<u64> = (0..1000).map(|_| next() % 3).collect();

@@ -2,8 +2,7 @@
 //!
 //! Everything the paper positions itself against (§1 "Related work"):
 //!
-//! * [`NaiveSeq`] — plain `Vec` with linear scans (ground truth + E7
-//!   baseline).
+//! * [`NaiveSeq`] — plain `Vec` with linear scans (E4 and E7 baseline).
 //! * [`IntWaveletTree`] — the classic fixed-alphabet balanced Wavelet Tree
 //!   \[13\] the Wavelet Trie generalizes.
 //! * [`DictSequence`] — approach (1): dictionary-mapped integers; rebuilds

@@ -1,5 +1,5 @@
 //! Naive uncompressed indexed sequence: `Vec` of strings with linear-scan
-//! queries. Ground truth for every equivalence test and the baseline the §5
+//! queries. The space baseline of experiment E4 and the baseline the §5
 //! range algorithms are measured against (experiment E7).
 
 /// A plain `Vec<Vec<u8>>` sequence answering every operation by scanning.

@@ -6,12 +6,13 @@
 //!   O(log n); `Init(b, n)` constant-time/-space regardless of `n`, the
 //!   property that rules out gap-encoded and plain bitvectors.
 
-use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
+use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_bits::entropy::bitvec_h0_bits;
 use wt_bits::{
     AppendBitVec, BitAccess, BitRank, BitSelect, DynamicBitVec, Fid, RawBitVec, RrrVector,
     SpaceUsage,
 };
+use wt_workloads::xorshift;
 
 fn main() {
     // ---------- E5: append-only bitvector ---------------------------------

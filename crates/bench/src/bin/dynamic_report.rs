@@ -14,9 +14,10 @@
 //! Usage: `dynamic_report [--quick] [--out PATH]`
 
 use wavelet_trie::DynamicStrings;
-use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
+use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_bits::{BitAccess, BitRank, BitSelect, DynamicBitVec, SpaceUsage};
 use wt_workloads::words::word_text;
+use wt_workloads::xorshift;
 
 /// One measured series: ns/op for `op` on `structure` under `dist` at size `n`.
 struct Measurement {

@@ -21,10 +21,11 @@
 //! before/after pair a perf PR claims.
 
 use wavelet_trie::IndexedStrings;
-use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
+use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_bits::{BitSelect, Fid, RawBitVec, RrrVector, SpaceUsage};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::words::word_text;
+use wt_workloads::xorshift;
 
 /// One measured series: ns/op for `op` on `structure` under `dist` at size `n`.
 struct Measurement {

@@ -20,10 +20,11 @@ use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{
     AppendWaveletTrie, DynamicWaveletTrie, IndexedStrings, SeqIndex, SequenceOps, WaveletTrie,
 };
-use wt_bench::{fmt_ns, time_once_ms, time_per_op_ns, xorshift, Table};
+use wt_bench::{fmt_ns, time_once_ms, time_per_op_ns, Table};
 use wt_bits::SpaceUsage;
 use wt_store::TieredStrings;
 use wt_workloads::urls::{url_log, UrlLogConfig};
+use wt_workloads::xorshift;
 
 /// One measured series.
 struct Measurement {

@@ -31,10 +31,11 @@ use std::sync::Barrier;
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{BitStr, BitString, DynamicWaveletTrie, SeqIndex, WaveletTrie};
-use wt_bench::{fmt_ns, time_per_op_ns, xorshift, Table};
+use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_store::{StoreConfig, StoreSnapshot, TieredStore};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::words::word_text;
+use wt_workloads::xorshift;
 
 /// One measured query series.
 struct QuerySeries {
@@ -330,13 +331,10 @@ fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
 /// snapshot path added no contention of its own.
 fn cpu_scaling_ceiling_2t() -> f64 {
     fn spin(iters: u64) -> u64 {
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         let mut acc = 0u64;
         for _ in 0..iters {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            acc = acc.wrapping_add(s);
+            acc = acc.wrapping_add(next());
         }
         acc
     }

@@ -21,18 +21,6 @@
 
 use std::time::Instant;
 
-/// Seeded xorshift64 closure — the dependency-free PRNG every report binary
-/// uses for reproducible workloads and probe sequences.
-pub fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed.max(1);
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
-
 /// Best-of-samples wall time per operation, in nanoseconds.
 ///
 /// Runs `op` in batches (`iters` calls per sample) and reports the best of

@@ -7,38 +7,23 @@
 //! another compressed bitvector for these; we store the O(n/L)-word arrays
 //! directly — the same o(n) bits, DESIGN.md substitution #3).
 //!
-//! Sealing a tail into RRR takes O(L/63) block pushes. In the default
-//! **de-amortized** mode (Lemma 4.8 / Thm 4.5 partial rebuilding) this work
-//! is spread over subsequent appends — a couple of RRR blocks per append —
-//! while the frozen raw tail keeps answering queries until the compressed
-//! block is ready, giving O(1) worst-case `Append`. The amortized mode seals
-//! eagerly (O(1) amortized, occasional O(L) hiccup), matching Lemma 4.7.
+//! Sealing a tail into RRR takes O(L/63) block pushes. The seal is
+//! **de-amortized** (Lemma 4.8 / Thm 4.5 partial rebuilding): the work is
+//! spread over subsequent appends, `STEPS_PER_APPEND` RRR blocks per
+//! append, while the frozen raw tail keeps answering queries until the
+//! compressed block is ready, giving O(1) worst-case `Append`.
 
 use crate::broadword::{select_bit_in_word, select_block};
 use crate::rrr::{RrrBuilder, RrrVector, RRR_BLOCK_BITS};
 use crate::{BitAccess, BitRank, BitSelect, RawBitVec, SpaceUsage};
 
-/// Configuration for [`AppendBitVec`] (packed: one such struct lives in
-/// every Wavelet Trie node, so every byte counts toward the `PT` term).
-#[derive(Clone, Copy, Debug)]
-pub struct AppendConfig {
-    /// Sealed-block size in bits; must be a positive multiple of 63.
-    pub block_bits: u32,
-    /// RRR blocks built per append while a seal is in flight.
-    pub steps_per_append: u16,
-    /// Spread RRR construction over appends (worst-case O(1) `push`).
-    pub deamortize: bool,
-}
+/// Sealed-block size `L` in bits: 64 RRR blocks.
+const BLOCK_BITS: usize = 64 * RRR_BLOCK_BITS;
 
-impl Default for AppendConfig {
-    fn default() -> Self {
-        AppendConfig {
-            block_bits: 63 * 64, // 4032 bits
-            steps_per_append: 2,
-            deamortize: true,
-        }
-    }
-}
+/// RRR blocks built per append while a seal is in flight, so a seal
+/// finishes within `BLOCK_BITS / 126` of the `BLOCK_BITS` appends that
+/// refill the tail.
+const STEPS_PER_APPEND: usize = 2;
 
 /// Small explicit bitvector (Lemma 4.6): raw bits plus per-word cumulative
 /// ranks, so every operation is O(1) for the bounded sizes it is used at.
@@ -177,7 +162,6 @@ struct SealedBlock {
 /// `get`, `rank`; `select` in O(log(n/L)); space `nH0(β) + o(n)` bits.
 #[derive(Clone, Debug)]
 pub struct AppendBitVec {
-    cfg: AppendConfig,
     sealed: Vec<SealedBlock>,
     pending: Option<Box<PendingSeal>>,
     tail: SmallTail,
@@ -192,31 +176,9 @@ impl Default for AppendBitVec {
 }
 
 impl AppendBitVec {
-    /// Creates an empty vector with the default configuration.
+    /// Creates an empty vector.
     pub fn new() -> Self {
-        Self::with_config(AppendConfig::default())
-    }
-
-    /// Creates an empty vector with an explicit configuration.
-    ///
-    /// # Panics
-    /// If `block_bits` is not a positive multiple of 63, or
-    /// `steps_per_append` would not finish a seal before the next one starts.
-    pub fn with_config(cfg: AppendConfig) -> Self {
-        assert!(
-            cfg.block_bits > 0 && (cfg.block_bits as usize).is_multiple_of(RRR_BLOCK_BITS),
-            "block_bits must be a positive multiple of {RRR_BLOCK_BITS}"
-        );
-        if cfg.deamortize {
-            // A seal needs block_bits/63 steps and must complete within the
-            // block_bits appends that refill the tail.
-            assert!(
-                cfg.steps_per_append as usize * RRR_BLOCK_BITS >= 2,
-                "steps_per_append too small to de-amortize"
-            );
-        }
         AppendBitVec {
-            cfg,
             sealed: Vec::new(),
             pending: None,
             tail: SmallTail::new(),
@@ -238,24 +200,19 @@ impl AppendBitVec {
     pub fn push(&mut self, bit: bool) {
         // Advance any in-flight seal first.
         if let Some(p) = self.pending.as_mut() {
-            if p.step(self.cfg.steps_per_append as usize) {
+            if p.step(STEPS_PER_APPEND) {
                 let p = *self.pending.take().expect("pending");
                 self.complete_seal(p);
             }
         }
-        if self.tail.len() == self.cfg.block_bits as usize {
+        if self.tail.len() == BLOCK_BITS {
             // Tail full: freeze it. Any still-pending seal must finish now
-            // (cannot happen with default parameters; guarded for safety).
+            // (cannot happen at `STEPS_PER_APPEND`; guarded for safety).
             if let Some(p) = self.pending.take() {
                 self.complete_seal(*p);
             }
             let frozen = std::mem::take(&mut self.tail);
-            if self.cfg.deamortize {
-                self.pending = Some(Box::new(PendingSeal::new(frozen)));
-            } else {
-                let seal = PendingSeal::new(frozen);
-                self.complete_seal(seal);
-            }
+            self.pending = Some(Box::new(PendingSeal::new(frozen)));
         }
         self.tail.push(bit);
         self.len += 1;
@@ -293,7 +250,7 @@ impl AppendBitVec {
 
     #[inline]
     fn sealed_bits(&self) -> usize {
-        self.sealed.len() * self.cfg.block_bits as usize
+        self.sealed.len() * BLOCK_BITS
     }
 
     /// Bits covered by sealed blocks plus the frozen pending block.
@@ -307,7 +264,6 @@ impl AppendBitVec {
         if k >= total {
             return None;
         }
-        let block_bits = self.cfg.block_bits as usize;
         let count_before = |i: usize| {
             let r1 = if i == self.sealed.len() {
                 self.ones_before_pending()
@@ -317,7 +273,7 @@ impl AppendBitVec {
             if bit {
                 r1
             } else {
-                i * block_bits - r1
+                i * BLOCK_BITS - r1
             }
         };
         // Binary search sealed blocks.
@@ -328,7 +284,7 @@ impl AppendBitVec {
                 .rrr
                 .select(bit, rem)
                 .expect("in-block select");
-            return Some(lo * block_bits + p);
+            return Some(lo * BLOCK_BITS + p);
         }
         // Target is in the pending frozen block or the tail.
         let mut rem = k - count_before(self.sealed.len());
@@ -357,9 +313,8 @@ impl BitAccess for AppendBitVec {
 
     fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let block_bits = self.cfg.block_bits as usize;
         if i < self.sealed_bits() {
-            return self.sealed[i / block_bits].rrr.get(i % block_bits);
+            return self.sealed[i / BLOCK_BITS].rrr.get(i % BLOCK_BITS);
         }
         let stable = self.stable_bits();
         if i < stable {
@@ -377,10 +332,9 @@ impl BitRank for AppendBitVec {
             "rank index {i} out of bounds (len {})",
             self.len
         );
-        let block_bits = self.cfg.block_bits as usize;
         if i < self.sealed_bits() {
-            let b = i / block_bits;
-            return self.sealed[b].ones_before as usize + self.sealed[b].rrr.rank1(i % block_bits);
+            let b = i / BLOCK_BITS;
+            return self.sealed[b].ones_before as usize + self.sealed[b].rrr.rank1(i % BLOCK_BITS);
         }
         let mut r = self.ones_before_pending();
         let mut rem = i - self.sealed_bits();
@@ -430,8 +384,8 @@ impl SpaceUsage for AppendBitVec {
 mod tests {
     use super::*;
 
-    fn model_check(pattern: impl Iterator<Item = bool>, cfg: AppendConfig) {
-        let mut v = AppendBitVec::with_config(cfg);
+    fn model_check(pattern: impl Iterator<Item = bool>) {
+        let mut v = AppendBitVec::new();
         let mut model = Vec::new();
         for b in pattern {
             v.push(b);
@@ -470,46 +424,25 @@ mod tests {
 
     #[test]
     fn deamortized_default() {
-        model_check((0..30_000).map(|i| i % 3 == 0), AppendConfig::default());
-    }
-
-    #[test]
-    fn amortized_mode() {
-        let cfg = AppendConfig {
-            deamortize: false,
-            ..AppendConfig::default()
-        };
-        model_check((0..30_000).map(|i| i % 7 < 2), cfg);
+        model_check((0..30_000).map(|i| i % 3 == 0));
     }
 
     #[test]
     fn tiny_blocks_force_many_seals() {
-        let cfg = AppendConfig {
-            block_bits: 63,
-            deamortize: true,
-            steps_per_append: 2,
-        };
-        model_check((0..5_000).map(|i| (i * i) % 5 == 0), cfg);
+        // Twelve seals, the last one still in flight at the end.
+        model_check((0..12 * BLOCK_BITS + 20).map(|i| (i * i) % 5 == 0));
     }
 
     #[test]
     fn queries_mid_pending_seal() {
         // Probe immediately after a seal starts, while the builder is mid-flight.
-        let cfg = AppendConfig {
-            block_bits: 63 * 64,
-            deamortize: true,
-            steps_per_append: 1,
-        };
-        let mut v = AppendBitVec::with_config(cfg);
-        let n = cfg.block_bits as usize + 10;
+        let mut v = AppendBitVec::new();
+        let n = BLOCK_BITS + 10;
         for i in 0..n {
             v.push(i % 2 == 0);
         }
         assert!(v.pending.is_some(), "seal should be in flight");
-        assert_eq!(
-            v.rank1(cfg.block_bits as usize),
-            cfg.block_bits as usize / 2
-        );
+        assert_eq!(v.rank1(BLOCK_BITS), BLOCK_BITS / 2);
         assert_eq!(v.rank1(n), n / 2);
         assert!(v.get(0));
         assert_eq!(v.select1(10), Some(20));
@@ -518,8 +451,8 @@ mod tests {
 
     #[test]
     fn all_same_bit() {
-        model_check(std::iter::repeat_n(true, 10_000), AppendConfig::default());
-        model_check(std::iter::repeat_n(false, 10_000), AppendConfig::default());
+        model_check(std::iter::repeat_n(true, 10_000));
+        model_check(std::iter::repeat_n(false, 10_000));
     }
 
     #[test]

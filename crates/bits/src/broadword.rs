@@ -143,6 +143,7 @@ pub fn select_bit_in_word(word: u64, bit: bool, valid: usize, k: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     fn naive_select(x: u64, k: u32) -> Option<u32> {
         let mut seen = 0;
@@ -182,12 +183,9 @@ mod tests {
 
     #[test]
     fn select_matches_naive_pseudorandom() {
-        // xorshift so the test needs no RNG dependency
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         for _ in 0..2000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
+            let s = next();
             let ones = s.count_ones();
             if ones == 0 {
                 continue;

@@ -1121,6 +1121,7 @@ impl SpaceUsage for DynamicBitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     /// Mirror model executing the same operations on a Vec<bool>.
     struct Model {
@@ -1232,24 +1233,18 @@ mod tests {
 
     #[test]
     fn interleaved_pseudorandom_ops() {
-        let mut s = 0xABCD_EF01_2345_6789u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0xABCD_EF01_2345_6789);
         let mut m = Model::new();
         for step in 0..3000 {
             let r = next();
             let len = m.m.len();
-            if len == 0 || r % 3 != 0 {
+            if len == 0 || !r.is_multiple_of(3) {
                 let pos = if len == 0 {
                     0
                 } else {
                     (next() % (len as u64 + 1)) as usize
                 };
-                m.insert(pos, next() % 2 == 0);
+                m.insert(pos, next().is_multiple_of(2));
             } else {
                 let pos = (next() % len as u64) as usize;
                 m.remove(pos);

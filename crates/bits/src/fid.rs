@@ -478,6 +478,7 @@ impl Persist for Fid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     fn check_against_scan(bits: &RawBitVec) {
         let fid = Fid::new(bits.clone());
@@ -529,15 +530,9 @@ mod tests {
 
     #[test]
     fn pseudorandom_dense_and_sparse() {
-        let mut s = 12345u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(12345);
         for &density in &[1u64, 8, 128, 4096] {
-            let bits = RawBitVec::from_bits((0..50_000).map(|_| next() % density == 0));
+            let bits = RawBitVec::from_bits((0..50_000).map(|_| next().is_multiple_of(density)));
             check_against_scan(&bits);
         }
     }

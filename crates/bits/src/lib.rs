@@ -13,7 +13,7 @@
 //!   labels and node bitvectors in the static Wavelet Trie (§3).
 //! * [`codes`] — Elias γ and δ universal codes (§4.2).
 //! * [`AppendBitVec`] — the append-only compressed bitvector of §4.1
-//!   (Theorem 4.5), with optional de-amortized sealing.
+//!   (Theorem 4.5), with de-amortized sealing.
 //! * [`OffsetBitVec`] — append-only bitvector with an implicit constant
 //!   prefix: the O(1) `Init` of the append-only Wavelet Trie (§4).
 //! * [`DynamicBitVec`] — the fully dynamic RLE+γ bitvector of §4.2
@@ -38,7 +38,7 @@ pub mod rrr;
 pub mod storage;
 pub mod words;
 
-pub use append_only::{AppendBitVec, AppendConfig};
+pub use append_only::AppendBitVec;
 pub use dynamic::DynamicBitVec;
 pub use elias_fano::EliasFano;
 pub use entropy::SpaceUsage;

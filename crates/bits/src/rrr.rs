@@ -934,6 +934,7 @@ impl RrrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     #[test]
     fn binom_table_sane() {
@@ -956,12 +957,9 @@ mod tests {
 
     #[test]
     fn block_rank_unrank_roundtrip() {
-        let mut s = 0xDEAD_BEEF_1234_5678u64;
+        let mut next = xorshift(0xDEAD_BEEF_1234_5678);
         for _ in 0..5000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let word = s >> 1; // 63 bits
+            let word = next() >> 1; // 63 bits
             let c = word.count_ones();
             let off = block_rank_offset(word, c);
             if OFFSET_WIDTH[c as usize] < 64 {
@@ -1036,15 +1034,9 @@ mod tests {
 
     #[test]
     fn pseudorandom_densities() {
-        let mut s = 777u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(777);
         for &density in &[2u64, 10, 100, 1000] {
-            let bits = RawBitVec::from_bits((0..40_000).map(|_| next() % density == 0));
+            let bits = RawBitVec::from_bits((0..40_000).map(|_| next().is_multiple_of(density)));
             check(&bits);
         }
     }
@@ -1067,15 +1059,9 @@ mod tests {
 
     #[test]
     fn batch_entry_points_match_scalar() {
-        let mut s = 0xABCD_1234u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0xABCD_1234);
         for &density in &[2u64, 50, 700] {
-            let bits = RawBitVec::from_bits((0..30_000).map(|_| next() % density == 0));
+            let bits = RawBitVec::from_bits((0..30_000).map(|_| next().is_multiple_of(density)));
             let rrr = RrrVector::new(&bits);
             // Random positions including block/superblock edges and len.
             let mut pos: Vec<usize> = (0..333).map(|_| (next() % 30_000) as usize).collect();
@@ -1106,15 +1092,9 @@ mod tests {
 
     #[test]
     fn parallel_encode_matches_serial() {
-        let mut s = 99u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(99);
         for n in [0usize, 63, 1008, 16_128, 16_129, 100_000] {
-            let bits = RawBitVec::from_bits((0..n).map(|_| next() % 5 == 0));
+            let bits = RawBitVec::from_bits((0..n).map(|_| next().is_multiple_of(5)));
             let serial = RrrVector::new(&bits);
             for threads in [1usize, 2, 4] {
                 let par = RrrVector::from_raw_with_threads(&bits, threads);

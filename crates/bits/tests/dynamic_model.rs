@@ -6,16 +6,18 @@
 //! cache fill/flush boundaries.
 
 use wt_bits::{BitAccess, BitRank, BitSelect, DynamicBitVec};
+use wt_workloads::xorshift;
 
-/// xorshift64* so the workload needs no RNG dependency.
-struct Rng(u64);
+/// The shared seeded xorshift stream, with a bounded draw.
+struct Rng(Box<dyn FnMut() -> u64>);
 
 impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(Box::new(xorshift(seed)))
+    }
+
     fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
+        (self.0)()
     }
 
     fn below(&mut self, n: usize) -> usize {
@@ -107,7 +109,7 @@ impl Model {
 /// flushes); the mix drives both, plus splits (net growth phases) and
 /// merges (net shrink phases).
 fn drive(seed: u64, init_bit: bool, init_n: usize, steps: usize, spread: usize) {
-    let mut rng = Rng(seed | 1);
+    let mut rng = Rng::new(seed | 1);
     let mut model = Model::filled(init_bit, init_n);
     let mut anchor = init_n / 2;
     for step in 0..steps {
@@ -185,7 +187,7 @@ fn dense_alternation_maximizes_runs() {
     // Alternating bits make every insert create or split runs, maximizing
     // split/merge churn.
     let mut model = Model::filled(false, 1_000);
-    let mut rng = Rng(0xA5A5_0005);
+    let mut rng = Rng::new(0xA5A5_0005);
     for i in 0..4_000 {
         let n = model.m.len();
         let p = (n / 2 + rng.below(64).min(n / 2)).min(n);
@@ -202,7 +204,7 @@ fn dense_alternation_maximizes_runs() {
 fn interleaved_clones_share_nothing() {
     // Clone mid-workload (dirty cache included) and drive both copies on
     // divergent schedules; each must stay consistent with its own mirror.
-    let mut rng = Rng(0xA5A5_0006);
+    let mut rng = Rng::new(0xA5A5_0006);
     let mut a = Model::filled(true, 10_000);
     for _ in 0..500 {
         let p = 5_000 + rng.below(32);

@@ -6,15 +6,7 @@
 
 use wt_bits::persist::{crc64, from_bytes, kind, to_bytes, Archive, LoadError, FORMAT_VERSION};
 use wt_bits::{EliasFano, Fid, RawBitVec, RrrVector};
-
-fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
+use wt_workloads::xorshift;
 
 /// One representative image per archive-rooted container kind.
 fn images() -> Vec<(u32, Vec<u8>)> {

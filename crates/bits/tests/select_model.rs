@@ -5,20 +5,11 @@
 //! first/last ones and zeros, and degenerate all-ones/all-zeros inputs.
 
 use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, Fid, RawBitVec, RrrVector};
+use wt_workloads::xorshift;
 
 /// RRR select hints sample every 4096th target bit; FID every 8192th.
 /// Probing `k` around both catches off-by-one hint indexing in either.
 const SAMPLE_EDGES: [usize; 6] = [4095, 4096, 4097, 8191, 8192, 8193];
-
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed.max(1);
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
 
 /// Exercises select/rank/access of both bitvector indexes against scans,
 /// concentrating probes at boundaries rather than uniformly.

@@ -653,6 +653,7 @@ mod tests {
     use crate::ops::SeqIndex;
     use crate::static_wt::WaveletTrie;
     use wt_trie::BitString;
+    use wt_workloads::xorshift;
 
     /// Pipeline-level smoke check (the cross-backend equivalence suite
     /// lives in `tests/batch_model.rs`): every batched op must agree with
@@ -660,13 +661,7 @@ mod tests {
     /// exercise group splits and multi-chunk batches.
     #[test]
     fn group_descent_matches_scalar() {
-        let mut s = 0x5EED_CAFEu64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0x5EED_CAFE);
         // Variable-depth strings: 12-bit prefix-free codes plus a few very
         // deep "skewed" strings sharing long prefixes.
         let encode = |v: u64| BitString::from_bits((0..12).rev().map(move |k| (v >> k) & 1 != 0));

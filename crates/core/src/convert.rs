@@ -127,18 +127,10 @@ mod tests {
     use crate::ops::{SeqIndex, SequenceOps};
     use crate::static_wt::WaveletTrie;
     use wt_trie::BitString;
+    use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
-    }
-
-    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        }
     }
 
     /// Asserts every SeqIndex operation agrees between two indexes.

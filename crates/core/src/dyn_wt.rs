@@ -501,6 +501,7 @@ pub type DynamicWaveletTrie = DynWaveletTrie<DynamicBitVec>;
 mod tests {
     use super::*;
     use crate::ops::{SeqIndex, SequenceOps};
+    use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
@@ -660,13 +661,7 @@ mod tests {
 
     #[test]
     fn pseudorandom_ops_against_model() {
-        let mut s = 0x00DD_BA11_5EED_u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0x00DD_BA11_5EED);
         let mut wt = DynamicWaveletTrie::new();
         let mut model: Vec<BitString> = Vec::new();
         // 10-bit fixed-width values over a 25-symbol alphabet.

@@ -229,6 +229,7 @@ impl TrieNav for RandomizedWaveletTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     #[test]
     fn inverse_works() {
@@ -263,15 +264,9 @@ mod tests {
     fn insert_delete_middle() {
         let mut t = RandomizedWaveletTree::new(32, 7);
         let mut model: Vec<u64> = Vec::new();
-        let mut s = 99u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(99);
         for _ in 0..300 {
-            if model.is_empty() || next() % 3 != 0 {
+            if model.is_empty() || !next().is_multiple_of(3) {
                 let v = next() % 50; // small working alphabet
                 let pos = (next() % (model.len() as u64 + 1)) as usize;
                 t.insert(v, pos);

@@ -738,8 +738,39 @@ impl WaveletTrie {
         let bvs: RrrVector = read_section(&a, sec::BVS)?;
         let bv_bounds: EliasFano = read_section(&a, sec::BV_BOUNDS)?;
         let bv_ones: EliasFano = read_section(&a, sec::BV_ONES)?;
-        // Cross-component invariants — O(1) directory-length probes that
-        // pin every index computed on the query path inside bounds.
+        let wt = WaveletTrie {
+            n,
+            labels,
+            label_bounds,
+            internal,
+            bvs,
+            bv_bounds,
+            bv_ones,
+            nh0_bits,
+            root_label_len,
+        };
+        wt.check_invariants()?;
+        Ok(wt)
+    }
+
+    /// Checks the cross-component invariants every query relies on: the
+    /// internal flags form a full binary trie, the label and bitvector
+    /// directories agree with their concatenations, and each internal
+    /// child's bitvector is exactly as long as its parent's zero or one
+    /// count. O(1) directory probes per node, no per-bit work. The loader
+    /// runs it on every archive, so a corrupt image fails with a typed error
+    /// instead of answering out of bounds.
+    pub fn check_invariants(&self) -> Result<(), LoadError> {
+        let (n, nh0_bits, root_label_len) = (self.n, self.nh0_bits, self.root_label_len);
+        let Self {
+            labels,
+            label_bounds,
+            internal,
+            bvs,
+            bv_bounds,
+            bv_ones,
+            ..
+        } = self;
         let n_nodes = internal.len();
         let internals = internal.count_ones();
         if (n == 0) != (n_nodes == 0) {
@@ -800,17 +831,7 @@ impl WaveletTrie {
                 }
             }
         }
-        Ok(WaveletTrie {
-            n,
-            labels,
-            label_bounds,
-            internal,
-            bvs,
-            bv_bounds,
-            bv_ones,
-            nh0_bits,
-            root_label_len,
-        })
+        Ok(())
     }
 }
 
@@ -947,6 +968,7 @@ impl TrieNav for WaveletTrie {
 mod tests {
     use super::*;
     use crate::ops::{SeqIndex, SequenceOps};
+    use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
@@ -1143,13 +1165,7 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial() {
-        let mut s = 0xBEE5u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0xBEE5);
         // Large enough that the parallel path engages even past the spine
         // cutoff (build_views is called directly to bypass the size gate).
         let seq: Vec<BitString> = (0..6000)
@@ -1188,13 +1204,7 @@ mod tests {
 
     #[test]
     fn larger_random_sequence_against_naive() {
-        let mut s = 0xFEED_BEEFu64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0xFEED_BEEF);
         // Fixed-width 12-bit strings over a small alphabet: prefix-free.
         let vals: Vec<u32> = (0..3000).map(|_| (next() % 40) as u32).collect();
         let seq: Vec<BitString> = vals

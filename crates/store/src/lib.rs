@@ -510,6 +510,7 @@ impl SpaceUsage for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
@@ -647,13 +648,7 @@ mod tests {
 
     #[test]
     fn admits_matches_naive_oracle() {
-        let mut s = 0xCAC4Eu64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0xCAC4E);
         let mut st = tiny();
         let mut model: Vec<BitString> = Vec::new();
         // Variable-length strings so prefix relations actually occur.

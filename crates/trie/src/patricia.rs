@@ -355,6 +355,7 @@ impl PatriciaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s)
@@ -463,13 +464,7 @@ mod tests {
     #[test]
     fn pseudorandom_model_test() {
         use std::collections::BTreeSet;
-        let mut s = 0x1357_9BDF_2468_ACE0u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0x1357_9BDF_2468_ACE0);
         // Fixed-length strings are always prefix-free.
         let mut t = PatriciaSet::new();
         let mut model: BTreeSet<String> = BTreeSet::new();

@@ -9,8 +9,8 @@
 //!
 //! Run with `cargo run --release --example social_graph`.
 
-use rand::{RngExt, SeedableRng};
 use wavelet_trie::AppendLog;
+use wt_workloads::{rng, RngExt};
 
 fn edge(src: u32, dst: u32) -> String {
     // Fixed-width ids keep "u7→" a clean prefix boundary.
@@ -18,7 +18,7 @@ fn edge(src: u32, dst: u32) -> String {
 }
 
 fn main() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2012);
+    let mut rng = rng(2012);
     let mut log = AppendLog::new();
 
     // 30k timestamped follow events among 200 users, preferential-ish.

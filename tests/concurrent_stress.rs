@@ -20,6 +20,7 @@ use wavelet_trie::SeqIndex;
 use wt_bits::MemFs;
 use wt_store::{StoreConfig, TieredStore};
 use wt_trie::{BitStr, BitString};
+use wt_workloads::xorshift;
 
 fn encode(v: u64) -> BitString {
     BitString::from_bits((0..10).rev().map(move |k| (v >> k) & 1 != 0))
@@ -31,15 +32,6 @@ fn prefix4(v: u64) -> BitString {
 
 fn contents(idx: &dyn SeqIndex) -> Vec<BitString> {
     idx.iter_seq_boxed().collect()
-}
-
-/// Deterministic per-thread xorshift so reader access patterns differ but
-/// replays are stable.
-fn xorshift(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
 }
 
 const READERS: usize = 4;
@@ -69,7 +61,8 @@ fn readers_stay_bit_identical_under_concurrent_maintenance() {
                 let done = &done;
                 let checks = &checks;
                 scope.spawn(move || {
-                    let mut rng = 0x5EED ^ (r as u64) << 17 | 1;
+                    // Per-thread seed: access patterns differ, replays are stable.
+                    let mut next = xorshift(0x5EED ^ (r as u64) << 17 | 1);
                     let mut last_version = 0u64;
                     while !done.load(Ordering::Acquire) {
                         let snap = reader.snapshot();
@@ -89,17 +82,17 @@ fn readers_stay_bit_identical_under_concurrent_maintenance() {
                             continue;
                         }
                         // access
-                        let pos = (xorshift(&mut rng) as usize) % state.len();
+                        let pos = (next() as usize) % state.len();
                         assert_eq!(snap.access(pos), state[pos], "reader {r} v{v}: access");
                         // rank at a random bound
-                        let probe = state[(xorshift(&mut rng) as usize) % state.len()].clone();
+                        let probe = state[(next() as usize) % state.len()].clone();
                         let s = probe.as_bitstr();
-                        let bound = (xorshift(&mut rng) as usize) % (state.len() + 1);
+                        let bound = (next() as usize) % (state.len() + 1);
                         let want = state[..bound].iter().filter(|t| t.as_bitstr() == s).count();
                         assert_eq!(snap.rank(s, bound), want, "reader {r} v{v}: rank");
                         // select of a random occurrence
                         let total = state.iter().filter(|t| t.as_bitstr() == s).count();
-                        let idx = (xorshift(&mut rng) as usize) % total;
+                        let idx = (next() as usize) % total;
                         let want = state
                             .iter()
                             .enumerate()
@@ -109,7 +102,7 @@ fn readers_stay_bit_identical_under_concurrent_maintenance() {
                         assert_eq!(snap.select(s, idx), want, "reader {r} v{v}: select");
                         // count_prefix_batch over a handful of 4-bit prefixes
                         let prefixes: Vec<BitString> =
-                            (0..8).map(|k| prefix4(xorshift(&mut rng) ^ k)).collect();
+                            (0..8).map(|k| prefix4(next() ^ k)).collect();
                         let refs: Vec<BitStr<'_>> =
                             prefixes.iter().map(|p| p.as_bitstr()).collect();
                         let want: Vec<usize> = refs

@@ -1,212 +1,54 @@
-//! Cross-variant equivalence: the static, append-only and fully dynamic
-//! Wavelet Tries must answer every operation identically to each other and
-//! to the naive scanning baseline, on realistic workloads.
+//! Cross-variant equivalence on realistic workloads: the byte-level
+//! facades of the static, append-only, dynamic and tiered structures each
+//! wrap an index that must answer like the naive oracle over the same
+//! `NinthBitCoder` encoding, and decode back to the input strings.
 
-use wavelet_trie::{AppendLog, DynamicStrings, IndexedStrings};
-use wt_baselines::NaiveSeq;
+mod support;
+
+use support::{check_ops, conform, encode_all, Oracle};
+use wavelet_trie::{AppendLog, DynamicStrings, DynamicWaveletTrie, IndexedStrings, SeqIndex};
+use wt_store::TieredStrings;
 use wt_workloads::{url_log, word_text, UrlLogConfig};
 
-fn build_all(data: &[String]) -> (IndexedStrings, AppendLog, DynamicStrings, NaiveSeq) {
-    let stat = IndexedStrings::build(data.iter());
-    let mut app = AppendLog::new();
-    let mut dy = DynamicStrings::new();
-    for s in data {
-        app.append(s);
-        dy.push(s);
-    }
-    let naive = NaiveSeq::from_iter(data.iter());
-    (stat, app, dy, naive)
-}
-
-fn check_equivalence(data: &[String]) {
-    let (stat, app, dy, naive) = build_all(data);
-    let n = data.len();
-    assert_eq!(stat.len(), n);
-    assert_eq!(app.len(), n);
-    assert_eq!(dy.len(), n);
-    assert_eq!(stat.distinct_len(), app.distinct_len());
-    assert_eq!(stat.distinct_len(), dy.distinct_len());
-
-    // Access at sampled positions.
-    for i in (0..n).step_by((n / 64).max(1)) {
-        let want = &data[i];
-        assert_eq!(&stat.get_string(i), want, "static access({i})");
-        assert_eq!(&app.get_string(i), want, "append access({i})");
-        assert_eq!(&dy.get_string(i), want, "dynamic access({i})");
-    }
-
-    // Rank/Select on a sample of distinct strings (+ absent probes).
-    let mut probes: Vec<String> = data.iter().take(200).cloned().collect();
-    probes.sort();
-    probes.dedup();
-    probes.push("zzz-definitely-absent".to_string());
-    for s in &probes {
-        for pos in [0, n / 3, n / 2, n] {
-            let want = naive.rank(s, pos);
-            assert_eq!(stat.rank(s, pos), want, "static rank({s},{pos})");
-            assert_eq!(app.rank(s, pos), want, "append rank({s},{pos})");
-            assert_eq!(dy.rank(s, pos), want, "dynamic rank({s},{pos})");
-        }
-        let total = naive.rank(s, n);
-        for k in (0..total).step_by((total / 8).max(1)) {
-            let want = naive.select(s, k);
-            assert_eq!(stat.select(s, k), want, "static select({s},{k})");
-            assert_eq!(app.select(s, k), want, "append select({s},{k})");
-            assert_eq!(dy.select(s, k), want, "dynamic select({s},{k})");
-        }
-        assert_eq!(stat.select(s, total), None);
-    }
-
-    // Prefix operations on host-level and path-level prefixes.
-    let prefixes: Vec<String> = data
-        .iter()
-        .take(40)
-        .map(|s| s[..s.len().min(18)].to_string())
-        .chain(["http://".to_string(), "nope://".to_string(), String::new()])
-        .collect();
-    for p in &prefixes {
-        for pos in [0, n / 2, n] {
-            let want = naive.rank_prefix(p, pos);
-            assert_eq!(
-                stat.rank_prefix(p, pos),
-                want,
-                "static rank_prefix({p},{pos})"
-            );
-            assert_eq!(
-                app.rank_prefix(p, pos),
-                want,
-                "append rank_prefix({p},{pos})"
-            );
-            assert_eq!(
-                dy.rank_prefix(p, pos),
-                want,
-                "dynamic rank_prefix({p},{pos})"
-            );
-        }
-        let total = naive.rank_prefix(p, n);
-        for k in (0..total).step_by((total / 8).max(1)) {
-            let want = naive.select_prefix(p, k);
-            assert_eq!(
-                stat.select_prefix(p, k),
-                want,
-                "static select_prefix({p},{k})"
-            );
-            assert_eq!(
-                app.select_prefix(p, k),
-                want,
-                "append select_prefix({p},{k})"
-            );
-            assert_eq!(
-                dy.select_prefix(p, k),
-                want,
-                "dynamic select_prefix({p},{k})"
-            );
-        }
-    }
-
-    // Range analytics (§5) on a few windows.
-    for (l, r) in [(0, n), (n / 4, 3 * n / 4), (n / 2, n / 2 + n / 10)] {
-        let want: Vec<(String, usize)> = naive
-            .distinct_in_range(l, r)
-            .into_iter()
-            .map(|(s, c)| (String::from_utf8(s).unwrap(), c))
-            .collect();
-        // the trie enumerates in encoded order, which for NinthBitCoder is
-        // byte-lexicographic — same as the BTreeMap order of the naive.
-        assert_eq!(
-            stat.distinct_in_range(l, r),
-            want,
-            "static distinct [{l},{r})"
-        );
-        assert_eq!(
-            app.distinct_in_range(l, r),
-            want,
-            "append distinct [{l},{r})"
-        );
-        assert_eq!(
-            dy.distinct_in_range(l, r),
-            want,
-            "dynamic distinct [{l},{r})"
-        );
-
-        let want_maj = naive
-            .range_majority(l, r)
-            .map(|(s, c)| (String::from_utf8(s).unwrap(), c));
-        assert_eq!(stat.range_majority(l, r), want_maj);
-        assert_eq!(app.range_majority(l, r), want_maj);
-        assert_eq!(dy.range_majority(l, r), want_maj);
-
-        let t = 1 + (r - l) / 20;
-        let want_f: Vec<(String, usize)> = naive
-            .range_frequent(l, r, t)
-            .into_iter()
-            .map(|(s, c)| (String::from_utf8(s).unwrap(), c))
-            .collect();
-        assert_eq!(stat.range_frequent(l, r, t), want_f);
-        assert_eq!(dy.range_frequent(l, r, t), want_f);
-
-        // Sequential iteration.
-        let want_iter: Vec<String> = data[l..r].to_vec();
-        let got: Vec<String> = stat.iter_range(l, r).collect();
-        assert_eq!(got, want_iter, "static iter [{l},{r})");
-        let got: Vec<String> = app.iter_range(l, r).collect();
-        assert_eq!(got, want_iter, "append iter [{l},{r})");
-        let got: Vec<String> = dy.iter_range(l, r).collect();
-        assert_eq!(got, want_iter, "dynamic iter [{l},{r})");
+/// Conforms the index inside each facade, and spot-checks one decode.
+fn check_facades(data: &[String], seed: u64) {
+    let (o, i) = (Oracle::new(encode_all(data)), data.len() / 2);
+    let stat = IndexedStrings::build(data);
+    let app: AppendLog = data.iter().collect();
+    let dy: DynamicStrings = data.iter().collect();
+    let tiered: TieredStrings = data.iter().collect();
+    let facades: [(&str, &dyn SeqIndex, String); 4] = [
+        ("IndexedStrings", stat.inner(), stat.get_string(i)),
+        ("AppendLog", app.inner(), app.get_string(i)),
+        ("DynamicStrings", dy.inner(), dy.get_string(i)),
+        ("TieredStrings", tiered.inner(), tiered.get_string(i)),
+    ];
+    for (name, idx, decoded) in facades {
+        conform(name, idx, &o, seed);
+        assert_eq!(decoded, data[i], "{name}: get_string({i})");
     }
 }
 
 #[test]
 fn url_log_equivalence() {
-    let data = url_log(3000, UrlLogConfig::default(), 0xC0FFEE);
-    check_equivalence(&data);
+    check_facades(&url_log(3000, UrlLogConfig::default(), 0xC0FFEE), 0xC0FFEE);
 }
 
 #[test]
 fn word_text_equivalence() {
-    let data = word_text(4000, 300, 0xBEEF);
-    check_equivalence(&data);
+    check_facades(&word_text(4000, 300, 0xBEEF), 0xBEEF);
 }
 
 #[test]
 fn tiny_sequences_equivalence() {
-    check_equivalence(&["a".to_string()]);
-    check_equivalence(&["a".to_string(), "a".to_string()]);
-    check_equivalence(&["a".to_string(), "b".to_string()]);
-    let data: Vec<String> = ["x", "xy", "xyz", "x", "w", "xy"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    check_equivalence(&data);
+    let tiny = ["a", "a,a", "a,b", "x,xy,xyz,x,w,xy"];
+    for data in tiny.map(|d| d.split(',').map(String::from).collect::<Vec<_>>()) {
+        check_facades(&data, 0x7111);
+    }
 }
 
 #[test]
 fn dynamic_matches_naive_under_mixed_ops() {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let pool = word_text(200, 50, 5);
-    let mut dy = DynamicStrings::new();
-    let mut naive = NaiveSeq::new();
-    for step in 0..1500 {
-        let r: u32 = rng.random_range(0..10);
-        if naive.is_empty() || r < 6 {
-            let s = &pool[rng.random_range(0..pool.len())];
-            let pos = rng.random_range(0..=naive.len());
-            dy.insert(s, pos);
-            naive.insert(s, pos);
-        } else {
-            let pos = rng.random_range(0..naive.len());
-            let got = dy.remove(pos);
-            let want = naive.remove(pos);
-            assert_eq!(got, want, "remove({pos}) at step {step}");
-        }
-        if step % 250 == 249 {
-            let n = naive.len();
-            for i in (0..n).step_by((n / 20).max(1)) {
-                assert_eq!(dy.get_bytes(i), naive.get(i), "access({i}) at step {step}");
-            }
-            let probe = &pool[step % pool.len()];
-            assert_eq!(dy.count(probe), naive.rank(probe, n));
-        }
-    }
+    let pool = encode_all(&word_text(200, 50, 5));
+    check_ops(DynamicWaveletTrie::new(), &pool, 99, 1500, 250);
 }

@@ -19,6 +19,7 @@ use wt_bits::{
     RrrVector,
 };
 use wt_store::{StoreConfig, TieredStrings};
+use wt_workloads::xorshift;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -48,15 +49,8 @@ fn check_fixture(name: &str, canonical: &[u8]) {
 
 /// Deterministic bit pattern shared by the bits-level fixtures.
 fn fixture_bits() -> Vec<bool> {
-    let mut s = 0x5EEDu64;
-    (0..777)
-        .map(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s.is_multiple_of(3)
-        })
-        .collect()
+    let mut next = xorshift(0x5EED);
+    (0..777).map(|_| next().is_multiple_of(3)).collect()
 }
 
 /// The URL log behind the trie-level fixtures (the §1 workload in

@@ -15,15 +15,7 @@ use wt_bits::{
     BitAccess, BitRank, BitSelect, EliasFano, Fid, Persist, RawBitVec, RrrVector, SpaceUsage,
 };
 use wt_store::{StoreConfig, TieredStrings};
-
-fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
+use wt_workloads::xorshift;
 
 /// Bit patterns covering the shapes the directories specialize on:
 /// empty, singleton, all-zero, all-one, dense-random, sparse, and a long

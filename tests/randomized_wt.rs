@@ -2,10 +2,9 @@
 //! the randomized Wavelet Tree stays balanced w.h.p. on working alphabets
 //! tiny inside a 2^64 universe, while matching a naive model exactly.
 
-use rand::{RngExt, SeedableRng};
 use wavelet_trie::RandomizedWaveletTree;
 use wt_bits::SpaceUsage;
-use wt_workloads::{power_comb, small_alphabet_u64};
+use wt_workloads::{power_comb, rng, small_alphabet_u64, RngExt};
 
 #[test]
 fn matches_naive_model_on_sparse_alphabet() {
@@ -60,7 +59,7 @@ fn height_bound_holds_across_seeds() {
 
 #[test]
 fn mixed_insert_delete_fuzz() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut rng = rng(5);
     let mut t = RandomizedWaveletTree::new(48, 11);
     let mut model: Vec<u64> = Vec::new();
     for _ in 0..1200 {

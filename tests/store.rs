@@ -1,252 +1,48 @@
-//! Tiered-store equivalence suite: a [`TieredStrings`]/[`TieredStore`]
-//! driven through a randomized interleaving of append / insert / delete /
-//! seal / compact must answer **every** query exactly like a naive
-//! `Vec`-based oracle — including queries issued right after a
-//! mid-interleave seal or compaction, and including the bit-level
-//! comparison against a single monolithic Wavelet Trie fed the same
-//! operation sequence.
+//! Tiered-store equivalence suite: a [`TieredStore`] driven through a
+//! seeded interleaving of append / insert / delete / seal / compact /
+//! publish must answer every query like the naive oracle, including right
+//! after a mid-interleave seal or compaction, and so must its last
+//! published snapshot. A monolithic dynamic trie fed the same op stream
+//! conforms to the same oracle, so the two are bit-identical.
 
-use wavelet_trie::{BitString, DynamicWaveletTrie, SeqIndex};
-use wt_store::{StoreConfig, TieredStore, TieredStrings};
+mod support;
 
-fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
-
-/// Byte-string pool shaped like the §1 URL-log workload: shared hosts,
-/// varied paths, plenty of duplicates.
-fn pool() -> Vec<String> {
-    let hosts = ["a.com", "b.org", "c.net"];
-    let mut out = Vec::new();
-    for h in hosts {
-        for p in 0..6 {
-            out.push(format!("http://{h}/p{p}"));
-        }
-        out.push(format!("http://{h}/"));
-    }
-    out
-}
-
-/// Full cross-check of the string facade against the oracle.
-fn check_strings(st: &TieredStrings, oracle: &[String], probes: &[String]) {
-    let n = oracle.len();
-    assert_eq!(st.len(), n);
-    assert_eq!(st.is_empty(), oracle.is_empty());
-    for (i, want) in oracle.iter().enumerate() {
-        assert_eq!(&st.get_string(i), want, "access({i})");
-    }
-    {
-        let mut distinct: Vec<&String> = oracle.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        assert_eq!(st.distinct_len(), distinct.len(), "distinct_len");
-    }
-    for s in probes {
-        let occs: Vec<usize> = (0..n).filter(|&i| &oracle[i] == s).collect();
-        assert_eq!(st.count(s), occs.len(), "count({s})");
-        for pos in [0, n / 3, n / 2, n] {
-            let naive = occs.iter().filter(|&&p| p < pos).count();
-            assert_eq!(st.rank(s, pos), naive, "rank({s},{pos})");
-        }
-        for (k, &p) in occs.iter().enumerate() {
-            assert_eq!(st.select(s, k), Some(p), "select({s},{k})");
-        }
-        assert_eq!(st.select(s, occs.len()), None);
-        // Prefix ops over the host part.
-        let prefix = &s[..s.len().min(10)];
-        let matches: Vec<usize> = (0..n).filter(|&i| oracle[i].starts_with(prefix)).collect();
-        assert_eq!(st.count_prefix(prefix), matches.len(), "count_prefix");
-        for pos in [0, n / 2, n] {
-            let naive = matches.iter().filter(|&&p| p < pos).count();
-            assert_eq!(st.rank_prefix(prefix, pos), naive, "rank_prefix");
-        }
-        for k in [0, matches.len() / 2, matches.len().saturating_sub(1)] {
-            assert_eq!(
-                st.select_prefix(prefix, k),
-                matches.get(k).copied(),
-                "select_prefix({prefix},{k})"
-            );
-        }
-    }
-    // Range analytics over a mid window.
-    let (l, r) = (n / 4, n - n / 4);
-    let mut naive_counts: std::collections::BTreeMap<&String, usize> = Default::default();
-    for s in &oracle[l..r] {
-        *naive_counts.entry(s).or_insert(0) += 1;
-    }
-    let got = st.distinct_in_range(l, r);
-    let want: Vec<(String, usize)> = naive_counts
-        .iter()
-        .map(|(s, &c)| ((*s).clone(), c))
-        .collect();
-    assert_eq!(got, want, "distinct_in_range({l},{r})");
-    let maj = naive_counts
-        .iter()
-        .find(|&(_, &c)| 2 * c > r - l)
-        .map(|(s, &c)| ((*s).clone(), c));
-    assert_eq!(st.range_majority(l, r), maj, "range_majority({l},{r})");
-    let freq_want: Vec<(String, usize)> = naive_counts
-        .iter()
-        .filter(|&(_, &c)| c >= 3)
-        .map(|(s, &c)| ((*s).clone(), c))
-        .collect();
-    assert_eq!(st.range_frequent(l, r, 3), freq_want, "range_frequent");
-    let seq: Vec<String> = st.iter_range(l, r).collect();
-    assert_eq!(seq, oracle[l..r].to_vec(), "iter_range({l},{r})");
-}
+use support::{check_ops, check_shape, code, conform, encode_all, random_codes, store, Oracle};
+use wavelet_trie::{BitString, DynamicWaveletTrie};
 
 #[test]
 fn randomized_op_interleave_matches_oracle() {
-    let mut next = xorshift(0x7153_D0CA_FE01);
-    let pool = pool();
-    let probes: Vec<String> = pool.clone();
-    let mut st = TieredStrings::with_config(StoreConfig {
-        seal_at: 24,
-        max_sealed: 3,
-    });
-    let mut oracle: Vec<String> = Vec::new();
-    for step in 0..900 {
-        let r = next() % 100;
-        if oracle.is_empty() || r < 45 {
-            let s = &pool[(next() % pool.len() as u64) as usize];
-            st.push(s);
-            oracle.push(s.clone());
-        } else if r < 65 {
-            let s = &pool[(next() % pool.len() as u64) as usize];
-            let pos = (next() % (oracle.len() as u64 + 1)) as usize;
-            st.insert(s, pos);
-            oracle.insert(pos, s.clone());
-        } else if r < 85 {
-            let pos = (next() % oracle.len() as u64) as usize;
-            let got = st.remove(pos);
-            let want = oracle.remove(pos);
-            assert_eq!(got, want.as_bytes(), "delete({pos}) at step {step}");
-        } else if r < 93 {
-            // Mid-interleave seal — queries must stay exact right after.
-            st.seal();
-            assert_eq!(st.len(), oracle.len());
-        } else {
-            st.compact();
-        }
-        if step % 150 == 149 {
-            check_strings(&st, &oracle, &probes);
-        }
-    }
-    // Segment structure really is tiered by now.
-    assert!(st.num_segments() > 1, "policy should have produced tiers");
-    check_strings(&st, &oracle, &probes);
-    // Final full seal + compact, then check once more.
-    st.seal();
-    st.compact();
-    assert!(st.sealed_segments() <= 3);
-    check_strings(&st, &oracle, &probes);
+    // Shaped like the §1 URL log: shared hosts, varied paths, duplicates.
+    let urls: Vec<String> = ["a.com", "b.org", "c.net"]
+        .iter()
+        .flat_map(|h| ["", "p0", "p1", "p2", "p3", "p4", "p5"].map(|p| format!("http://{h}/{p}")))
+        .collect();
+    // Seals every 24 strings and compacts down to three sealed segments.
+    let pool = encode_all(&urls);
+    check_ops(store(&[], 24, 3), &pool, 0x7153_D0CA_FE01, 900, 150);
 }
 
 /// Bit-level: the tiered store and a single monolithic dynamic trie fed
-/// the identical op sequence must be indistinguishable through `SeqIndex`.
+/// the identical op sequence both conform to one oracle.
 #[test]
 fn tiered_store_matches_monolithic_trie_bit_level() {
-    let mut next = xorshift(0xBEE5_1DE5);
-    let encode = |v: u64| BitString::from_bits((0..9).rev().map(move |k| (v >> k) & 1 != 0));
-    let mut st = TieredStore::with_config(StoreConfig {
-        seal_at: 16,
-        max_sealed: 2,
-    });
-    let mut mono = DynamicWaveletTrie::new();
-    for step in 0..500 {
-        let r = next() % 10;
-        if mono.is_empty() || r < 6 {
-            let s = encode(next() % 40);
-            let pos = (next() % (mono.len() as u64 + 1)) as usize;
-            st.insert(s.as_bitstr(), pos).unwrap();
-            mono.insert(s.as_bitstr(), pos).unwrap();
-        } else if r < 8 {
-            let pos = (next() % mono.len() as u64) as usize;
-            assert_eq!(st.delete(pos), mono.delete(pos), "delete at {step}");
-        } else if r == 8 {
-            st.seal();
-        } else {
-            st.compact();
-        }
-        if step % 100 == 99 {
-            let n = mono.len();
-            assert_eq!(st.seq_len(), n);
-            assert_eq!(st.distinct_len(), mono.distinct_len());
-            for pos in 0..n {
-                assert_eq!(st.access(pos), mono.access(pos));
-            }
-            for v in 0..40 {
-                let s = encode(v);
-                let b = s.as_bitstr();
-                assert_eq!(st.count(b), mono.count(b));
-                assert_eq!(st.rank(b, n / 2), mono.rank(b, n / 2));
-                for k in [0, 1, 2] {
-                    assert_eq!(st.select(b, k), mono.select(b, k));
-                }
-                assert_eq!(st.admits(b), mono.admits(b));
-            }
-            let (l, r2) = (n / 5, n - n / 5);
-            assert_eq!(st.distinct_in_range(l, r2), mono.distinct_in_range(l, r2));
-            assert_eq!(st.range_majority(l, r2), mono.range_majority(l, r2));
-            assert_eq!(
-                st.distinct_prefixes_in_range(l, r2, 4),
-                mono.distinct_prefixes_in_range(l, r2, 4)
-            );
-            let a: Vec<BitString> = st.iter_range_boxed(l, r2).collect();
-            let b: Vec<BitString> = mono.iter_range_boxed(l, r2).collect();
-            assert_eq!(a, b);
-        }
-    }
+    let pool: Vec<BitString> = (0..40).map(|v| code(v, 9)).collect();
+    check_ops(DynamicWaveletTrie::new(), &pool, 0xBEE5_1DE5, 500, 100);
+    check_ops(store(&[], 16, 2), &pool, 0xBEE5_1DE5, 500, 100);
 }
 
 /// A sealed segment produced by the store must answer exactly like a
-/// from-scratch static build of the same strings (freeze round-trip seen
-/// through the store API).
+/// from-scratch static build of the same strings, down to its height and
+/// bitvector bits (the freeze round trip seen through the store API).
 #[test]
 fn sealed_segment_equals_from_scratch_static_build() {
-    use wavelet_trie::WaveletTrie;
-    let mut next = xorshift(0x5EA1_5EA1);
-    let encode = |v: u64| BitString::from_bits((0..8).rev().map(move |k| (v >> k) & 1 != 0));
-    let mut st = TieredStore::with_config(StoreConfig {
-        seal_at: 1 << 30, // manual sealing only
-        max_sealed: 64,
-    });
-    let mut strings = Vec::new();
-    for _ in 0..200 {
-        let s = encode(next() % 50);
-        st.append(s.as_bitstr()).unwrap();
-        strings.push(s);
-    }
+    let strings = random_codes(200, 50, 8, 0x5EA1_5EA1);
+    let mut st = store(&strings, usize::MAX, 64); // manual sealing only
     st.seal();
     assert_eq!(st.sealed_segments(), 1);
-    let sealed = st.segment(0);
-    let scratch = WaveletTrie::build(&strings).unwrap();
-    assert_eq!(sealed.seq_len(), scratch.seq_len());
-    assert_eq!(sealed.distinct_len(), scratch.distinct_len());
-    assert_eq!(sealed.height(), scratch.height());
-    assert_eq!(
-        sealed.total_bitvector_bits(),
-        scratch.total_bitvector_bits()
-    );
-    for pos in 0..200 {
-        assert_eq!(sealed.access(pos), scratch.access(pos));
-    }
-    for v in 0..50 {
-        let s = encode(v);
-        let b = s.as_bitstr();
-        assert_eq!(sealed.count(b), scratch.count(b));
-        assert_eq!(sealed.select(b, 0), scratch.select(b, 0));
-        assert_eq!(sealed.rank(b, 100), scratch.rank(b, 100));
-    }
-    assert_eq!(
-        sealed.distinct_in_range(20, 180),
-        scratch.distinct_in_range(20, 180)
-    );
+    let o = Oracle::new(strings);
+    conform("sealed segment", st.segment(0), &o, 0x5EA1);
+    check_shape("sealed segment", st.segment(0), &o);
 }
 
 /// Failed inserts must leave the store untouched even when the violation
@@ -254,23 +50,16 @@ fn sealed_segment_equals_from_scratch_static_build() {
 /// position.
 #[test]
 fn failed_inserts_leave_store_unchanged() {
-    let mut st = TieredStore::with_config(StoreConfig {
-        seal_at: 2,
-        max_sealed: 8,
-    });
-    for s in ["0100", "0001", "1100", "1010"] {
-        st.append(BitString::parse(s).as_bitstr()).unwrap();
-    }
+    let strings: Vec<BitString> = ["0100", "0001", "1100", "1010"]
+        .map(BitString::parse)
+        .into();
+    let mut st = store(&strings, 2, 8);
     assert!(st.sealed_segments() >= 1);
-    let snapshot: Vec<BitString> = st.iter_seq_boxed().collect();
     let lens = st.segment_lens();
     // "01" is a prefix of "0100" which lives in a sealed segment, but the
     // insert position targets the hot tail.
-    let n = st.len();
-    assert!(st.insert(BitString::parse("01").as_bitstr(), n).is_err());
+    assert!(st.insert(BitString::parse("01").as_bitstr(), 4).is_err());
     assert!(st.insert(BitString::parse("01001").as_bitstr(), 0).is_err());
-    assert_eq!(st.len(), 4);
     assert_eq!(st.segment_lens(), lens, "no melt on failed insert");
-    let after: Vec<BitString> = st.iter_seq_boxed().collect();
-    assert_eq!(snapshot, after);
+    conform("after failed inserts", &st, &Oracle::new(strings), 0xFA11);
 }
