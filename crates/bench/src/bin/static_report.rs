@@ -9,8 +9,8 @@
 //! trajectory — the static counterpart of `dynamic_report` (E11).
 //!
 //! Sections:
-//! * static bitvectors — rank/select/access on dense/sparse/runny inputs,
-//!   for both `RrrVector` and `Fid`, with bits-per-bit space;
+//! * static bitvectors — rank/select/access on dense/mid/sparse/runny
+//!   inputs, for both `RrrVector` and `Fid`, with bits-per-bit space;
 //! * `IndexedStrings` (static Wavelet Trie, Thm 3.7) — access/rank/select/
 //!   prefix ops on the url-log and word-text workloads.
 //!
@@ -45,10 +45,13 @@ impl Measurement {
 }
 
 /// Static bit distributions mirroring `dynamic_report`: dense (~50% ones),
-/// sparse (~1.6%), runny (256-bit runs).
+/// sparse (~1.6%), runny (256-bit runs), plus mid (~33%), whose RRR blocks
+/// fall on both sides of the verbatim classes 22–41 (dense blocks sit
+/// inside them, sparse ones below).
 fn build_bits(dist: &str, n: usize, next: &mut impl FnMut() -> u64) -> RawBitVec {
     match dist {
         "dense" => RawBitVec::from_bits((0..n).map(|_| next().is_multiple_of(2))),
+        "mid" => RawBitVec::from_bits((0..n).map(|_| next().is_multiple_of(3))),
         "sparse" => RawBitVec::from_bits((0..n).map(|_| next().is_multiple_of(64))),
         "runny" => RawBitVec::from_bits((0..n).map(|i| (i / 256) % 2 == 0)),
         _ => unreachable!("unknown distribution"),
@@ -71,7 +74,7 @@ fn bench_static_bitvecs(quick: bool, out: &mut Vec<Measurement>) {
         ],
         &[10, 8, 9, 9, 9, 9, 9],
     );
-    for dist in ["dense", "sparse", "runny"] {
+    for dist in ["dense", "mid", "sparse", "runny"] {
         let mut next = xorshift(42);
         let bits = build_bits(dist, n, &mut next);
         let ones = bits.count_ones().max(1);

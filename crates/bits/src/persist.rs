@@ -32,10 +32,11 @@ use std::sync::Arc;
 /// First word of every archive: `"WVLTRIE\x01"` as a little-endian word.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"WVLTRIE\x01");
 
-/// Current (and only) format version. Version 2 dropped the Wavelet
-/// Trie's DFUDS tree section: its nodes are numbered in level order, so
-/// the internal flags alone are the topology.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current (and only) format version. Version 3 stores RRR blocks of
+/// classes 22–41 as their 63 raw bits instead of a combinatorial offset.
+/// Version 2 dropped the Wavelet Trie's DFUDS tree section: its nodes are
+/// numbered in level order, so the internal flags alone are the topology.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Structure kinds (high 32 bits of word 1) — one per archive-rooted type,
 /// so a file saved as one structure cannot be loaded as another.

@@ -3,18 +3,26 @@
 //! The bitvector is split into blocks of 63 bits. Each block is encoded as a
 //! (class, offset) pair: the class is the block's popcount (6 bits) and the
 //! offset is the block's index in the enumeration of all 63-bit words with
-//! that popcount (combinatorial number system, ⌈log₂ C(63,c)⌉ bits).
+//! that popcount (combinatorial number system, ⌈log₂ C(63,c)⌉ bits). The
+//! exception is the near-½-density classes 22–41, whose offsets would need
+//! ≥ 56 bits: those blocks store their 63 raw bits instead, so the class is
+//! also the tag, and a query on one is a mask and a popcount rather than a
+//! decode walk of up to 63 steps.
 //! Superblocks of SB_BLOCKS blocks store an absolute rank and an absolute bit
 //! pointer into the offset stream, so every query touches at most one
 //! superblock walk (a bounded constant amount of work).
 //!
-//! Space is `B(m, n) + o(n)` bits as in the paper; operations are O(1) for
+//! Space is the paper's `B(m, n) + o(n)` bits except for the verbatim
+//! blocks: each costs 63 − ⌈log₂ C(63,c)⌉ ≤ 7 bits more than its offset
+//! would, and only blocks in classes 22–41 pay it. Operations are O(1) for
 //! access/rank/select: superblock walks read all sixteen 6-bit classes with
 //! two word loads and decode only the portion of the target block a query
 //! needs, and select starts from a sampled hint directory instead of a
 //! global binary search (DESIGN.md substitutions #1/#9).
 
-use crate::broadword::{prefetch_read, select_block, PIPELINE_LANES as BATCH_LANES};
+use crate::broadword::{
+    prefetch_read, select_bit_in_word, select_block, PIPELINE_LANES as BATCH_LANES,
+};
 use crate::persist::{LoadError, Persist, WordsReader};
 use crate::words::{U32Words, Words};
 use crate::{BitAccess, BitRank, BitSelect, RawBitVec, SpaceUsage};
@@ -49,7 +57,18 @@ const fn binomial_table() -> [[u64; 64]; 64] {
 
 static BINOM: [[u64; 64]; 64] = binomial_table();
 
-/// Offset width in bits for each class: ⌈log₂ C(63, c)⌉.
+/// Offset width from which a class is stored verbatim (classes 22–41):
+/// 63 raw bits cost at most 7 bits more than such an offset and replace
+/// its decode walk with a mask and a popcount. EXPERIMENTS.md (E12)
+/// records the threshold sweep behind the value.
+const VERBATIM_MIN_WIDTH: u8 = 56;
+
+/// Stored width of a verbatim block. The widest offset (class 31's) takes
+/// 60 bits, so this width alone tags a block as verbatim.
+const VERBATIM: usize = RRR_BLOCK_BITS;
+
+/// Stored width in bits for each class: ⌈log₂ C(63, c)⌉, or [`VERBATIM`]
+/// once that reaches [`VERBATIM_MIN_WIDTH`].
 const fn offset_widths() -> [u8; 64] {
     let mut w = [0u8; 64];
     let mut c = 0;
@@ -60,13 +79,34 @@ const fn offset_widths() -> [u8; 64] {
         while (1u128 << bits) < count {
             bits += 1;
         }
-        w[c] = bits;
+        w[c] = if bits >= VERBATIM_MIN_WIDTH {
+            VERBATIM as u8
+        } else {
+            bits
+        };
         c += 1;
     }
     w
 }
 
 const OFFSET_WIDTH: [u8; 64] = offset_widths();
+
+/// What a block of class `c` stores: the word itself in a verbatim class,
+/// its combinatorial offset otherwise.
+#[inline]
+fn stored_offset(word: u64, c: u32) -> u64 {
+    if OFFSET_WIDTH[c as usize] as usize == VERBATIM {
+        word
+    } else {
+        block_rank_offset(word, c)
+    }
+}
+
+/// The low `bits` bits of a word (`bits < 64`).
+#[inline]
+fn low_bits(word: u64, bits: usize) -> u64 {
+    word & ((1u64 << bits) - 1)
+}
 
 /// Encodes a 63-bit block of class `c` into its combinatorial offset.
 #[inline]
@@ -156,6 +196,39 @@ impl SbDir {
     }
 }
 
+/// Sampled select hints: the superblock holding every
+/// `SELECT_SAMPLE`-th one and zero, derived from the rank directory alone
+/// (`sb` includes its sentinel). Vectors spanning only a handful of
+/// superblocks get none — the fallback binary search is already 2–3
+/// probes there, and the many small node bitvectors of a Wavelet Trie then
+/// pay no hint memory.
+fn select_hints(len: usize, ones: usize, sb: &SbDir) -> (Vec<u32>, Vec<u32>) {
+    let mut hints1 = Vec::new();
+    let mut hints0 = Vec::new();
+    if sb.len() > 5 {
+        let total_zeros = len - ones;
+        let zeros_before =
+            |i: usize| (i * SB_BLOCKS * RRR_BLOCK_BITS).min(len) - sb.rank(i) as usize;
+        hints1.reserve_exact(ones / SELECT_SAMPLE + 1);
+        hints0.reserve_exact(total_zeros / SELECT_SAMPLE + 1);
+        let mut i = 0usize;
+        for k in (0..ones).step_by(SELECT_SAMPLE) {
+            while (sb.rank(i + 1) as usize) <= k {
+                i += 1;
+            }
+            hints1.push(i as u32);
+        }
+        let mut i = 0usize;
+        for k in (0..total_zeros).step_by(SELECT_SAMPLE) {
+            while zeros_before(i + 1) <= k {
+                i += 1;
+            }
+            hints0.push(i as u32);
+        }
+    }
+    (hints1, hints0)
+}
+
 /// An immutable entropy-compressed bitvector with constant-time access/rank.
 #[derive(Clone, Debug)]
 pub struct RrrVector {
@@ -215,6 +288,9 @@ impl RrrVector {
         } else {
             self.offsets.get_bits(ptr, w)
         };
+        if w == VERBATIM {
+            return off;
+        }
         block_unrank_offset(off, c)
     }
 
@@ -237,9 +313,10 @@ impl RrrVector {
     }
 
     /// Ones among the low `off` bits of the block with class `c` and offset
-    /// pointer `ptr`: runs the combinatorial decode only over positions
-    /// `>= off` — the ones not yet placed when the walk reaches `off` are
-    /// exactly the ones below it.
+    /// pointer `ptr`: a verbatim block masks and counts; otherwise the
+    /// combinatorial decode runs only over positions `>= off` — the ones
+    /// not yet placed when the walk reaches `off` are exactly the ones
+    /// below it.
     #[inline]
     fn block_rank_low(&self, c: u32, ptr: usize, off: usize) -> usize {
         let w = OFFSET_WIDTH[c as usize] as usize;
@@ -247,10 +324,13 @@ impl RrrVector {
             // Class 0 (all zeros) or 63 (all valid bits set).
             return if c == 0 { 0 } else { off };
         }
-        if c == 1 {
-            return (self.offsets.get_bits(ptr, w) < off as u64) as usize;
-        }
         let mut offv = self.offsets.get_bits(ptr, w);
+        if w == VERBATIM {
+            return low_bits(offv, off).count_ones() as usize;
+        }
+        if c == 1 {
+            return (offv < off as u64) as usize;
+        }
         let mut remaining = c as usize;
         let mut i = RRR_BLOCK_BITS;
         // Branchless walk (see `block_unrank_offset`) with a *fixed* trip
@@ -270,8 +350,9 @@ impl RrrVector {
 
     /// Position of the `k`-th (0-based, from the bottom) `bit`-valued entry
     /// of the block with class `c`, offset pointer `ptr` and `valid` data
-    /// bits. Runs the combinatorial decode from position `valid` downward
-    /// and stops at the target instead of materialising the whole block.
+    /// bits. A verbatim block is selected in-word; otherwise the
+    /// combinatorial decode runs from position `valid` downward and stops
+    /// at the target instead of materialising the whole block.
     ///
     /// Requires `k < c` (ones) resp. `k < valid − c` (zeros).
     #[inline]
@@ -280,6 +361,10 @@ impl RrrVector {
         if w == 0 {
             // Uniform block (all zeros / all ones): the k-th target is k.
             return k;
+        }
+        if w == VERBATIM {
+            return select_bit_in_word(self.offsets.get_bits(ptr, w), bit, valid, k as u32)
+                as usize;
         }
         if c == 1 {
             // A class-1 offset *is* the position of the block's single one
@@ -367,6 +452,10 @@ impl RrrVector {
             };
         }
         let mut offv = self.offsets.get_bits(ptr, w);
+        if w == VERBATIM {
+            let rank_low = low_bits(offv, pos).count_ones() as usize;
+            return ((offv >> pos) & 1 != 0, rank + rank_low);
+        }
         if c == 1 {
             let p = offv as usize;
             return (p == pos, rank + (p < pos) as usize);
@@ -589,7 +678,7 @@ impl RrrVector {
                 classes.push_bits(c as u64, CLASS_BITS);
                 let w = OFFSET_WIDTH[c as usize] as usize;
                 if w > 0 {
-                    offsets.push_bits(block_rank_offset(word, c), w);
+                    offsets.push_bits(stored_offset(word, c), w);
                 }
                 ones += c as u64;
             }
@@ -658,44 +747,68 @@ impl RrrVector {
         // Sentinel superblock so binary searches have an upper fence.
         sb_rank.push(ones as u64);
         sb_ptr.push(offsets.len() as u64);
-        // Sampled select hints: superblock of every SELECT_SAMPLE-th
-        // one/zero, derived from the superblock rank directory alone.
-        // Vectors spanning only a handful of superblocks skip them — the
-        // fallback binary search is already 2–3 probes there, and the many
-        // small node bitvectors of a Wavelet Trie then pay no hint memory.
-        let mut hints1 = Vec::new();
-        let mut hints0 = Vec::new();
-        if sb_rank.len() > 5 {
-            let total_zeros = target_len - ones;
-            let zeros_before = |sb: usize| {
-                (sb * SB_BLOCKS * RRR_BLOCK_BITS).min(target_len) - sb_rank[sb] as usize
-            };
-            hints1.reserve_exact(ones / SELECT_SAMPLE + 1);
-            hints0.reserve_exact(total_zeros / SELECT_SAMPLE + 1);
-            let mut sb = 0usize;
-            for k in (0..ones).step_by(SELECT_SAMPLE) {
-                while (sb_rank[sb + 1] as usize) <= k {
-                    sb += 1;
-                }
-                hints1.push(sb as u32);
-            }
-            let mut sb = 0usize;
-            for k in (0..total_zeros).step_by(SELECT_SAMPLE) {
-                while zeros_before(sb + 1) <= k {
-                    sb += 1;
-                }
-                hints0.push(sb as u32);
-            }
-        }
+        let sb = SbDir::from_parts(&sb_rank, &sb_ptr);
+        let (hints1, hints0) = select_hints(target_len, ones, &sb);
         RrrVector {
             len: target_len,
             ones,
             classes,
             offsets,
-            sb: SbDir::from_parts(&sb_rank, &sb_ptr),
+            sb,
             hints1: U32Words::from_vec(hints1),
             hints0: U32Words::from_vec(hints0),
         }
+    }
+
+    /// Checks every block against the directory in one pass over the
+    /// classes, as loading must: queries step their walks and index
+    /// `BINOM` by these invariants, so an image that breaks one would
+    /// panic or answer wrongly. Per superblock the classes sum to the
+    /// rank delta and the stored widths to the pointer delta; the final
+    /// partial block's class fits its valid bits; a verbatim word holds
+    /// exactly its class in ones, none at or past the valid width; and a
+    /// combinatorial offset is below `C(valid, c)`.
+    fn check_blocks(&self) -> Result<(), LoadError> {
+        let (mut rank, mut ptr) = (0usize, 0usize);
+        for b in 0..self.n_blocks() {
+            if b.is_multiple_of(SB_BLOCKS) {
+                let sb = b / SB_BLOCKS;
+                if self.sb.rank(sb) != rank as u64 || self.sb.ptr(sb) != ptr as u64 {
+                    return Err(LoadError::Invalid(
+                        "rrr superblock disagrees with its classes",
+                    ));
+                }
+            }
+            let c = self.classes.get_bits(b * CLASS_BITS, CLASS_BITS) as usize;
+            let valid = RRR_BLOCK_BITS.min(self.len - b * RRR_BLOCK_BITS);
+            let w = OFFSET_WIDTH[c] as usize;
+            if c > valid {
+                return Err(LoadError::Invalid("rrr block class exceeds its width"));
+            }
+            if ptr + w > self.offsets.len() {
+                return Err(LoadError::Invalid("rrr offset stream too short"));
+            }
+            let off = self.offsets.get_bits(ptr, w);
+            let in_range = if w == VERBATIM {
+                off.count_ones() as usize == c && off >> valid == 0
+            } else {
+                off < BINOM[valid][c]
+            };
+            if !in_range {
+                return Err(LoadError::Invalid("rrr block offset out of range"));
+            }
+            rank += c;
+            ptr += w;
+        }
+        let end = self.sb.len() - 1;
+        if self.sb.rank(end) != rank as u64
+            || self.sb.ptr(end) != ptr as u64
+            || rank != self.ones
+            || ptr != self.offsets.len()
+        {
+            return Err(LoadError::Invalid("rrr superblock sentinel"));
+        }
+        Ok(())
     }
 
     /// Decompresses the whole vector (tests, iteration).
@@ -792,46 +905,14 @@ impl Persist for RrrVector {
         };
         let hints1 = U32Words::decode(r)?;
         let hints0 = U32Words::decode(r)?;
-        // Directory-level invariants (no block is decoded here).
         let n_blocks = len.div_ceil(RRR_BLOCK_BITS);
-        let n_sb = n_blocks.div_ceil(SB_BLOCKS);
-        if ones > len || classes.len() != n_blocks * CLASS_BITS {
+        if classes.len() != n_blocks * CLASS_BITS {
             return Err(LoadError::Invalid("rrr class stream length"));
         }
-        if !sb.words.len().is_multiple_of(2) || sb.len() != n_sb + 1 {
+        if !sb.words.len().is_multiple_of(2) || sb.len() != n_blocks.div_ceil(SB_BLOCKS) + 1 {
             return Err(LoadError::Invalid("rrr superblock directory length"));
         }
-        if sb.rank(n_sb) != ones as u64 || sb.ptr(n_sb) != offsets.len() as u64 || sb.rank(0) != 0 {
-            return Err(LoadError::Invalid("rrr superblock sentinel"));
-        }
-        for i in 0..n_sb {
-            if sb.rank(i + 1) < sb.rank(i)
-                || sb.rank(i + 1) - sb.rank(i) > (SB_BLOCKS * RRR_BLOCK_BITS) as u64
-                || sb.ptr(i + 1) < sb.ptr(i)
-            {
-                return Err(LoadError::Invalid("rrr superblock directory not monotone"));
-            }
-        }
-        // Hints exist exactly when finalize would derive them.
-        let zeros = len - ones;
-        if sb.len() > 5 {
-            if hints1.len() != ones.div_ceil(SELECT_SAMPLE)
-                || hints0.len() != zeros.div_ceil(SELECT_SAMPLE)
-            {
-                return Err(LoadError::Invalid("rrr hint length"));
-            }
-        } else if !hints1.is_empty() || !hints0.is_empty() {
-            return Err(LoadError::Invalid("rrr unexpected hints"));
-        }
-        for hints in [&hints1, &hints0] {
-            for k in 0..hints.len() {
-                let s = hints.get(k) as usize;
-                if s > n_sb || (k > 0 && s < hints.get(k - 1) as usize) {
-                    return Err(LoadError::Invalid("rrr hint out of range"));
-                }
-            }
-        }
-        Ok(RrrVector {
+        let v = RrrVector {
             len,
             ones,
             classes,
@@ -839,7 +920,20 @@ impl Persist for RrrVector {
             sb,
             hints1,
             hints0,
-        })
+        };
+        v.check_blocks()?;
+        // The select hints must be exactly the ones `finalize` derives: a
+        // hint past its target would start the search beyond it.
+        let (hints1, hints0) = select_hints(len, ones, &v.sb);
+        let same = |got: &U32Words, want: &[u32]| {
+            got.len() == want.len() && want.iter().enumerate().all(|(k, &h)| got.get(k) == h)
+        };
+        if !same(&v.hints1, &hints1) || !same(&v.hints0, &hints0) {
+            return Err(LoadError::Invalid(
+                "rrr select hints disagree with the directory",
+            ));
+        }
+        Ok(v)
     }
 }
 
@@ -907,7 +1001,7 @@ impl RrrBuilder {
         self.classes.push_bits(c as u64, CLASS_BITS);
         let w = OFFSET_WIDTH[c as usize] as usize;
         if w > 0 {
-            self.offsets.push_bits(block_rank_offset(word, c), w);
+            self.offsets.push_bits(stored_offset(word, c), w);
         }
         self.ones += c as usize;
         self.blocks_pushed += 1;
@@ -949,10 +1043,24 @@ mod tests {
 
     #[test]
     fn offset_width_sane() {
-        assert_eq!(OFFSET_WIDTH[0], 0);
-        assert_eq!(OFFSET_WIDTH[63], 0);
-        assert_eq!(OFFSET_WIDTH[1], 6); // C(63,1)=63 -> 6 bits
-        assert!(OFFSET_WIDTH[31] <= 60);
+        // ⌈log₂ C(63, c)⌉, except the verbatim classes 22–41 at 63 bits.
+        #[rustfmt::skip]
+        const STORED: [u8; 64] = [
+            0, 6, 11, 16, 20, 23, 27, 30, 32, 35, 37, 40, 42, 44, 46, 47,
+            49, 50, 52, 53, 54, 55, 63, 63, 63, 63, 63, 63, 63, 63, 63, 63,
+            63, 63, 63, 63, 63, 63, 63, 63, 63, 63, 55, 54, 53, 52, 50, 49,
+            47, 46, 44, 42, 40, 37, 35, 32, 30, 27, 23, 20, 16, 11, 6, 0,
+        ];
+        assert_eq!(OFFSET_WIDTH, STORED);
+        for (c, &w) in OFFSET_WIDTH.iter().enumerate() {
+            let count = BINOM[63][c] as u128;
+            let need = (count - 1).checked_ilog2().map_or(0, |b| b + 1) as u8;
+            if need >= VERBATIM_MIN_WIDTH {
+                assert_eq!(w as usize, VERBATIM, "class {c}");
+            } else {
+                assert_eq!(w, need, "class {c}");
+            }
+        }
     }
 
     #[test]
@@ -986,30 +1094,52 @@ mod tests {
         }
     }
 
+    /// Checks a vector built from `bits`, and the same vector after a
+    /// persist round trip, against scans of `bits`: `to_raw`, the scalar
+    /// API and the three `*_batch` entry points. Vectors up to 4096 bits
+    /// are probed at every position.
     fn check(bits: &RawBitVec) {
+        use crate::persist::{from_bytes, kind, to_bytes};
         let rrr = RrrVector::new(bits);
+        let loaded: RrrVector = from_bytes(kind::RRR, &to_bytes(kind::RRR, &rrr)).unwrap();
+        check_against(&rrr, bits);
+        check_against(&loaded, bits);
+    }
+
+    fn check_against(rrr: &RrrVector, bits: &RawBitVec) {
         assert_eq!(rrr.len(), bits.len());
         assert_eq!(rrr.to_raw(), *bits, "roundtrip");
         assert_eq!(rrr.count_ones(), bits.count_ones());
-        let step = (bits.len() / 200).max(1);
-        for i in (0..=bits.len()).step_by(step) {
+        let every = bits.len() <= 4096;
+        let step_over = |total: usize| if every { 1 } else { (total / 200).max(1) };
+        let step = step_over(bits.len());
+        let pos: Vec<usize> = (0..bits.len()).step_by(step).collect();
+        let mut with_len = pos.clone();
+        with_len.push(bits.len());
+        let mut ranks = vec![0usize; with_len.len()];
+        rrr.rank1_batch(&with_len, &mut ranks);
+        for (&i, &r) in with_len.iter().zip(&ranks) {
             assert_eq!(rrr.rank1(i), bits.rank1_scan(i), "rank1({i})");
+            assert_eq!(r, bits.rank1_scan(i), "rank1_batch({i})");
         }
-        for i in (0..bits.len()).step_by(step) {
-            assert_eq!(rrr.get(i), bits.get(i), "get({i})");
-            assert_eq!(
-                rrr.get_rank1(i),
-                (bits.get(i), bits.rank1_scan(i)),
-                "get_rank1({i})"
-            );
+        let mut gets = vec![false; pos.len()];
+        rrr.get_batch(&pos, &mut gets);
+        let mut grs = vec![(false, 0usize); pos.len()];
+        rrr.get_rank1_batch(&pos, &mut grs);
+        for (k, &i) in pos.iter().enumerate() {
+            let want = (bits.get(i), bits.rank1_scan(i));
+            assert_eq!(rrr.get(i), want.0, "get({i})");
+            assert_eq!(rrr.get_rank1(i), want, "get_rank1({i})");
+            assert_eq!(gets[k], want.0, "get_batch({i})");
+            assert_eq!(grs[k], want, "get_rank1_batch({i})");
         }
         let ones = bits.count_ones();
-        for k in (0..ones).step_by((ones / 200).max(1)) {
+        for k in (0..ones).step_by(step_over(ones)) {
             assert_eq!(rrr.select1(k), bits.select1_scan(k), "select1({k})");
         }
         assert_eq!(rrr.select1(ones), None);
         let zeros = bits.len() - ones;
-        for k in (0..zeros).step_by((zeros / 200).max(1)) {
+        for k in (0..zeros).step_by(step_over(zeros)) {
             assert_eq!(rrr.select0(k), bits.select0_scan(k), "select0({k})");
         }
         assert_eq!(rrr.select0(zeros), None);
@@ -1029,6 +1159,48 @@ mod tests {
             check(&RawBitVec::from_bits((0..n).map(|i| i % 3 == 0)));
             check(&RawBitVec::filled(true, n));
             check(&RawBitVec::filled(false, n));
+        }
+    }
+
+    /// Every class and every partial width: block `c` of the first vector
+    /// holds `c` ones for each `c` in 0..=63, and each tail vector ends in
+    /// a partial block of width 1–62 whose class is verbatim wherever the
+    /// width fits one (≥ 22 bits).
+    #[test]
+    fn every_class_and_partial_width() {
+        let mut next = xorshift(0x0C1A_55E5);
+        // `c` ones at random places among the low `width` bits.
+        let mut block = |c: usize, width: usize| {
+            let mut word = 0u64;
+            while word.count_ones() < c as u32 {
+                word |= 1 << (next() % width as u64);
+            }
+            word
+        };
+        let mut all = RawBitVec::new();
+        for c in 0..=RRR_BLOCK_BITS {
+            all.push_bits(block(c, RRR_BLOCK_BITS), RRR_BLOCK_BITS);
+        }
+        let rrr = RrrVector::new(&all);
+        for c in 0..=RRR_BLOCK_BITS {
+            assert_eq!(rrr.classes.get_bits(c * CLASS_BITS, CLASS_BITS), c as u64);
+        }
+        check(&all);
+        // Tails follow 21 blocks of classes 20–40, both encodings and a
+        // superblock boundary.
+        let mut prefix = RawBitVec::new();
+        prefix.extend_from_range(&all, 20 * RRR_BLOCK_BITS, 21 * RRR_BLOCK_BITS);
+        for width in 1..RRR_BLOCK_BITS {
+            for c in [width.min(22), width.min(41)] {
+                let mut bits = prefix.clone();
+                bits.push_bits(block(c, width), width);
+                let rrr = RrrVector::new(&bits);
+                let last = bits.len().div_ceil(RRR_BLOCK_BITS) - 1;
+                let stored =
+                    OFFSET_WIDTH[rrr.classes.get_bits(last * CLASS_BITS, CLASS_BITS) as usize];
+                assert_eq!(stored as usize == VERBATIM, width >= 22, "width {width}");
+                check(&bits);
+            }
         }
     }
 

@@ -1,11 +1,11 @@
 //! Corruption battery for the archive format: truncations at every word
 //! boundary (and unaligned ones), single-bit flips anywhere in the image,
 //! wrong magic/version/kind, and checksum-valid images with tampered
-//! length fields — every case must surface a typed [`LoadError`], never a
-//! panic, never a queryable structure.
+//! length fields or broken RRR block invariants — every case must surface
+//! a typed [`LoadError`], never a panic, never a queryable structure.
 
 use wt_bits::persist::{crc64, from_bytes, kind, to_bytes, Archive, LoadError, FORMAT_VERSION};
-use wt_bits::{EliasFano, Fid, RawBitVec, RrrVector};
+use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, Fid, RawBitVec, RrrVector};
 use wt_workloads::xorshift;
 
 /// One representative image per archive-rooted container kind.
@@ -211,6 +211,213 @@ fn tampered_but_checksum_valid_images() {
         from_bytes::<RawBitVec>(kind::RAW, &m),
         Err(LoadError::Invalid("nonzero bitvector tail padding"))
     ));
+    rrr_block_mutants();
+}
+
+/// An RRR vector of whole blocks with the given classes (each block's
+/// ones at its bottom), then a partial block of `tail_width` bits holding
+/// `tail_ones` ones.
+fn rrr_of_classes(classes: &[usize], tail_width: usize, tail_ones: usize) -> RrrVector {
+    let mut bits = RawBitVec::new();
+    let low = |c: usize| (1u64 << c) - 1;
+    for &c in classes {
+        bits.push_bits(low(c), 63);
+    }
+    bits.push_bits(low(tail_ones), tail_width);
+    RrrVector::new(&bits)
+}
+
+/// The streams of an RRR payload, in order: the class stream, offset
+/// stream, superblock directory and the two select-hint arrays.
+const CLASSES: usize = 0;
+const OFFSETS: usize = 1;
+const DIRECTORY: usize = 2;
+const HINTS1: usize = 3;
+const HINTS0: usize = 4;
+
+/// Word index of each stream's first data word in a single-section RRR
+/// image: the payload (from word 9) is `len`, `ones`, then the streams,
+/// each a length word followed by its data.
+fn rrr_streams(bytes: &[u8]) -> [usize; 5] {
+    let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()) as usize;
+    let mut at = [12; 5];
+    at[OFFSETS] = at[CLASSES] + word(at[CLASSES] - 1).div_ceil(64) + 1;
+    at[DIRECTORY] = at[OFFSETS] + word(at[OFFSETS] - 1).div_ceil(64) + 1;
+    at[HINTS1] = at[DIRECTORY] + word(at[DIRECTORY] - 1) + 1;
+    at[HINTS0] = at[HINTS1] + word(at[HINTS1] - 1).div_ceil(2) + 1;
+    at
+}
+
+/// Reads the `width`-bit field at bit `bit` of the stream starting at `word`.
+fn field(bytes: &[u8], word: usize, bit: usize, width: usize) -> u64 {
+    (0..width).fold(0, |v, i| {
+        let at = word * 64 + bit + i;
+        v | (((bytes[at / 8] >> (at % 8)) & 1) as u64) << i
+    })
+}
+
+/// Overwrites that field with `value`.
+fn set_field(bytes: &mut [u8], word: usize, bit: usize, width: usize, value: u64) {
+    for i in 0..width {
+        let at = word * 64 + bit + i;
+        let mask = 1u8 << (at % 8);
+        if (value >> i) & 1 != 0 {
+            bytes[at / 8] |= mask;
+        } else {
+            bytes[at / 8] &= !mask;
+        }
+    }
+}
+
+/// Checksum-valid RRR images that break one block or directory invariant
+/// each. Queries trust those invariants (a class walk bounded by the
+/// directory, `BINOM` indexed by decoded offsets, a select search started
+/// at its hint), so the loader must refuse every one with the named
+/// `LoadError::Invalid`. Blocks in classes 22–41 are stored as 63 raw
+/// bits, all others as ⌈log₂ C(63, c)⌉-bit combinatorial offsets.
+fn rrr_block_mutants() {
+    let class_at = |b: usize| (b * 6, 6);
+    // Blocks of classes 22 and 40 (verbatim), 2 (an 11-bit offset at
+    // offset-stream bit 126) and 63 (no offset), then 10 zero bits.
+    let v1 = to_bytes(kind::RRR, &rrr_of_classes(&[22, 40, 2, 63], 10, 0));
+    // A class-22 block, then a 40-bit tail with 22 ones: a verbatim word
+    // at offset-stream bit 63.
+    let v2 = to_bytes(kind::RRR, &rrr_of_classes(&[22], 40, 22));
+    // A class-22 block, then a 10-bit tail with 2 ones: an 11-bit offset
+    // at bit 63 that must stay below C(10, 2) = 45.
+    let v3 = to_bytes(kind::RRR, &rrr_of_classes(&[22], 10, 2));
+    // Seven superblocks at density 1/3: enough for select hints.
+    let mut rnd = xorshift(0x5E1EC7);
+    let v4 = RrrVector::from_bits((0..7000).map(|_| rnd().is_multiple_of(3)));
+    let v4 = to_bytes(kind::RRR, &v4);
+    // Each edit: (stream, (bit, width) within it, new value).
+    let edit = |image: &[u8], edits: &[(usize, (usize, usize), u64)]| {
+        let mut m = image.to_vec();
+        let at = rrr_streams(&m);
+        for &(stream, (bit, width), value) in edits {
+            set_field(&mut m, at[stream], bit, width, value);
+        }
+        refix_checksums(&m)
+    };
+    let dir = |i: usize| (64 * i, 64); // directory word i: (rank, ptr) pairs
+    let v4_dir = |i: usize| field(&v4, rrr_streams(&v4)[DIRECTORY], 64 * i, 64);
+    let sentinel = "rrr superblock sentinel";
+    let directory = "rrr superblock disagrees with its classes";
+    let class_width = "rrr block class exceeds its width";
+    let offset = "rrr block offset out of range";
+    let mutants = [
+        // Block 0's class lowered: the classes sum to 3 ones too few.
+        (
+            "class 22 -> 19",
+            edit(&v1, &[(CLASSES, class_at(0), 19)]),
+            sentinel,
+        ),
+        // Class sum kept, stored widths not (21 takes 55 bits, 41 takes
+        // 63): block 1's word is read 8 bits early and holds 40 ones.
+        (
+            "classes 22, 40 -> 21, 41",
+            edit(
+                &v1,
+                &[(CLASSES, class_at(0), 21), (CLASSES, class_at(1), 41)],
+            ),
+            offset,
+        ),
+        // Sums and widths kept: the verbatim words' popcounts disagree.
+        (
+            "classes 22, 40 swapped",
+            edit(
+                &v1,
+                &[(CLASSES, class_at(0), 40), (CLASSES, class_at(1), 22)],
+            ),
+            offset,
+        ),
+        // Offset 2047 of class 2 is past C(63, 2) - 1 = 1952.
+        (
+            "offset >= C(63, 2)",
+            edit(&v1, &[(OFFSETS, (126, 11), 2047)]),
+            offset,
+        ),
+        // Classes 63 and 0 swapped: the 10-bit tail claims 63 ones.
+        (
+            "tail class 63 > width 10",
+            edit(
+                &v1,
+                &[(CLASSES, class_at(3), 0), (CLASSES, class_at(4), 63)],
+            ),
+            class_width,
+        ),
+        // One of the tail's ones moved from bit 0 to bit 50, past its width.
+        (
+            "verbatim bit past the tail",
+            edit(&v2, &[(OFFSETS, (63, 1), 0), (OFFSETS, (113, 1), 1)]),
+            offset,
+        ),
+        // 1000 is below C(63, 2) but not below C(10, 2).
+        (
+            "tail offset >= C(10, 2)",
+            edit(&v3, &[(OFFSETS, (63, 11), 1000)]),
+            offset,
+        ),
+        // Superblock 1's rank and pointer each one off its blocks' sums.
+        (
+            "superblock rank",
+            edit(&v4, &[(DIRECTORY, dir(2), v4_dir(2) + 1)]),
+            directory,
+        ),
+        (
+            "superblock pointer",
+            edit(&v4, &[(DIRECTORY, dir(3), v4_dir(3) + 1)]),
+            directory,
+        ),
+        // The first zero sits in superblock 0, not 1.
+        (
+            "select hint past its target",
+            edit(&v4, &[(HINTS0, (0, 32), 1)]),
+            "rrr select hints disagree with the directory",
+        ),
+    ];
+    for image in [&v1, &v2, &v3, &v4] {
+        from_bytes::<RrrVector>(kind::RRR, image).expect("pristine image loads");
+    }
+    assert_eq!(field(&v1, rrr_streams(&v1)[CLASSES], 0, 6), 22);
+    // The tail's ones sit at its bottom: the lowest class-2 word, offset 0.
+    assert_eq!(field(&v3, rrr_streams(&v3)[OFFSETS], 63, 11), 0);
+    assert_eq!(field(&v4, rrr_streams(&v4)[HINTS0], 0, 32), 0);
+    for (what, m, why) in mutants {
+        let got = from_bytes::<RrrVector>(kind::RRR, &m).map(drop);
+        assert!(
+            matches!(got, Err(LoadError::Invalid(m)) if m == why),
+            "{what}: {got:?}"
+        );
+    }
+}
+
+/// Queries a loaded RRR vector against scans of its own `to_raw`: rank1 at
+/// 0, at `len` and at random positions, `get_rank1`, and sampled selects.
+/// A mutant that passes validation must answer consistently, never panic.
+fn query_rrr(v: &RrrVector, rnd: &mut impl FnMut() -> u64) {
+    let raw = v.to_raw();
+    let (n, ones) = (v.len(), v.count_ones());
+    assert_eq!(ones, raw.count_ones());
+    assert_eq!(v.rank1(0), 0);
+    assert_eq!(v.rank1(n), ones);
+    for _ in 0..64 {
+        let i = (rnd() % (n as u64 + 1)) as usize;
+        assert_eq!(v.rank1(i), raw.rank1_scan(i), "rank1({i})");
+        if i < n {
+            assert_eq!(
+                v.get_rank1(i),
+                (raw.get(i), raw.rank1_scan(i)),
+                "get_rank1({i})"
+            );
+        }
+    }
+    for k in (0..=ones).step_by((ones / 32).max(1)) {
+        assert_eq!(v.select1(k), raw.select1_scan(k), "select1({k})");
+    }
+    for k in (0..=n - ones).step_by(((n - ones) / 32).max(1)) {
+        assert_eq!(v.select0(k), raw.select0_scan(k), "select0({k})");
+    }
 }
 
 /// Deterministic fuzz loop: random multi-bit flips, truncations, byte
@@ -260,11 +467,15 @@ fn fuzz_mutations_never_panic() {
         // only for checksum-refixed splices that happen to produce another
         // well-formed image — loads as a structure whose canonical re-save
         // is byte-identical to the mutant. Anything else (a panic, or a
-        // loaded structure that does not round-trip) is a failure.
+        // loaded structure that does not round-trip) is a failure. An RRR
+        // mutant that loads must also answer queries consistently.
         let outcome = match *k {
             kind::RAW => from_bytes::<RawBitVec>(*k, &m).map(|v| to_bytes(*k, &v)),
             kind::FID => from_bytes::<Fid>(*k, &m).map(|v| to_bytes(*k, &v)),
-            kind::RRR => from_bytes::<RrrVector>(*k, &m).map(|v| to_bytes(*k, &v)),
+            kind::RRR => from_bytes::<RrrVector>(*k, &m).map(|v| {
+                query_rrr(&v, &mut rnd);
+                to_bytes(*k, &v)
+            }),
             kind::ELIAS_FANO => from_bytes::<EliasFano>(*k, &m).map(|v| to_bytes(*k, &v)),
             _ => unreachable!(),
         };

@@ -329,8 +329,9 @@ fn descend_batch(wt: &WaveletTrie, queries: &[BitStr<'_>], prefix: bool) -> Desc
 }
 
 /// The distinct `(node, link)` outcomes of a descent, with the lanes that
-/// reached each — the unit the downstream passes (map-down, subtree
-/// count, map-up) operate on, so identical queries pay once.
+/// reached each and the size of each subtree — the unit the downstream
+/// passes (subtree count, map-up) operate on, so identical queries pay
+/// once.
 struct FoundGroups {
     /// `(node, link)` per distinct outcome.
     key: Vec<(usize, u32)>,
@@ -338,6 +339,21 @@ struct FoundGroups {
     paths: Vec<Vec<(usize, bool)>>,
     /// Lanes per outcome.
     lanes: Vec<Vec<u32>>,
+    /// Sequence positions in each outcome's subtree.
+    counts: Vec<usize>,
+}
+
+impl FoundGroups {
+    /// Per lane: its outcome's subtree size, 0 where the descent missed.
+    fn lane_counts(&self, m: usize) -> Vec<usize> {
+        let mut res = vec![0usize; m];
+        for (lanes, &c) in self.lanes.iter().zip(&self.counts) {
+            for &l in lanes {
+                res[l as usize] = c;
+            }
+        }
+        res
+    }
 }
 
 fn found_groups(desc: &Descent) -> FoundGroups {
@@ -345,6 +361,7 @@ fn found_groups(desc: &Descent) -> FoundGroups {
         key: Vec::new(),
         paths: Vec::new(),
         lanes: Vec::new(),
+        counts: Vec::new(),
     };
     // Outcomes are keyed by link (distinct trails) + node; linear probe
     // over a small map keyed by link id.
@@ -365,13 +382,15 @@ fn found_groups(desc: &Descent) -> FoundGroups {
     fg
 }
 
-/// Batched `Rank(s, pos)` — a *fused* grouped walk: the scalar algorithm
-/// descends first and then maps the position down the recorded path, two
-/// passes over the same levels; here every lane's position is mapped in
-/// the same round that consumes its query bits, so a batch pays one round
-/// of (grouped metadata + batched bitvector ranks) per level instead of
-/// two. Lanes that turn out absent report 0 (their partial mapping is
-/// discarded), exactly like the scalar early-exit.
+/// Batched `Rank(s, pos)`. A lane at `pos = n` asks for `s`'s count, the
+/// size of its leaf, so those lanes take [`subtree_count_batch`] and map
+/// no position. The rest take a *fused* grouped walk: the scalar
+/// algorithm descends first and then maps the position down the recorded
+/// path, two passes over the same levels; here every lane's position is
+/// mapped in the same round that consumes its query bits, so a batch pays
+/// one round of (grouped metadata + batched bitvector ranks) per level
+/// instead of two. Lanes that turn out absent report 0 (their partial
+/// mapping is discarded), exactly like the scalar early-exit.
 pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> Vec<usize> {
     if queries.len() < MIN_BATCH {
         return queries
@@ -387,10 +406,21 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
     let Some(root) = wt.nav_root() else {
         return res;
     };
-    let mut lane: Vec<u32> = (0..m0 as u32).collect();
-    let mut p: Vec<usize> = queries.iter().map(|&(_, pos)| pos).collect();
+    let (full, mut lane): (Vec<u32>, Vec<u32>) =
+        (0..m0 as u32).partition(|&l| queries[l as usize].1 == wt.n);
+    if !full.is_empty() {
+        let strings: Vec<BitStr<'_>> = full.iter().map(|&l| queries[l as usize].0).collect();
+        let counts = subtree_count_batch(wt, &strings, false).lane_counts(full.len());
+        for (&l, c) in full.iter().zip(counts) {
+            res[l as usize] = c;
+        }
+    }
+    if lane.is_empty() {
+        return res;
+    }
+    let mut p: Vec<usize> = lane.iter().map(|&l| queries[l as usize].1).collect();
     // (node, run len, delta) in group order, as in `descend_batch`.
-    let mut groups: Vec<(usize, u32, usize)> = vec![(root, m0 as u32, 0)];
+    let mut groups: Vec<(usize, u32, usize)> = vec![(root, lane.len() as u32, 0)];
     let mut groups2: Vec<(usize, u32, usize)> = Vec::new();
     let mut lane2: Vec<u32> = Vec::with_capacity(m0);
     let mut p2: Vec<usize> = Vec::with_capacity(m0);
@@ -494,11 +524,15 @@ pub(crate) fn rank_batch(wt: &WaveletTrie, queries: &[(BitStr<'_>, usize)]) -> V
     res
 }
 
-/// Number of sequence positions in each found group's subtree — the
-/// batched [`crate::nav`] `subtree_count`, resolved from the delimiter
-/// directories alone (no bitvector probes), once per distinct outcome.
-fn subtree_counts(wt: &WaveletTrie, fg: &FoundGroups) -> Vec<usize> {
-    fg.key
+/// The grouped descent (exact, or by prefix with `prefix` true) plus the
+/// size of every outcome's subtree — the batched [`crate::nav`]
+/// `subtree_count`, resolved from the delimiter directories alone (no
+/// bitvector probes), once per distinct outcome. `Count`, `CountPrefix`
+/// and the bound check of `Select` are all this kernel.
+fn subtree_count_batch(wt: &WaveletTrie, queries: &[BitStr<'_>], prefix: bool) -> FoundGroups {
+    let mut fg = found_groups(&descend_batch(wt, queries, prefix));
+    fg.counts = fg
+        .key
         .iter()
         .zip(&fg.paths)
         .map(|(&(node, _), path)| {
@@ -525,7 +559,8 @@ fn subtree_counts(wt: &WaveletTrie, fg: &FoundGroups) -> Vec<usize> {
                 }
             }
         })
-        .collect()
+        .collect();
+    fg
 }
 
 /// Batched `Select(s, idx)` — grouped descent, then lockstep upward
@@ -541,9 +576,7 @@ pub(crate) fn select_batch(
             .collect();
     }
     let strings: Vec<BitStr<'_>> = queries.iter().map(|&(s, _)| s).collect();
-    let desc = descend_batch(wt, &strings, false);
-    let fg = found_groups(&desc);
-    let counts = subtree_counts(wt, &fg);
+    let fg = subtree_count_batch(wt, &strings, false);
     let mut res: Vec<Option<usize>> = vec![None; queries.len()];
     // Per-lane occurrence index, bound-checked against the group count.
     let mut iv: Vec<usize> = vec![0; queries.len()];
@@ -552,7 +585,7 @@ pub(crate) fn select_batch(
         let mut keep = Vec::new();
         for &l in lanes {
             let idx = queries[l as usize].1;
-            if idx < counts[g] {
+            if idx < fg.counts[g] {
                 iv[l as usize] = idx;
                 keep.push(l);
             }
@@ -636,16 +669,7 @@ pub(crate) fn count_prefix_batch(wt: &WaveletTrie, prefixes: &[BitStr<'_>]) -> V
             .map(|&p| crate::nav::count_prefix(wt, p))
             .collect();
     }
-    let desc = descend_batch(wt, prefixes, true);
-    let fg = found_groups(&desc);
-    let counts = subtree_counts(wt, &fg);
-    let mut res = vec![0usize; prefixes.len()];
-    for (g, lanes) in fg.lanes.iter().enumerate() {
-        for &l in lanes {
-            res[l as usize] = counts[g];
-        }
-    }
-    res
+    subtree_count_batch(wt, prefixes, true).lane_counts(prefixes.len())
 }
 
 #[cfg(test)]

@@ -284,10 +284,13 @@ fn map_down<'a, T: TrieNav>(t: &'a T, path: &DescentPath<'a, T>, pos: usize) -> 
 }
 
 /// `Rank(s, pos)` — occurrences of the exact string `s` in positions `[0, pos)`.
+/// At `pos = n` that is [`count`], the size of `s`'s leaf, so the position
+/// is not mapped down the path.
 pub(crate) fn rank<T: TrieNav>(t: &T, s: BitStr<'_>, pos: usize) -> usize {
     assert!(pos <= t.nav_len(), "Rank position out of bounds");
     match descend_exact(t, s) {
         Descent::Absent => 0,
+        Descent::Found { node, path } if pos == t.nav_len() => subtree_count(t, node, &path),
         Descent::Found { path, .. } => map_down(t, &path, pos),
     }
 }

@@ -1,5 +1,5 @@
 //! Golden-fixture compatibility suite: small canonical `.wt` archives
-//! checked into `tests/fixtures/` freeze format version 2 on disk. Two
+//! checked into `tests/fixtures/` freeze format version 3 on disk. Two
 //! guarantees per fixture:
 //!
 //! * **reader compat** — the loader reads the checked-in bytes and answers
@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 
 use wavelet_trie::{IndexedStrings, WaveletTrie};
 use wt_bits::persist::{kind, to_bytes, Archive, ArchiveWriter};
+use wt_bits::rrr::RRR_BLOCK_BITS;
 use wt_bits::{
     BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, LoadError, RawBitVec,
     RrrVector,
@@ -73,11 +74,11 @@ fn raw_bitvec_fixture() {
     for b in fixture_bits() {
         bv.push(b);
     }
-    check_fixture("raw-v2.wt", &to_bytes(kind::RAW, &bv));
+    check_fixture("raw-v3.wt", &to_bytes(kind::RAW, &bv));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("raw-v2.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("raw-v3.wt")).unwrap();
     let loaded: RawBitVec = wt_bits::persist::from_bytes(kind::RAW, &bytes).unwrap();
     for (i, b) in fixture_bits().into_iter().enumerate() {
         assert_eq!(loaded.get(i), b, "bit {i}");
@@ -86,12 +87,27 @@ fn raw_bitvec_fixture() {
 
 #[test]
 fn rrr_fixture() {
+    // The fixture must freeze both block encodings: verbatim (classes
+    // 22–41) and combinatorial offsets.
+    let classes: Vec<usize> = fixture_bits()
+        .chunks(RRR_BLOCK_BITS)
+        .map(|b| b.iter().filter(|&&x| x).count())
+        .collect();
+    let verbatim = |c: &usize| (22..=41).contains(c);
+    assert!(
+        classes.iter().any(verbatim),
+        "no verbatim block: {classes:?}"
+    );
+    assert!(
+        !classes.iter().all(verbatim),
+        "no offset block: {classes:?}"
+    );
     let rrr = RrrVector::from_bits(fixture_bits());
-    check_fixture("rrr-v2.wt", &to_bytes(kind::RRR, &rrr));
+    check_fixture("rrr-v3.wt", &to_bytes(kind::RRR, &rrr));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("rrr-v2.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("rrr-v3.wt")).unwrap();
     let loaded: RrrVector = wt_bits::persist::from_bytes(kind::RRR, &bytes).unwrap();
     let bits = fixture_bits();
     assert_eq!(loaded.len(), bits.len());
@@ -109,11 +125,11 @@ fn elias_fano_fixture() {
     let mut sorted = values;
     sorted.sort_unstable();
     let ef = EliasFano::new(&sorted);
-    check_fixture("ef-v2.wt", &to_bytes(kind::ELIAS_FANO, &ef));
+    check_fixture("ef-v3.wt", &to_bytes(kind::ELIAS_FANO, &ef));
     if regen() {
         return;
     }
-    let bytes = std::fs::read(fixture_dir().join("ef-v2.wt")).unwrap();
+    let bytes = std::fs::read(fixture_dir().join("ef-v3.wt")).unwrap();
     let loaded: EliasFano = wt_bits::persist::from_bytes(kind::ELIAS_FANO, &bytes).unwrap();
     for (i, &v) in sorted.iter().enumerate() {
         assert_eq!(loaded.get(i), v, "get({i})");
@@ -123,11 +139,11 @@ fn elias_fano_fixture() {
 #[test]
 fn indexed_strings_fixture() {
     let idx = IndexedStrings::build(fixture_urls());
-    check_fixture("urls-v2.wt", &idx.save_bytes());
+    check_fixture("urls-v3.wt", &idx.save_bytes());
     if regen() {
         return;
     }
-    let loaded = IndexedStrings::load(fixture_dir().join("urls-v2.wt")).unwrap();
+    let loaded = IndexedStrings::load(fixture_dir().join("urls-v3.wt")).unwrap();
     let urls = fixture_urls();
     assert_eq!(loaded.len(), urls.len());
     for (i, u) in urls.iter().enumerate() {
@@ -266,14 +282,14 @@ fn write_legacy_fixture(st: &TieredStrings, dir: &Path) {
 
 #[test]
 fn tiered_store_legacy_fixture() {
-    // `store-v2` is the pre-generation layout (bare `manifest.wt` +
+    // `store-v3` is the pre-generation layout (bare `manifest.wt` +
     // `seg-NNN.*`, no atomic-commit naming). The current writer no longer
     // produces it — this fixture is **reader compat only**, pinning that
     // images written before the commit protocol keep loading, as
     // generation 0. A format bump re-freezes it from the current writer's
     // segments (`write_legacy_fixture`); otherwise it is never regenerated.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-v2");
+    let dir = fixture_dir().join("store-v3");
     if regen() {
         write_legacy_fixture(&st, &dir);
         return;
@@ -292,10 +308,10 @@ fn tiered_store_legacy_fixture() {
 
 #[test]
 fn tiered_store_generation_fixture() {
-    // `store-gen-v2` freezes the atomic-commit layout: generation-numbered
+    // `store-gen-v3` freezes the atomic-commit layout: generation-numbered
     // segments plus `manifest-g00000001.wt` as the commit point.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-gen-v2");
+    let dir = fixture_dir().join("store-gen-v3");
     if regen() {
         let _ = std::fs::remove_dir_all(&dir);
         st.save_dir(&dir).unwrap();
@@ -305,7 +321,7 @@ fn tiered_store_generation_fixture() {
     let tmp = std::env::temp_dir().join(format!("wt-golden-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     st.save_dir(&tmp).unwrap();
-    let names = dir_names(&dir, "store-gen-v2");
+    let names = dir_names(&dir, "store-gen-v3");
     assert_eq!(names, dir_names(&tmp, "fresh save"), "file set changed");
     assert!(
         names.contains(&"manifest-g00000001.wt".to_string()),
@@ -359,17 +375,17 @@ fn write_torn_fixture(dir: &Path) {
 
 #[test]
 fn tiered_store_torn_fixture() {
-    // `store-torn-v2` freezes the aftermath of a crash mid-save: the old
+    // `store-torn-v3` freezes the aftermath of a crash mid-save: the old
     // committed generation plus a partial temp of the never-committed next
     // one. Both loaders must serve the OLD image — and keep doing so
     // byte-for-byte as the recovery code evolves.
     let st = fixture_store();
-    let dir = fixture_dir().join("store-torn-v2");
+    let dir = fixture_dir().join("store-torn-v3");
     if regen() {
         write_torn_fixture(&dir);
         return;
     }
-    let names = dir_names(&dir, "store-torn-v2");
+    let names = dir_names(&dir, "store-torn-v3");
     assert!(
         names.iter().any(|n| n.ends_with(".tmp")),
         "torn fixture must hold a partial temp: {names:?}"

@@ -282,6 +282,20 @@ pub fn conform(name: &str, idx: &dyn SeqIndex, o: &Oracle, seed: u64) {
         let want: Vec<usize> = q.iter().map(|&p| o.count_prefix(p)).collect();
         same!(idx.count_prefix_batch(&q) => want, "{at}");
     }
+
+    // Rank at `pos = n` is a count. Every probe twice over, first with
+    // every lane at `n`, then with every other lane there; the truncated
+    // probes have a count of 0 but a nonzero prefix count.
+    let bs = (2 * probes.len()).max(16);
+    for every in [1, 2] {
+        let at = format!("{name}, rank batch of {bs}, one lane in {every} at n");
+        let lanes = widen(probes.iter().map(BitString::as_bitstr), bs).into_iter();
+        let q: Vec<_> = (lanes.enumerate())
+            .map(|(k, s)| (s, if k % every == 0 { n } else { pick(n + 1) }))
+            .collect();
+        let want: Vec<usize> = q.iter().map(|&(s, pos)| o.rank(s, pos)).collect();
+        same!(idx.rank_batch(&q) => want, "{at}");
+    }
 }
 
 /// Asserts that a trie over the whole sequence has the height, bitvector
