@@ -4,15 +4,15 @@
 //! hash-partitioned `TieredStore` shards behind a `ShardRouter`, mixed
 //! read/append traffic (70% Count / 20% Access / 10% CountPrefix per
 //! batch, plus ~10% of iterations appending), arrivals scheduled at a
-//! fixed rate calibrated from a closed-loop warmup. Latency is measured
-//! from the *scheduled* arrival, so a router that falls behind pays the
-//! queueing delay it caused (no coordinated omission).
+//! fixed `RATE`. Latency is measured from the *scheduled* arrival, so a
+//! router that falls behind pays the queueing delay it caused (no
+//! coordinated omission).
 //!
 //! Two runs: clean, and degraded — shard 0 wrapped in a `FaultyShard`
 //! scripted with periodic stalls past the deadline and injected failures,
 //! so the run crosses Healthy → Degraded → Quarantined → probe → Healthy
-//! while the load is in flight. `BENCH_server.json` reports p50/p99/qps
-//! and the completeness rate for both.
+//! while the load is in flight. `BENCH_server.json` reports p50/p99/qps,
+//! the completeness rate and the scatter threads spawned for both.
 //!
 //! Usage: `server_report [--quick] [--out PATH]`
 
@@ -36,6 +36,10 @@ use wt_workloads::{rng, RngExt};
 const SHARDS: usize = 4;
 const BATCH: usize = 64;
 const DEADLINE: Duration = Duration::from_millis(25);
+/// Arrivals per second, the same for every router under test, so two
+/// builds are offered the same load and the degraded run the same
+/// schedule as the clean one.
+const RATE: f64 = 800.0;
 
 /// One measured series (same shape as the other `*_report` bins).
 struct Measurement {
@@ -54,6 +58,7 @@ struct RunStats {
     batches: usize,
     complete: usize,
     shed: u64,
+    spawns: u64,
 }
 
 fn build_router(corpus: &[BitString], degraded: bool) -> (ShardRouter, Option<Arc<FaultyShard>>) {
@@ -82,7 +87,7 @@ fn build_router(corpus: &[BitString], degraded: bool) -> (ShardRouter, Option<Ar
         stores.push(Arc::clone(&shard));
         if degraded && i == 0 {
             // Transparent for now; the measured run installs the fault
-            // script after setup and calibration (see `degrade`).
+            // script after setup (see `degrade`).
             let faulty = Arc::new(FaultyShard::new(shard, FaultScript::new()));
             handle = Some(Arc::clone(&faulty));
             members.push(faulty as Arc<dyn Shard>);
@@ -202,37 +207,8 @@ fn run_load(
         batches,
         complete,
         shed: router.shed_count(),
+        spawns: router.spawn_count(),
     }
-}
-
-/// Closed-loop calibration: measured service throughput sets the open
-/// loop's arrival rate at 35% of capacity (so the clean run is stable —
-/// closed-loop windows flatter the sustained rate, since the run also
-/// pays appends, snapshot publishes and scheduling noise — while the
-/// degraded run still shows queueing rather than overload collapse).
-/// Uses the median over several short windows — one background hiccup
-/// must not set the rate for the whole run.
-fn calibrate(
-    router: &ShardRouter,
-    corpus: &[BitString],
-    prefixes: &[BitString],
-    docs: &[DocId],
-) -> f64 {
-    let zipf = Zipf::new(corpus.len(), 1.0);
-    let mut rng = rng(7);
-    let (windows, per_window) = (5, 12);
-    let mut rates: Vec<f64> = (0..windows)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..per_window {
-                let batch = make_batch(corpus, prefixes, docs, &zipf, &mut rng);
-                std::hint::black_box(router.query(&batch));
-            }
-            per_window as f64 / start.elapsed().as_secs_f64()
-        })
-        .collect();
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-    rates[windows / 2] * 0.35
 }
 
 fn prefix_pool(raw: &[String]) -> Vec<BitString> {
@@ -298,11 +274,12 @@ fn main() {
 
     println!("== sharded serving: open-loop Zipf load, clean vs degraded ==\n");
     let t = Table::new(
-        &["mode", "batches", "p50", "p99", "qps", "complete", "shed"],
-        &[10, 9, 10, 11, 11, 10, 6],
+        &[
+            "mode", "batches", "p50", "p99", "qps", "complete", "shed", "spawns",
+        ],
+        &[10, 9, 10, 11, 11, 10, 6, 7],
     );
     let mut results: Vec<Measurement> = Vec::new();
-    let mut calibrated: Option<f64> = None;
 
     for (label, degraded) in [("clean", false), ("degraded", true)] {
         let (router, handle) = build_router(&corpus, degraded);
@@ -316,14 +293,10 @@ fn main() {
                 })
             })
             .collect();
-        // Calibrate once, on the clean router, and reuse the rate for the
-        // degraded run: same arrival schedule, so the degraded numbers
-        // isolate the fault cost instead of a different load level.
-        let rate = *calibrated.get_or_insert_with(|| calibrate(&router, &corpus, &prefixes, &docs));
         if let Some(f) = &handle {
             degrade(f);
         }
-        let stats = run_load(&router, &corpus, &prefixes, &docs, batches, rate, 42);
+        let stats = run_load(&router, &corpus, &prefixes, &docs, batches, RATE, 42);
         let health = router.health_report();
         t.row(&[
             label,
@@ -336,6 +309,7 @@ fn main() {
                 100.0 * stats.complete as f64 / stats.batches as f64
             ),
             &format!("{}", stats.shed),
+            &format!("{}", stats.spawns),
         ]);
         if degraded {
             let h0 = &health[0];
@@ -356,6 +330,7 @@ fn main() {
                 stats.complete as f64 / stats.batches as f64,
                 "fraction",
             ),
+            ("spawns", stats.spawns as f64, "threads"),
         ] {
             results.push(Measurement {
                 structure: "ShardRouter",

@@ -19,6 +19,12 @@
 //!   in waves — and never past the deadline.
 //! - **Admission control**: batches beyond the in-flight window are shed
 //!   at the door instead of queueing into latency collapse.
+//! - **Reusable scatter workers**: sub-batches go to parked workers from
+//!   one elastic pool per router, and a thread is spawned only when none
+//!   is idle ([`ShardRouter::spawn_count`]). The pool has no fixed size,
+//!   so a worker stuck in a stalled shard call never holds up a probe or
+//!   another shard's sub-batch; at most `max_in_flight × shards` workers
+//!   stay parked, and they exit when the router drops.
 //! - **Structured degradation** ([`PartialResult`]): a query that outlives
 //!   its budget or touches a broken shard gets `None` plus a
 //!   machine-readable [`ShardMiss`]; every `Some` answer is bit-identical

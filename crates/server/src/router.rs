@@ -1,9 +1,9 @@
 //! Deadline-bounded scatter-gather over hash-partitioned shards.
 //!
 //! [`ShardRouter`] splits a client batch into per-shard sub-batches,
-//! dispatches each to a detached worker thread, and gathers replies over a
-//! channel with every wait bounded by the batch's [`Deadline`]. The
-//! robustness discipline:
+//! hands each to one of the router's reusable scatter workers, and gathers
+//! replies over a channel with every wait bounded by the batch's
+//! [`Deadline`]. The robustness discipline:
 //!
 //! - **Admission control**: batches beyond [`RouterConfig::max_in_flight`]
 //!   are shed immediately ([`MissCause::Shed`]) instead of queueing into a
@@ -15,19 +15,30 @@
 //!   [`RetryPolicy`]'s (optionally jittered) backoff, but never past the
 //!   deadline.
 //! - **Panic containment**: a panicking shard costs its sub-batch
-//!   ([`MissCause::Panicked`]), never the process. Workers are detached —
-//!   a shard sleeping past the deadline cannot wedge the router; its late
-//!   reply lands on a closed channel and is dropped.
+//!   ([`MissCause::Panicked`]), never the process. A shard sleeping past
+//!   the deadline cannot wedge the router: its worker is simply busy, its
+//!   late reply lands on a closed channel and is dropped.
 //! - **Structured degradation**: the merge returns a [`PartialResult`]
 //!   whose `Some` answers are bit-identical to an unsharded oracle and
 //!   whose misses carry machine-readable causes.
+//!
+//! Scatter workers are pooled and elastic. A sub-batch goes to a parked
+//! worker when one is idle and to a newly spawned thread only when none
+//! is, so once the pool has grown to the load's concurrency a steady load
+//! spawns nothing. A worker parks again after each call unless
+//! `max_in_flight × shards` workers are already parked — the most
+//! sub-calls admission ever lets run at once — and parked workers exit
+//! when the router drops. The pool has no fixed size on purpose: a worker
+//! stuck in a stalled call is just not idle, so a half-open probe or a
+//! healthy shard's sub-batch never queues behind it. Workers busy with a
+//! stalled call stay detached; dropping the router never waits for them.
 //!
 //! Health outcomes are recorded only on the router (gathering) thread, so
 //! state transitions are deterministic under a deterministic fault script.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use wt_bits::storage::RetryPolicy;
@@ -75,6 +86,103 @@ struct ShardReply {
     outcome: Result<(Vec<Answer>, Duration), MissCause>,
 }
 
+/// One shard's sub-batch, moved onto a scatter worker.
+struct SubCall {
+    shard: usize,
+    target: Arc<dyn Shard>,
+    ops: Vec<ShardOp>,
+    deadline: Deadline,
+    retry: RetryPolicy,
+    reply: mpsc::Sender<ShardReply>,
+}
+
+impl SubCall {
+    /// Execute with retries; the reply is returned, not sent, so the worker
+    /// can park before the gatherer sees it.
+    fn run(self) -> (mpsc::Sender<ShardReply>, ShardReply) {
+        let outcome = run_with_retries(&self.retry, self.deadline, || {
+            self.target.execute(&self.ops, self.deadline)
+        });
+        let reply = ShardReply {
+            shard: self.shard,
+            outcome,
+        };
+        (self.reply, reply)
+    }
+}
+
+/// The router's scatter workers. A parked worker waits on a one-slot inbox
+/// whose sender sits in `parked`; a busy worker holds only a [`Weak`] to
+/// the pool, so dropping the router drops every inbox and the parked
+/// workers exit.
+struct Workers {
+    parked: Mutex<Vec<mpsc::SyncSender<SubCall>>>,
+    max_parked: usize,
+    spawned: AtomicU64,
+}
+
+impl Workers {
+    /// Hand `call` to the most recently parked worker, or to a new thread
+    /// when none is parked.
+    fn dispatch(self: &Arc<Self>, call: SubCall) -> std::io::Result<()> {
+        let parked = self
+            .parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let call = match parked {
+            // An inbox takes exactly one call and its worker waits on it,
+            // so the send cannot fail; if it did, a new thread takes over.
+            Some(inbox) => match inbox.try_send(call) {
+                Ok(()) => return Ok(()),
+                Err(mpsc::TrySendError::Full(call) | mpsc::TrySendError::Disconnected(call)) => {
+                    call
+                }
+            },
+            None => call,
+        };
+        let pool = Arc::downgrade(self);
+        std::thread::Builder::new()
+            .name("wt-scatter".to_string())
+            .spawn(move || serve(&pool, call))?;
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// A fresh inbox for a worker that just finished a call, or `None`
+    /// when enough workers are parked already.
+    fn park(&self) -> Option<mpsc::Receiver<SubCall>> {
+        let mut parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        if parked.len() >= self.max_parked {
+            return None;
+        }
+        let (inbox, calls) = mpsc::sync_channel(1);
+        parked.push(inbox);
+        Some(calls)
+    }
+}
+
+/// A scatter worker's loop: run a call, park, reply, wait for the next
+/// call. It exits when it cannot park (the router is gone, or enough
+/// workers are parked) or when its inbox disconnects (the router dropped
+/// while it was parked).
+fn serve(pool: &Weak<Workers>, mut call: SubCall) {
+    loop {
+        let (reply_to, reply) = call.run();
+        // Park before replying: once the gatherer holds a batch's replies,
+        // every worker that served it is parked again, so a client issuing
+        // one batch at a time never needs more workers than one batch uses.
+        let inbox = pool.upgrade().and_then(|workers| workers.park());
+        // The receiver may be gone (deadline hit): a late reply is
+        // dropped, never a panic.
+        let _ = reply_to.send(reply);
+        match inbox.and_then(|calls| calls.recv().ok()) {
+            Some(next) => call = next,
+            None => return,
+        }
+    }
+}
+
 /// Scatter-gather front-end over `N` shards. Shareable across client
 /// threads (`&self` entry points; wrap in `Arc` to share).
 pub struct ShardRouter {
@@ -83,6 +191,7 @@ pub struct ShardRouter {
     config: RouterConfig,
     in_flight: AtomicUsize,
     shed: AtomicU64,
+    workers: Arc<Workers>,
 }
 
 impl ShardRouter {
@@ -93,12 +202,18 @@ impl ShardRouter {
             .iter()
             .map(|_| Mutex::new(ShardHealth::new(config.health.clone())))
             .collect();
+        let workers = Arc::new(Workers {
+            parked: Mutex::new(Vec::new()),
+            max_parked: config.max_in_flight.saturating_mul(shards.len()),
+            spawned: AtomicU64::new(0),
+        });
         ShardRouter {
             shards,
             health,
             config,
             in_flight: AtomicUsize::new(0),
             shed: AtomicU64::new(0),
+            workers,
         }
     }
 
@@ -121,6 +236,13 @@ impl ShardRouter {
     /// Batches shed at admission since construction.
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
+    }
+
+    /// Scatter worker threads spawned since construction. It stays flat
+    /// under a steady load: a thread is spawned only when no worker is
+    /// parked.
+    pub fn spawn_count(&self) -> u64 {
+        self.workers.spawned.load(Ordering::Relaxed)
     }
 
     /// Read-only health of every shard, for observability and tests.
@@ -190,27 +312,29 @@ impl ShardRouter {
         let answers: Vec<Option<Answer>> = vec![None; queries.len()];
 
         // --- split: per-shard op lists, remembering which query each op
-        // answers so the merge can route replies back.
-        let mut plan: Vec<(Vec<ShardOp>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); n];
+        // answers so the merge can route replies back. The op lists move
+        // into the sub-calls; `slots` stays for the merge.
+        let mut ops: Vec<Vec<ShardOp>> = vec![Vec::new(); n];
+        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut missing: Vec<ShardMiss> = Vec::new();
         for (qi, q) in queries.iter().enumerate() {
             match q {
                 Query::Count(s) => {
                     let t = shard_for(s.as_bitstr(), n) as usize;
-                    plan[t].0.push(ShardOp::Count(s.clone()));
-                    plan[t].1.push(qi);
+                    ops[t].push(ShardOp::Count(s.clone()));
+                    slots[t].push(qi);
                 }
                 Query::CountPrefix(p) => {
-                    for (ops, idxs) in plan.iter_mut() {
-                        ops.push(ShardOp::CountPrefix(p.clone()));
-                        idxs.push(qi);
+                    for (shard_ops, shard_slots) in ops.iter_mut().zip(&mut slots) {
+                        shard_ops.push(ShardOp::CountPrefix(p.clone()));
+                        shard_slots.push(qi);
                     }
                 }
                 Query::Access(doc) => {
                     if (doc.shard as usize) < n {
                         let t = doc.shard as usize;
-                        plan[t].0.push(ShardOp::Access(doc.pos));
-                        plan[t].1.push(qi);
+                        ops[t].push(ShardOp::Access(doc.pos));
+                        slots[t].push(qi);
                     } else {
                         // Client error: answer stays None, attributed to
                         // the (nonexistent) shard it named.
@@ -222,7 +346,7 @@ impl ShardRouter {
                 }
             }
         }
-        let targeted: Vec<usize> = (0..n).filter(|&i| !plan[i].0.is_empty()).collect();
+        let targeted: Vec<usize> = (0..n).filter(|&i| !ops[i].is_empty()).collect();
 
         // --- admission control: shed the whole batch when saturated.
         let guard = InFlight::enter(&self.in_flight);
@@ -234,10 +358,10 @@ impl ShardRouter {
                     cause: MissCause::Shed,
                 });
             }
-            return finish(answers, queries, &plan, vec![None; n], missing);
+            return finish(answers, queries, &slots, vec![None; n], missing);
         }
 
-        // --- scatter: health-gated dispatch onto detached workers.
+        // --- scatter: health-gated dispatch onto the worker pool.
         let (tx, rx) = mpsc::channel::<ShardReply>();
         let mut probe_flags: Vec<bool> = vec![false; n];
         let mut outstanding = 0usize;
@@ -263,29 +387,17 @@ impl ShardRouter {
                 continue;
             }
             probe_flags[t] = admission == Admission::Probe;
-            let shard = Arc::clone(&self.shards[t]);
-            let ops = plan[t].0.clone();
-            let retry = self.config.retry;
-            let tx = tx.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("wt-scatter-{t}"))
-                .spawn(move || {
-                    let outcome =
-                        run_with_retries(&retry, deadline, || shard.execute(&ops, deadline));
-                    // The receiver may be gone (deadline hit): a late
-                    // reply is dropped, never a panic.
-                    let _ = tx.send(ShardReply { shard: t, outcome });
-                });
-            match spawned {
-                Ok(_) => outstanding += 1,
-                Err(e) => {
-                    // Spawn failure is a router-side resource problem, not
-                    // a shard fault: report it, no health penalty.
-                    missing.push(ShardMiss {
-                        shard: t as u32,
-                        cause: MissCause::Failed(format!("spawn failed: {e}")),
-                    });
-                }
+            let call = SubCall {
+                shard: t,
+                target: Arc::clone(&self.shards[t]),
+                ops: std::mem::take(&mut ops[t]),
+                deadline,
+                retry: self.config.retry,
+                reply: tx.clone(),
+            };
+            match self.workers.dispatch(call) {
+                Ok(()) => outstanding += 1,
+                Err(e) => missing.push(self.dispatch_failed(t, probe_flags[t], &e)),
             }
         }
         drop(tx);
@@ -326,7 +438,7 @@ impl ShardRouter {
                 continue;
             }
             if missing.iter().any(|m| m.shard == t as u32) {
-                continue; // already attributed (rejected / pre-expired / spawn failure)
+                continue; // already attributed (rejected / pre-expired / dispatch failure)
             }
             let detail = if probe_flags[t] {
                 "probe timed out"
@@ -342,7 +454,22 @@ impl ShardRouter {
 
         // --- merge.
         drop(guard);
-        finish(answers, queries, &plan, replies, missing)
+        finish(answers, queries, &slots, replies, missing)
+    }
+
+    /// The one failure path for a sub-call no worker could take. That is a
+    /// router-side resource problem, not a shard fault, so a normal call
+    /// costs the shard no health. A probe is settled as failed: until its
+    /// outcome is recorded the breaker admits no further probe.
+    fn dispatch_failed(&self, shard: usize, probe: bool, err: &std::io::Error) -> ShardMiss {
+        let cause = format!("spawn failed: {err}");
+        if probe {
+            self.record_outcome(shard, true, Err(cause.clone()));
+        }
+        ShardMiss {
+            shard: shard as u32,
+            cause: MissCause::Failed(cause),
+        }
     }
 
     fn record_outcome(&self, shard: usize, probe: bool, outcome: Result<Duration, String>) {
@@ -445,24 +572,25 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Merge per-shard replies into the final [`PartialResult`].
+/// Merge per-shard replies into the final [`PartialResult`]. `slots[t]`
+/// names the query each of shard `t`'s answers belongs to.
 fn finish(
     mut answers: Vec<Option<Answer>>,
     queries: &[Query],
-    plan: &[(Vec<ShardOp>, Vec<usize>)],
+    slots: &[Vec<usize>],
     replies: Vec<Option<Vec<Answer>>>,
     mut missing: Vec<ShardMiss>,
 ) -> PartialResult {
     // Route single-shard answers back to their queries; accumulate
     // CountPrefix partial sums separately so incompleteness can void them.
-    let n = plan.len();
+    let n = slots.len();
     let mut prefix_sums: Vec<usize> = vec![0; queries.len()];
     let mut prefix_votes: Vec<usize> = vec![0; queries.len()];
     for t in 0..n {
         let Some(shard_answers) = &replies[t] else {
             continue;
         };
-        for (slot, &qi) in plan[t].1.iter().enumerate() {
+        for (slot, &qi) in slots[t].iter().enumerate() {
             match (&queries[qi], &shard_answers[slot]) {
                 (Query::CountPrefix(_), Answer::CountPrefix(c)) => {
                     prefix_sums[qi] += c;
@@ -703,5 +831,89 @@ mod tests {
         let health = &router.health_report()[0];
         assert_eq!(health.state, HealthState::Healthy);
         assert_eq!((health.probes, health.recoveries), (1, 1));
+    }
+
+    #[test]
+    fn failed_dispatch_settles_a_probe_and_spares_a_normal_call() {
+        let (router, _) = router_and_oracle(2, &["00", "11"]);
+        let cooldown_free = HealthConfig {
+            probe_cooldown: Duration::ZERO,
+            ..HealthConfig::default()
+        };
+        let no_thread = std::io::Error::other("no thread available");
+        {
+            let mut h = router.health[0].lock().unwrap();
+            *h = ShardHealth::new(cooldown_free.clone());
+            for _ in 0..cooldown_free.quarantine_errors {
+                h.record_error("injected");
+            }
+            assert_eq!(h.admit(), Admission::Probe);
+        }
+        let miss = router.dispatch_failed(0, true, &no_thread);
+        assert_eq!(miss.shard, 0);
+        assert!(matches!(miss.cause, MissCause::Failed(_)), "{miss:?}");
+        assert_eq!(
+            router.health[0].lock().unwrap().admit(),
+            Admission::Probe,
+            "a probe that never ran must not leave the shard quarantined"
+        );
+
+        // A normal call that could not be dispatched is no shard fault.
+        for _ in 0..HealthConfig::default().quarantine_errors {
+            router.dispatch_failed(1, false, &no_thread);
+        }
+        let health = &router.health_report()[1];
+        assert_eq!(health.state, crate::health::HealthState::Healthy);
+        assert_eq!(health.last_error, None);
+    }
+
+    #[test]
+    fn steady_batches_reuse_parked_workers() {
+        // The warm-up call stalls on every shard, so all four sub-calls are
+        // in flight at once and the warm-up spawns one worker per shard.
+        let shards: Vec<Arc<dyn Shard>> = ["000", "011", "101", "110"]
+            .iter()
+            .map(|s| {
+                let inner: Arc<dyn Shard> = Arc::new(StoreShard::new(store_with(&[s])));
+                let stall = FaultScript::new().delay(0, Duration::from_millis(50));
+                Arc::new(FaultyShard::new(inner, stall)) as Arc<dyn Shard>
+            })
+            .collect();
+        let config = RouterConfig {
+            deadline: Duration::from_secs(5),
+            ..RouterConfig::default()
+        };
+        let router = ShardRouter::new(shards, config);
+        let batch = [Query::CountPrefix(BitString::parse(""))];
+        assert!(router.query(&batch).is_complete(), "warm-up");
+        assert_eq!(router.spawn_count(), 4, "one worker per targeted shard");
+        for _ in 0..50 {
+            let result = router.query(&batch);
+            assert!(result.is_complete(), "missing: {:?}", result.missing);
+            assert_eq!(result.answers[0], Some(Answer::CountPrefix(4)));
+        }
+        assert_eq!(router.spawn_count(), 4, "steady state spawns nothing");
+    }
+
+    #[test]
+    fn dropping_the_router_never_waits_for_a_stalled_call() {
+        let inner: Arc<dyn Shard> = Arc::new(StoreShard::new(store_with(&["010"])));
+        let stall = Duration::from_secs(2);
+        let faulty = Arc::new(FaultyShard::new(inner, FaultScript::new().delay(0, stall)));
+        let cfg = RouterConfig {
+            deadline: Duration::from_millis(20),
+            ..RouterConfig::default()
+        };
+        let router = ShardRouter::new(vec![Arc::clone(&faulty) as Arc<dyn Shard>], cfg);
+        let started = Instant::now();
+        let result = router.query(&[Query::Count(BitString::parse("010"))]);
+        assert_eq!(result.missing[0].cause, MissCause::DeadlineExpired);
+        assert_eq!(faulty.ops_seen(), 1, "the call is in its stall");
+        drop(router);
+        assert!(
+            started.elapsed() < stall / 4,
+            "drop waited for the stalled call: {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -21,8 +21,8 @@ use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::SeqIndex;
 use wt_bits::{MemFs, RetryPolicy, Storage};
 use wt_server::{
-    Answer, FaultScript, FaultyShard, HealthConfig, HealthState, MissCause, PartialResult, Query,
-    RouterConfig, Shard, ShardRouter, StoreShard,
+    Answer, DocId, FaultScript, FaultyShard, HealthConfig, HealthState, MissCause, PartialResult,
+    Query, RouterConfig, Shard, ShardMiss, ShardRouter, StoreShard,
 };
 use wt_store::TieredStore;
 use wt_trie::BitString;
@@ -190,8 +190,9 @@ fn slow_shard_trips_breaker_and_heals() {
     let deadline = Duration::from_millis(40);
     let (router, faulty, oracle) = faulted_fixture(4, deadline);
     // Fault class 1: shard delay > deadline. Three delayed batches trip
-    // the breaker (quarantine_errors = 3).
-    let slow = deadline * 4;
+    // the breaker (quarantine_errors = 3). Each stall outlasts all three
+    // batches and the probe after them by a wide margin.
+    let slow = deadline * 8;
     // Appends during the fixture consumed op indices; script relative to
     // the counter's current position.
     let base = faulty.ops_seen();
@@ -203,6 +204,7 @@ fn slow_shard_trips_breaker_and_heals() {
     );
 
     let queries = count_queries();
+    let first_stall = std::time::Instant::now();
     for expected_state in [
         None,                           // 1st timeout: window warming
         Some(HealthState::Degraded),    // 2nd
@@ -225,16 +227,22 @@ fn slow_shard_trips_breaker_and_heals() {
     }
     assert_eq!(router.health_report()[0].trips, 1);
 
-    // While quarantined, shard 0 is skipped without waiting on it.
+    // Zero cooldown: the next batch carries the half-open probe, and the
+    // unfaulted op after the stalls answers it. The three stalled calls
+    // still hold their workers, so the probe must not wait behind them:
+    // it closes the circuit and the batch is complete.
     let result = router.query(&queries);
+    assert!(
+        first_stall.elapsed() < slow,
+        "the stalled calls must still be sleeping: {:?}",
+        first_stall.elapsed()
+    );
+    assert!(result.is_complete(), "missing: {:?}", result.missing);
     assert_answers_match_oracle(&queries, &result, &oracle);
-    assert!(result
-        .missing
-        .iter()
-        .all(|m| m.shard == 0 && m.cause == MissCause::Quarantined));
+    let health = &router.health_report()[0];
+    assert_eq!(health.state, HealthState::Healthy);
+    assert_eq!((health.probes, health.recoveries), (1, 1));
 
-    // Heal: clear the fault, half-open probe closes the circuit.
-    heal_shard_zero(&router, &faulty, &queries);
     let result = router.query(&queries);
     assert!(result.is_complete(), "missing: {:?}", result.missing);
     assert_answers_match_oracle(&queries, &result, &oracle);
@@ -445,4 +453,91 @@ fn deadline_expiring_mid_gather_returns_partial() {
     // Count queries owned by healthy shards must be answered.
     let answered = result.answers.iter().filter(|a| a.is_some()).count();
     assert!(answered > 0, "healthy single-shard answers survive");
+}
+
+/// Hostile client input: out-of-range positions, unknown shards, empty and
+/// very long keys, proper prefixes of stored keys, and appends that break
+/// prefix-freeness on their own shard. Each gets a structured answer,
+/// never a panic, and no shard's health pays for it.
+#[test]
+fn hostile_input_gets_structured_answers() {
+    let (router, _faulty, oracle) = faulted_fixture(4, Duration::from_secs(5));
+
+    let result = router.query(&[
+        Query::Access(DocId {
+            shard: 0,
+            pos: u64::MAX,
+        }),
+        Query::Access(DocId {
+            shard: u32::MAX,
+            pos: 0,
+        }),
+    ]);
+    assert_eq!(result.answers[0], Some(Answer::Access(None)));
+    assert_eq!(result.answers[1], None);
+    assert_eq!(
+        result.missing,
+        vec![ShardMiss {
+            shard: u32::MAX,
+            cause: MissCause::Failed("no such shard".to_string()),
+        }]
+    );
+
+    // Keys that equal no stored string: the empty key, a 1M-bit key, and
+    // a proper prefix of a stored key (whose prefix count is not zero).
+    let stored = encode("example.org/blog/post-1");
+    let proper_prefix = BitString::from(stored.sub(0, stored.len() - 1));
+    let keys = [
+        BitString::new(),
+        (0..1usize << 20).map(|i| i % 3 == 0).collect(),
+        proper_prefix,
+    ];
+    let queries: Vec<Query> = keys
+        .iter()
+        .flat_map(|k| [Query::Count(k.clone()), Query::CountPrefix(k.clone())])
+        .collect();
+    let result = router.query(&queries);
+    assert!(result.is_complete(), "missing: {:?}", result.missing);
+    assert_answers_match_oracle(&queries, &result, &oracle);
+    assert_eq!(result.answers[1], Some(Answer::CountPrefix(CORPUS.len())));
+    assert_eq!(result.answers[4], Some(Answer::Count(0)));
+    assert_eq!(
+        result.answers[5],
+        Some(Answer::CountPrefix(oracle.count(stored.as_bitstr())))
+    );
+
+    // Appends that break prefix-freeness against a key on their own
+    // shard: a proper prefix of it, and an extension of it.
+    let owner = router.shard_for(stored.as_bitstr());
+    let prefix = (1..stored.len())
+        .map(|len| BitString::from(stored.sub(0, len)))
+        .find(|p| router.shard_for(p.as_bitstr()) == owner)
+        .expect("some proper prefix hashes to the key's shard");
+    let extension = (1..=16)
+        .map(|extra| {
+            let mut e = stored.clone();
+            (0..extra).for_each(|b| e.push(b % 2 == 0));
+            e
+        })
+        .find(|e| router.shard_for(e.as_bitstr()) == owner)
+        .expect("some extension hashes to the key's shard");
+    let lens: Vec<Option<usize>> = (0..4).map(|t| router.shard_len(t)).collect();
+    for bad in [&prefix, &extension] {
+        let miss = router.append(bad.as_bitstr()).unwrap_err();
+        assert_eq!(miss.shard, owner);
+        assert!(matches!(miss.cause, MissCause::Rejected(_)), "{miss:?}");
+    }
+    assert_eq!(
+        lens,
+        (0..4).map(|t| router.shard_len(t)).collect::<Vec<_>>()
+    );
+
+    let queries = count_queries();
+    let result = router.query(&queries);
+    assert!(result.is_complete(), "missing: {:?}", result.missing);
+    assert_answers_match_oracle(&queries, &result, &oracle);
+    for health in router.health_report() {
+        assert_eq!(health.state, HealthState::Healthy, "{health:?}");
+        assert_eq!(health.trips, 0, "{health:?}");
+    }
 }
