@@ -39,7 +39,9 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"WVLTRIE\x01");
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Structure kinds (high 32 bits of word 1) — one per archive-rooted type,
-/// so a file saved as one structure cannot be loaded as another.
+/// so a file saved as one structure cannot be loaded as another. The gaps
+/// (5, 6, 11) were structures retired before [`FORMAT_VERSION`] 3, so the
+/// version gate refuses every archive they wrote.
 pub mod kind {
     /// `RawBitVec` (bits-level archives, used by tests and tools).
     pub const RAW: u32 = 1;
@@ -57,13 +59,6 @@ pub mod kind {
     pub const MANIFEST: u32 = 9;
     /// Hot-segment string log (re-appended on load).
     pub const HOT_LOG: u32 = 10;
-    /// Retired: the path-decomposed static trie, once a sealed
-    /// `TieredStore` segment. No reader accepts it; the code stays
-    /// reserved so such an archive fails with [`LoadError::WrongKind`]
-    /// instead of being misread.
-    ///
-    /// [`LoadError::WrongKind`]: super::LoadError::WrongKind
-    pub const PATH_DECOMP: u32 = 11;
 }
 
 /// Why a load was rejected. Corrupt or truncated input must surface as one
@@ -388,10 +383,11 @@ impl Archive {
                 return Err(LoadError::SectionBounds);
             }
             // Sections must tile the payload contiguously in table order.
-            if offset != running || offset + len > payload_words {
+            let end = offset.checked_add(len).ok_or(LoadError::SectionBounds)?;
+            if offset != running || end > payload_words {
                 return Err(LoadError::SectionBounds);
             }
-            running += len;
+            running = end;
             let start = payload_start + offset as usize;
             let payload = &words[start..start + len as usize];
             if crc64(payload) != crc {

@@ -4,7 +4,9 @@
 //! length fields or broken RRR block invariants — every case must surface
 //! a typed [`LoadError`], never a panic, never a queryable structure.
 
-use wt_bits::persist::{crc64, from_bytes, kind, to_bytes, Archive, LoadError, FORMAT_VERSION};
+use wt_bits::persist::{
+    crc64, from_bytes, kind, to_bytes, Archive, ArchiveWriter, LoadError, FORMAT_VERSION,
+};
 use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, Fid, RawBitVec, RrrVector};
 use wt_workloads::xorshift;
 
@@ -211,7 +213,34 @@ fn tampered_but_checksum_valid_images() {
         from_bytes::<RawBitVec>(kind::RAW, &m),
         Err(LoadError::Invalid("nonzero bitvector tail padding"))
     ));
+    oversized_section_lengths();
     rrr_block_mutants();
+}
+
+/// A multi-section image whose later table entries claim lengths that
+/// overflow `offset + len`, or run past the payload, with every checksum
+/// refixed: the table check must refuse each with `SectionBounds`.
+fn oversized_section_lengths() {
+    let mut w = ArchiveWriter::new(kind::RAW);
+    for tag in 0..5u32 {
+        w.section(tag, (0..=tag as u64 * 3).collect());
+    }
+    let bytes = w.finish();
+    Archive::parse(&bytes, kind::RAW).expect("pristine image loads");
+    for section in 1..5 {
+        let entry = 8 * (4 + 4 * section);
+        let offset = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap());
+        assert!(offset > 0, "a later section starts past word 0");
+        for len in [u64::MAX, u64::MAX - offset + 1, 1 << 63] {
+            let mut m = bytes.clone();
+            m[entry + 16..entry + 24].copy_from_slice(&len.to_le_bytes());
+            let got = Archive::parse(&refix_checksums(&m), kind::RAW).map(drop);
+            assert!(
+                matches!(got, Err(LoadError::SectionBounds)),
+                "section {section}, len {len:#x}: {got:?}"
+            );
+        }
+    }
 }
 
 /// An RRR vector of whole blocks with the given classes (each block's

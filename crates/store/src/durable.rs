@@ -12,8 +12,9 @@
 //! *.tmp                   in-flight writes; never read, swept on commit/recovery
 //! ```
 //!
-//! (The pre-generation layout — bare `manifest.wt` + `seg-NNN.*` — is
-//! read as generation 0, so PR 6 images keep loading.)
+//! This is the only layout the store reads. Images of the bare-`manifest.wt`
+//! layout before it carry format version 1 or 2, and [`Archive::parse`]
+//! refuses every version but [`FORMAT_VERSION`](wt_bits::persist::FORMAT_VERSION).
 //!
 //! # Commit protocol
 //!
@@ -48,15 +49,18 @@
 //!        load each segment                            NoCommittedGeneration
 //!        │               │
 //!   strict load      resilient recover
-//!   any failure ▶    checksum failure / missing file ▶ QUARANTINE segment,
-//!   fall back to     keep serving the rest; torn hot log ▶ replay the
-//!   older gen        valid prefix; then sweep *.tmp, report everything
+//!   any failure ▶    any failure ▶ QUARANTINE segment, keep serving the
+//!   fall back to     rest; torn hot log ▶ replay the valid prefix;
+//!   older gen        then sweep *.tmp, report everything
 //! ```
 //!
-//! [`TieredStore::load_dir`] is the strict path (all-or-nothing per
-//! generation, falls back to the last fully loadable generation);
-//! [`TieredStore::recover_dir`] is the resilient path (serve what
-//! survives, quarantine the rest, return a [`RecoveryReport`]).
+//! Both entry points read manifests with one reader and segments with one
+//! loader, which names the file in every error; they differ only in what
+//! they do with a segment's error. [`TieredStore::load_dir`] is the
+//! strict path (all-or-nothing per generation, falls back to the last
+//! fully loadable generation); [`TieredStore::recover_dir`] is the
+//! resilient path (serve what survives, quarantine the rest, return a
+//! [`RecoveryReport`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -71,32 +75,20 @@ use crate::{Segment, StoreConfig, TieredStore};
 
 // --- file naming -------------------------------------------------------------
 
-/// Manifest file name of a generation (`manifest.wt` is the legacy,
-/// generation-0 layout of PR 6 images).
+/// Manifest file name of a generation.
 fn manifest_name(generation: u64) -> String {
-    if generation == 0 {
-        TieredStore::MANIFEST_FILE.to_string()
-    } else {
-        format!("manifest-g{generation:08}.wt")
-    }
+    format!("manifest-g{generation:08}.wt")
 }
 
 /// Segment file name: `.wt` archives for sealed segments, `.log` string
 /// logs for hot ones.
 fn segment_name(generation: u64, i: usize, sealed: bool) -> String {
     let ext = if sealed { "wt" } else { "log" };
-    if generation == 0 {
-        format!("seg-{i:03}.{ext}")
-    } else {
-        format!("seg-g{generation:08}-{i:03}.{ext}")
-    }
+    format!("seg-g{generation:08}-{i:03}.{ext}")
 }
 
 /// Parses a manifest file name back to its generation.
 fn parse_manifest_name(name: &str) -> Option<u64> {
-    if name == TieredStore::MANIFEST_FILE {
-        return Some(0);
-    }
     let digits = name.strip_prefix("manifest-g")?.strip_suffix(".wt")?;
     if digits.len() != 8 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -114,27 +106,23 @@ fn is_store_file(name: &str) -> bool {
 
 // --- manifest encoding -------------------------------------------------------
 
-/// Section 1 of a generation-numbered manifest holds the generation; the
-/// legacy layout has only section 0.
+/// Section 1 of a manifest holds its generation.
 const SEC_GENERATION: u32 = 1;
 
-/// Parsed manifest: policy, total length, and the segment table.
-struct ManifestData {
+/// Parsed manifest: its generation, the policy, the total length and the
+/// segment table.
+struct Manifest {
+    generation: u64,
     config: StoreConfig,
-    total_len: usize,
-    /// `(tag, length)` per segment, in sequence order.
-    entries: Vec<(u64, usize)>,
+    len: usize,
+    /// `(sealed, length)` per segment, in sequence order.
+    entries: Vec<(bool, usize)>,
 }
 
 /// Manifest tag of a hot segment (a string log).
 const TAG_HOT: u64 = 0;
 /// Manifest tag of a sealed level-order wavelet-trie segment.
 const TAG_WAVELET: u64 = 1;
-/// Retired manifest tag of a path-decomposed sealed segment. Still parsed,
-/// so that such a segment fails to load with a typed error naming its file
-/// (and [`TieredStore::recover_dir`] quarantines just that segment), but
-/// never written.
-const TAG_PATH_DECOMP: u64 = 2;
 
 fn manifest_bytes(store: &TieredStore, generation: u64) -> Vec<u8> {
     let mut payload = vec![
@@ -154,39 +142,47 @@ fn manifest_bytes(store: &TieredStore, generation: u64) -> Vec<u8> {
 }
 
 /// Parses and validates a manifest image; `generation` is the value the
-/// file name claims, cross-checked against the embedded one.
-fn parse_manifest(bytes: &[u8], generation: u64) -> Result<ManifestData, LoadError> {
+/// file name claims, cross-checked against the embedded one. The segment
+/// count must fit the table and the segment lengths must sum to the
+/// total, so no field of a checksum-valid forgery can overflow a caller's
+/// arithmetic.
+fn parse_manifest(bytes: &[u8], generation: u64) -> Result<Manifest, LoadError> {
     let a = Archive::parse(bytes, kind::MANIFEST)?;
     let mut r = a.section(0)?;
     let seal_at = r.read_u64()? as usize;
     let max_sealed = r.read_u64()? as usize;
-    let total_len = r.read_u64()? as usize;
+    let len = r.read_u64()? as usize;
     let n_segments = r.read_u64()? as usize;
-    if r.remaining() != 2 * n_segments || n_segments == 0 {
+    if r.remaining() / 2 != n_segments || n_segments == 0 {
         return Err(LoadError::Invalid("manifest segment table"));
     }
     let mut entries = Vec::with_capacity(n_segments);
     for _ in 0..n_segments {
         let tag = r.read_u64()?;
-        if tag > TAG_PATH_DECOMP {
+        if tag > TAG_WAVELET {
             return Err(LoadError::Invalid("manifest segment tag"));
         }
-        entries.push((tag, r.read_u64()? as usize));
+        entries.push((tag == TAG_WAVELET, r.read_u64()? as usize));
     }
     r.finish()?;
-    if generation > 0 {
-        let mut g = a.section(SEC_GENERATION)?;
-        if g.read_u64()? != generation {
-            return Err(LoadError::Invalid("manifest generation vs file name"));
-        }
-        g.finish()?;
+    let sum = entries
+        .iter()
+        .try_fold(0usize, |sum, &(_, l)| sum.checked_add(l));
+    if sum != Some(len) {
+        return Err(LoadError::Invalid("store length vs manifest"));
     }
-    Ok(ManifestData {
+    let mut g = a.section(SEC_GENERATION)?;
+    if g.read_u64()? != generation {
+        return Err(LoadError::Invalid("manifest generation vs file name"));
+    }
+    g.finish()?;
+    Ok(Manifest {
+        generation,
         config: StoreConfig {
             seal_at,
             max_sealed,
         },
-        total_len,
+        len,
         entries,
     })
 }
@@ -282,11 +278,6 @@ fn default_storage() -> RetryingStorage<'static> {
 // --- save --------------------------------------------------------------------
 
 impl TieredStore {
-    /// Name of the manifest file in the **legacy** (generation-0) layout;
-    /// still recognized by [`TieredStore::load_dir`]. Generation-numbered
-    /// saves write `manifest-g<NNNNNNNN>.wt` instead.
-    pub const MANIFEST_FILE: &'static str = "manifest.wt";
-
     /// Persists the store into `dir` (created if needed) with an atomic
     /// generation commit (see the [module docs](self)): segments are
     /// written to temp names, fsynced and renamed; the generation's
@@ -313,11 +304,8 @@ impl TieredStore {
         storage
             .create_dir_all(dir)
             .map_err(|e| StoreError::io(StoreOp::CreateDir, dir, e))?;
-        let names = storage
-            .list(dir)
-            .map_err(|e| StoreError::io(StoreOp::List, dir, e))?;
-        let committed = names.iter().filter_map(|n| parse_manifest_name(n)).max();
-        let generation = committed.map_or(1, |g| g + 1);
+        let committed = committed_generations(storage, dir)?;
+        let generation = committed.last().map_or(1, |g| g + 1);
         let mut keep: Vec<String> = Vec::with_capacity(self.segments.len() + 1);
         for (i, g) in self.segments.iter().enumerate() {
             let (name, bytes) = match g {
@@ -362,54 +350,7 @@ fn gc(storage: &dyn Storage, dir: &Path, keep: &[String]) -> Vec<PathBuf> {
     removed
 }
 
-// --- strict load -------------------------------------------------------------
-
-impl TieredStore {
-    /// Loads a store directory written by [`TieredStore::save_dir`],
-    /// serving the **newest fully loadable generation**: if the newest
-    /// manifest or any of its segments fails to read, parse or validate,
-    /// the loader falls back to the next older committed generation.
-    /// All-or-nothing per generation; see [`TieredStore::recover_dir`]
-    /// for the resilient, per-segment-quarantine variant.
-    ///
-    /// Sealed segments load zero-copy (validate-then-view, no bitvector
-    /// rebuilds); hot segments replay their string logs into fresh dynamic
-    /// tries. Segment lengths are cross-checked against the manifest.
-    /// Legacy (PR 6) directories load as generation 0.
-    pub fn load_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::load_dir_with(&default_storage(), dir)
-    }
-
-    /// [`TieredStore::load_dir`] against an explicit [`Storage`] backend.
-    pub fn load_dir_with(storage: &dyn Storage, dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref();
-        let mut generations = committed_generations(storage, dir)?;
-        let mut newest_err: Option<StoreError> = None;
-        while let Some(generation) = generations.pop() {
-            match load_generation(storage, dir, generation) {
-                Ok(store) => return Ok(store),
-                // Remember the *newest* generation's failure — that is
-                // the image the caller expected to read.
-                Err(e) => {
-                    let _ = newest_err.get_or_insert(e);
-                }
-            }
-        }
-        Err(newest_err.unwrap_or_else(|| StoreError::no_generation(dir)))
-    }
-}
-
-/// Loads a sealed segment archive. A segment tagged with the retired
-/// path-decomposed kind fails with `WrongKind`, whatever its bytes hold.
-fn load_sealed(tag: u64, bytes: &[u8]) -> Result<WaveletTrie, LoadError> {
-    if tag == TAG_PATH_DECOMP {
-        return Err(LoadError::WrongKind {
-            expected: kind::WAVELET_TRIE,
-            found: kind::PATH_DECOMP,
-        });
-    }
-    WaveletTrie::load_bytes(bytes)
-}
+// --- load: one manifest reader, one segment loader ---------------------------
 
 /// Committed generations present in `dir`, sorted ascending.
 fn committed_generations(storage: &dyn Storage, dir: &Path) -> Result<Vec<u64>, StoreError> {
@@ -424,62 +365,112 @@ fn committed_generations(storage: &dyn Storage, dir: &Path) -> Result<Vec<u64>, 
     Ok(gens)
 }
 
-/// Strictly loads one committed generation: every file must read, parse
-/// and cross-validate.
-fn load_generation(
+/// Runs `attempt` on each committed generation of `dir`, newest first,
+/// and returns the first success with the number of newer generations
+/// that failed. When every one fails, returns the *newest* generation's
+/// error: that is the image the caller expected to read.
+fn newest_generation<T>(
+    storage: &dyn Storage,
+    dir: &Path,
+    mut attempt: impl FnMut(u64) -> Result<T, StoreError>,
+) -> Result<(T, usize), StoreError> {
+    let mut newest_err: Option<StoreError> = None;
+    let generations = committed_generations(storage, dir)?;
+    for (skipped, &generation) in generations.iter().rev().enumerate() {
+        match attempt(generation) {
+            Ok(t) => return Ok((t, skipped)),
+            Err(e) => {
+                let _ = newest_err.get_or_insert(e);
+            }
+        }
+    }
+    Err(newest_err.unwrap_or_else(|| StoreError::no_generation(dir)))
+}
+
+/// Reads and parses the manifest of `generation`.
+fn read_manifest(
     storage: &dyn Storage,
     dir: &Path,
     generation: u64,
-) -> Result<TieredStore, StoreError> {
-    let mpath = dir.join(manifest_name(generation));
+) -> Result<Manifest, StoreError> {
+    let path = dir.join(manifest_name(generation));
     let bytes = storage
-        .read(&mpath)
-        .map_err(|e| StoreError::io(StoreOp::Read, &mpath, e))?;
-    let manifest = parse_manifest(&bytes, generation).map_err(|e| StoreError::format(&mpath, e))?;
-    let mut segments = Vec::with_capacity(manifest.entries.len());
-    let mut sum = 0usize;
-    for (i, &(tag, seg_len)) in manifest.entries.iter().enumerate() {
-        let sealed = tag != TAG_HOT;
-        let spath = dir.join(segment_name(generation, i, sealed));
-        let bytes = storage
-            .read(&spath)
-            .map_err(|e| StoreError::io(StoreOp::Read, &spath, e))?;
-        if sealed {
-            let wt = load_sealed(tag, &bytes).map_err(|e| StoreError::format(&spath, e))?;
-            if wt.len() != seg_len || seg_len == 0 {
-                return Err(StoreError::validate(
-                    &spath,
-                    "sealed segment length vs manifest",
-                ));
-            }
-            segments.push(Segment::Sealed(Arc::new(wt)));
-        } else {
-            let (h, _) =
-                replay_hot_log(&bytes, false).map_err(|e| StoreError::format(&spath, e))?;
-            if SeqIndex::seq_len(&h) != seg_len {
-                return Err(StoreError::validate(
-                    &spath,
-                    "hot segment length vs manifest",
-                ));
-            }
-            segments.push(Segment::Hot(Arc::new(h)));
-        }
-        sum = sum
-            .checked_add(seg_len)
-            .ok_or_else(|| StoreError::validate(&mpath, "manifest segment lengths overflow"))?;
-    }
-    if sum != manifest.total_len {
-        return Err(StoreError::validate(&mpath, "store length vs manifest"));
-    }
-    if !matches!(segments.last(), Some(Segment::Hot(_))) {
-        return Err(StoreError::validate(&mpath, "store must end in a hot tail"));
-    }
-    Ok(TieredStore::from_parts(segments, sum, manifest.config))
+        .read(&path)
+        .map_err(|e| StoreError::io(StoreOp::Read, &path, e))?;
+    parse_manifest(&bytes, generation).map_err(|e| StoreError::format(&path, e))
 }
 
-// --- resilient recovery ------------------------------------------------------
+/// Loads one segment file: a sealed archive zero-copy, or a hot string
+/// log replayed into a fresh dynamic trie. Its length is checked against
+/// the manifest's `(sealed, len)` entry, and every error names `path`.
+/// With `partial`, a hot log that replays only a prefix or disagrees with
+/// the manifest still loads, and the second value says why.
+fn load_segment(
+    storage: &dyn Storage,
+    path: &Path,
+    (sealed, len): (bool, usize),
+    partial: bool,
+) -> Result<(Segment, Option<&'static str>), StoreError> {
+    let bytes = storage
+        .read(path)
+        .map_err(|e| StoreError::io(StoreOp::Read, path, e))?;
+    if sealed {
+        let wt = WaveletTrie::load_bytes(&bytes).map_err(|e| StoreError::format(path, e))?;
+        if wt.len() != len || len == 0 {
+            return Err(StoreError::validate(
+                path,
+                "sealed segment length vs manifest",
+            ));
+        }
+        return Ok((Segment::Sealed(Arc::new(wt)), None));
+    }
+    let (h, stopped) = replay_hot_log(&bytes, partial).map_err(|e| StoreError::format(path, e))?;
+    let mismatch = (SeqIndex::seq_len(&h) != len).then_some("hot segment length vs manifest");
+    match stopped.or(mismatch) {
+        Some(what) if !partial => Err(StoreError::validate(path, what)),
+        damage => Ok((Segment::Hot(Arc::new(h)), damage)),
+    }
+}
 
 impl TieredStore {
+    /// Loads a store directory written by [`TieredStore::save_dir`],
+    /// serving the **newest fully loadable generation**: if the newest
+    /// manifest or any of its segments fails to read, parse or validate,
+    /// the loader falls back to the next older committed generation.
+    /// All-or-nothing per generation; see [`TieredStore::recover_dir`]
+    /// for the resilient, per-segment-quarantine variant, which reads
+    /// through the same manifest reader and segment loader.
+    ///
+    /// Sealed segments load zero-copy (validate-then-view, no bitvector
+    /// rebuilds); hot segments replay their string logs into fresh dynamic
+    /// tries. Segment lengths are cross-checked against the manifest.
+    pub fn load_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        Self::load_dir_with(&default_storage(), dir)
+    }
+
+    /// [`TieredStore::load_dir`] against an explicit [`Storage`] backend.
+    pub fn load_dir_with(storage: &dyn Storage, dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = dir.as_ref();
+        let (store, _) = newest_generation(storage, dir, |generation| {
+            let manifest = read_manifest(storage, dir, generation)?;
+            let mut segments = Vec::with_capacity(manifest.entries.len());
+            for (i, &entry) in manifest.entries.iter().enumerate() {
+                let path = dir.join(segment_name(generation, i, entry.0));
+                segments.push(load_segment(storage, &path, entry, false)?.0);
+            }
+            if !matches!(segments.last(), Some(Segment::Hot(_))) {
+                let path = dir.join(manifest_name(generation));
+                return Err(StoreError::validate(path, "store must end in a hot tail"));
+            }
+            Ok(TieredStore::from_parts(
+                segments,
+                manifest.len,
+                manifest.config,
+            ))
+        })?;
+        Ok(store)
+    }
+
     /// Self-healing load: serves the newest generation whose *manifest*
     /// parses, validating each segment independently. Damaged segments —
     /// checksum mismatch, missing file, length mismatch — are
@@ -503,108 +494,44 @@ impl TieredStore {
         dir: impl AsRef<Path>,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let dir = dir.as_ref();
-        let mut generations = committed_generations(storage, dir)?;
-        if generations.is_empty() {
-            return Err(StoreError::no_generation(dir));
-        }
-        let mut report = RecoveryReport::default();
-        let mut newest_err: Option<StoreError> = None;
-        let mut chosen: Option<(u64, ManifestData)> = None;
-        while let Some(generation) = generations.pop() {
-            let mpath = dir.join(manifest_name(generation));
-            let attempt = storage
-                .read(&mpath)
-                .map_err(|e| StoreError::io(StoreOp::Read, &mpath, e))
-                .and_then(|bytes| {
-                    parse_manifest(&bytes, generation).map_err(|e| StoreError::format(&mpath, e))
-                });
-            match attempt {
-                Ok(m) => {
-                    chosen = Some((generation, m));
-                    break;
-                }
-                Err(e) => {
-                    let _ = newest_err.get_or_insert(e);
-                    report.manifests_skipped += 1;
-                }
-            }
-        }
-        let Some((generation, manifest)) = chosen else {
-            return Err(newest_err.unwrap_or_else(|| StoreError::no_generation(dir)));
+        let (manifest, manifests_skipped) = newest_generation(storage, dir, |generation| {
+            read_manifest(storage, dir, generation)
+        })?;
+        let mut report = RecoveryReport {
+            generation: manifest.generation,
+            manifests_skipped,
+            ..RecoveryReport::default()
         };
-        report.generation = generation;
-        let mut segments: Vec<Segment> = Vec::with_capacity(manifest.entries.len());
-        for (i, &(tag, seg_len)) in manifest.entries.iter().enumerate() {
-            let sealed = tag != TAG_HOT;
-            let spath = dir.join(segment_name(generation, i, sealed));
-            let bytes = match storage.read(&spath) {
-                Ok(b) => b,
-                Err(e) => {
-                    report.quarantined.push(Quarantine {
-                        file: spath,
-                        reason: format!("read: {e}"),
-                        strings_lost: seg_len,
-                    });
-                    report.strings_lost += seg_len;
-                    continue;
-                }
-            };
-            if sealed {
-                match load_sealed(tag, &bytes) {
-                    Ok(wt) if wt.len() == seg_len && seg_len > 0 => {
-                        report.strings_recovered += seg_len;
-                        segments.push(Segment::Sealed(Arc::new(wt)));
-                    }
-                    Ok(_) => {
-                        report.quarantined.push(Quarantine {
-                            file: spath,
-                            reason: "sealed segment length vs manifest".to_string(),
-                            strings_lost: seg_len,
-                        });
-                        report.strings_lost += seg_len;
-                    }
-                    Err(e) => {
-                        report.quarantined.push(Quarantine {
-                            file: spath,
-                            reason: e.to_string(),
-                            strings_lost: seg_len,
-                        });
-                        report.strings_lost += seg_len;
-                    }
-                }
-            } else {
-                match replay_hot_log(&bytes, true) {
-                    Ok((h, stopped)) => {
-                        let got = SeqIndex::seq_len(&h);
-                        let lost = seg_len.saturating_sub(got);
-                        if lost > 0 || stopped.is_some() || got > seg_len {
-                            report.quarantined.push(Quarantine {
-                                file: spath,
-                                reason: stopped
-                                    .unwrap_or("hot segment length vs manifest")
-                                    .to_string(),
-                                strings_lost: lost,
-                            });
-                        }
-                        report.strings_lost += lost;
-                        report.strings_recovered += got;
+        let mut segments = Vec::with_capacity(manifest.entries.len());
+        for (i, &(sealed, owed)) in manifest.entries.iter().enumerate() {
+            let path = dir.join(segment_name(manifest.generation, i, sealed));
+            // A damaged segment is quarantined; a partly replayed hot log
+            // keeps serving its prefix as well.
+            let (reason, lost) = match load_segment(storage, &path, (sealed, owed), true) {
+                Ok((segment, damage)) => {
+                    let got = segment.len();
+                    report.strings_recovered += got;
+                    if !sealed {
                         report.hot_replayed += got;
-                        segments.push(Segment::Hot(Arc::new(h)));
                     }
-                    Err(e) => {
-                        report.quarantined.push(Quarantine {
-                            file: spath,
-                            reason: e.to_string(),
-                            strings_lost: seg_len,
-                        });
-                        report.strings_lost += seg_len;
+                    segments.push(segment);
+                    match damage {
+                        Some(what) => (what.to_string(), owed.saturating_sub(got)),
+                        None => continue,
                     }
                 }
-            }
+                Err(e) => (e.to_string(), owed),
+            };
+            report.strings_lost += lost;
+            report.quarantined.push(Quarantine {
+                file: path,
+                reason,
+                strings_lost: lost,
+            });
         }
         // The store invariant: the segment list ends in a hot tail.
         if !matches!(segments.last(), Some(Segment::Hot(_))) {
-            segments.push(Segment::Hot(Arc::new(DynamicWaveletTrie::new())));
+            segments.push(Segment::new_hot());
         }
         let len = segments.iter().map(|g| g.len()).sum();
         let store = TieredStore::from_parts(segments, len, manifest.config);

@@ -12,12 +12,11 @@
 
 use std::path::{Path, PathBuf};
 
-use wavelet_trie::{IndexedStrings, WaveletTrie};
-use wt_bits::persist::{kind, to_bytes, Archive, ArchiveWriter};
+use wavelet_trie::IndexedStrings;
+use wt_bits::persist::{kind, to_bytes};
 use wt_bits::rrr::RRR_BLOCK_BITS;
 use wt_bits::{
-    BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, LoadError, RawBitVec,
-    RrrVector,
+    BitAccess, BitRank, EliasFano, FaultPlan, FaultStorage, FsStorage, RawBitVec, RrrVector,
 };
 use wt_store::{StoreConfig, TieredStrings};
 use wt_workloads::xorshift;
@@ -157,54 +156,6 @@ fn indexed_strings_fixture() {
     );
 }
 
-/// The retired path-decomposition layout: no writer produces it and no
-/// bytes of it are checked in, but its kind code stays frozen at 11 and
-/// reserved. An archive of that kind is still a well-formed container,
-/// and every static loader refuses it with a typed `WrongKind` error
-/// instead of misreading it.
-#[test]
-fn path_decomp_fixture() {
-    assert_eq!(kind::PATH_DECOMP, 11);
-    let live = [
-        kind::RAW,
-        kind::FID,
-        kind::RRR,
-        kind::ELIAS_FANO,
-        kind::WAVELET_TRIE,
-        kind::INDEXED_STRINGS,
-        kind::MANIFEST,
-        kind::HOT_LOG,
-    ];
-    assert!(!live.contains(&kind::PATH_DECOMP), "kind 11 reused");
-
-    let mut w = ArchiveWriter::new(kind::PATH_DECOMP);
-    w.section(0, vec![200]);
-    let bytes = w.finish();
-    assert!(Archive::parse(&bytes, kind::PATH_DECOMP).is_ok());
-    let wrong_kind = |r: Result<(), LoadError>, expected: u32| {
-        assert!(
-            matches!(
-                r,
-                Err(LoadError::WrongKind { expected: e, found })
-                    if e == expected && found == kind::PATH_DECOMP
-            ),
-            "{r:?}"
-        );
-    };
-    wrong_kind(
-        WaveletTrie::load_bytes(&bytes).map(drop),
-        kind::WAVELET_TRIE,
-    );
-    wrong_kind(
-        IndexedStrings::load_bytes(&bytes).map(drop),
-        kind::INDEXED_STRINGS,
-    );
-    wrong_kind(
-        wt_bits::persist::from_bytes::<RrrVector>(kind::RRR, &bytes).map(drop),
-        kind::RRR,
-    );
-}
-
 /// The canonical fixture store: sealed segments AND a non-empty hot tail,
 /// built deterministically (freezes are bit-identical serial or parallel).
 fn fixture_store() -> TieredStrings {
@@ -230,16 +181,6 @@ fn dir_names(dir: &Path, what: &str) -> Vec<String> {
     names
 }
 
-/// Copies a fixture directory into a scratch dir (recovery sweeps temps, so
-/// resilient-load tests must never run on the checked-in tree).
-fn copy_dir(src: &Path, dst: &Path) {
-    let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst).unwrap();
-    for name in dir_names(src, "copy source") {
-        std::fs::copy(src.join(&name), dst.join(&name)).unwrap();
-    }
-}
-
 /// Asserts the loaded store answers exactly like the freshly built one.
 fn assert_store_matches(loaded: &TieredStrings, st: &TieredStrings) {
     assert_eq!(loaded.len(), st.len());
@@ -251,59 +192,6 @@ fn assert_store_matches(loaded: &TieredStrings, st: &TieredStrings) {
         loaded.count_prefix("http://c.net/"),
         st.count_prefix("http://c.net/")
     );
-}
-
-/// Writes the pre-generation layout into `dir` from the current writer's
-/// output: a generation-1 save with its segments renamed `seg-NNN.*` and
-/// a bare `manifest.wt` holding only section 0 (policy + segment table).
-fn write_legacy_fixture(st: &TieredStrings, dir: &Path) {
-    let src = std::env::temp_dir().join(format!("wt-golden-legacy-src-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&src);
-    st.save_dir(&src).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).unwrap();
-    for name in dir_names(&src, "legacy source") {
-        let path = src.join(&name);
-        if let Some(rest) = name.strip_prefix("seg-g00000001-") {
-            std::fs::copy(&path, dir.join(format!("seg-{rest}"))).unwrap();
-            continue;
-        }
-        assert_eq!(name, "manifest-g00000001.wt");
-        let a = Archive::parse(&std::fs::read(&path).unwrap(), kind::MANIFEST).unwrap();
-        let mut r = a.section(0).unwrap();
-        let n = r.remaining();
-        let words: Vec<u64> = (0..n).map(|_| r.read_u64().unwrap()).collect();
-        let mut w = ArchiveWriter::new(kind::MANIFEST);
-        w.section(0, words);
-        std::fs::write(dir.join("manifest.wt"), w.finish()).unwrap();
-    }
-    std::fs::remove_dir_all(&src).unwrap();
-}
-
-#[test]
-fn tiered_store_legacy_fixture() {
-    // `store-v3` is the pre-generation layout (bare `manifest.wt` +
-    // `seg-NNN.*`, no atomic-commit naming). The current writer no longer
-    // produces it — this fixture is **reader compat only**, pinning that
-    // images written before the commit protocol keep loading, as
-    // generation 0. A format bump re-freezes it from the current writer's
-    // segments (`write_legacy_fixture`); otherwise it is never regenerated.
-    let st = fixture_store();
-    let dir = fixture_dir().join("store-v3");
-    if regen() {
-        write_legacy_fixture(&st, &dir);
-        return;
-    }
-    let loaded = TieredStrings::load_dir(&dir).unwrap();
-    assert_store_matches(&loaded, &st);
-    // The resilient path agrees and reports a clean generation-0 image.
-    let tmp = std::env::temp_dir().join(format!("wt-golden-legacy-{}", std::process::id()));
-    copy_dir(&dir, &tmp);
-    let (recovered, report) = TieredStrings::recover_dir(&tmp).unwrap();
-    assert!(report.is_clean(), "legacy fixture not clean: {report}");
-    assert_eq!(report.generation, 0);
-    assert_store_matches(&recovered, &st);
-    std::fs::remove_dir_all(&tmp).unwrap();
 }
 
 #[test]

@@ -5,15 +5,19 @@
 //! files, truncation — and checks [`wt_store::TieredStore::recover_dir`]
 //! degrades gracefully: serve every byte that validates, quarantine
 //! exactly what doesn't, fall back a generation when the commit point
-//! itself is gone, and report the whole story.
+//! itself is gone, and report the whole story. Checksum-valid forged
+//! manifests never panic either loader, and a directory of an earlier
+//! format gets a typed error from both.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use wavelet_trie::SeqIndex;
-use wt_bits::persist::{kind, Archive, ArchiveWriter};
+use wt_bits::persist::{kind, Archive, ArchiveWriter, FORMAT_VERSION};
 use wt_bits::{FaultPlan, FaultStorage, LoadError, MemFs, Storage};
 use wt_store::{StoreConfig, StoreErrorCause, TieredStore};
 use wt_trie::BitString;
+use wt_workloads::xorshift;
 
 fn encode(v: u64) -> BitString {
     BitString::from_bits((0..10).rev().map(move |k| (v >> k) & 1 != 0))
@@ -46,66 +50,75 @@ fn corrupt(fs: &MemFs, dir: &Path, name: &str) {
     fs.sync_file(&path).unwrap();
 }
 
-/// Sealed-segment file names of the only generation in `dir`, sorted.
-fn sealed_files(fs: &MemFs, dir: &Path) -> Vec<String> {
+/// Segment file names of the only generation in `dir`, in segment order.
+fn segment_files(fs: &MemFs, dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = fs
         .list_names(dir)
         .into_iter()
-        .filter(|n| n.starts_with("seg-") && n.ends_with(".wt"))
+        .filter(|n| n.starts_with("seg-"))
         .collect();
     names.sort();
     names
 }
 
-#[test]
-fn one_corrupt_sealed_segment_quarantines_exactly_that_segment() {
-    // The acceptance scenario: flip a byte in one sealed segment of a
-    // multi-segment directory. The resilient load serves every OTHER
-    // segment's strings, in order, and reports exactly one quarantine.
+/// Damages every segment file of `sample_store()`, sealed and hot, in turn
+/// with `damage` ("flip", "truncate" or "delete"). The strict load refuses
+/// and names the file; the resilient load quarantines exactly that file,
+/// counts its strings as lost, and serves every other segment's strings in
+/// order.
+fn damage_each_segment(damage: &str) {
     let dir = Path::new("store");
     let st = sample_store();
     let seg_lens = st.segment_lens();
-    assert!(
-        st.sealed_segments() >= 3,
-        "want several segments to survive"
-    );
-    let fs = MemFs::new();
-    st.save_dir_with(&fs, dir).unwrap();
-    let victims = sealed_files(&fs, dir);
-    // Corrupt sealed segment #1 (the second one).
-    corrupt(&fs, dir, &victims[1]);
-    // Strict load refuses: a damaged generation is all-or-nothing, and the
-    // error names the damaged file.
-    let err = TieredStore::load_dir_with(&fs, dir).expect_err("strict must fail");
-    assert_eq!(err.file().unwrap(), dir.join(&victims[1]));
-    assert!(matches!(err.cause(), StoreErrorCause::Format(_)), "{err}");
-    assert!(!err.is_retryable(), "corruption is not transient");
-    // Resilient load degrades gracefully.
-    let (rec, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
-    assert_eq!(report.quarantined.len(), 1, "{report}");
-    assert_eq!(report.quarantined[0].file, dir.join(&victims[1]));
-    assert_eq!(report.quarantined[0].strings_lost, seg_lens[1]);
-    assert_eq!(report.strings_lost, seg_lens[1]);
-    assert_eq!(rec.len(), st.len() - seg_lens[1]);
-    // Every surviving string is served, in the original order.
-    let mut expected = strings_of(&st);
-    expected.drain(seg_lens[0]..seg_lens[0] + seg_lens[1]);
-    assert_eq!(strings_of(&rec), expected, "surviving segments must serve");
-    assert!(!report.is_clean());
+    assert_eq!(st.sealed_segments(), 4, "want several segments to survive");
+    let saved = MemFs::new();
+    st.save_dir_with(&saved, dir).unwrap();
+    let files = segment_files(&saved, dir);
+    assert_eq!(files.len(), seg_lens.len());
+    for (i, name) in files.iter().enumerate() {
+        let victim = dir.join(name);
+        let fs = saved.fork();
+        match damage {
+            "flip" => corrupt(&fs, dir, name),
+            "truncate" => {
+                let bytes = fs.read(&victim).unwrap();
+                fs.write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+            }
+            _ => fs.remove(&victim).unwrap(),
+        }
+        let case = format!("{damage} {name}");
+        let err = TieredStore::load_dir_with(&fs, dir).expect_err(&case);
+        assert_eq!(err.file(), Some(victim.as_path()), "{case}: {err}");
+        assert!(!err.is_retryable(), "{case}: damage is not transient");
+        let (rec, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
+        assert_eq!(report.quarantined.len(), 1, "{case}: {report}");
+        let q = &report.quarantined[0];
+        assert_eq!(q.file, victim, "{case}");
+        if damage == "delete" {
+            assert!(matches!(err.cause(), StoreErrorCause::Io(_)), "{case}");
+            assert!(q.reason.contains("read"), "{case}: {report}");
+        } else {
+            assert!(matches!(err.cause(), StoreErrorCause::Format(_)), "{case}");
+        }
+        assert_eq!(q.strings_lost, seg_lens[i], "{case}");
+        assert_eq!(report.strings_lost, seg_lens[i], "{case}");
+        assert!(!report.is_clean(), "{case}");
+        let start: usize = seg_lens[..i].iter().sum();
+        let mut expected = strings_of(&st);
+        expected.drain(start..start + seg_lens[i]);
+        assert_eq!(strings_of(&rec), expected, "{case}: survivors must serve");
+    }
+}
+
+#[test]
+fn one_corrupt_sealed_segment_quarantines_exactly_that_segment() {
+    damage_each_segment("flip");
+    damage_each_segment("truncate");
 }
 
 #[test]
 fn missing_segment_file_is_quarantined_not_fatal() {
-    let dir = Path::new("store");
-    let st = sample_store();
-    let fs = MemFs::new();
-    st.save_dir_with(&fs, dir).unwrap();
-    let victims = sealed_files(&fs, dir);
-    fs.remove(&dir.join(&victims[0])).unwrap();
-    let (rec, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
-    assert_eq!(report.quarantined.len(), 1, "{report}");
-    assert!(report.quarantined[0].reason.contains("read"), "{report}");
-    assert_eq!(rec.len() + report.strings_lost, st.len());
+    damage_each_segment("delete");
 }
 
 #[test]
@@ -215,8 +228,7 @@ fn recovery_quarantine_then_resave_is_stable() {
     let st = sample_store();
     let fs = MemFs::new();
     st.save_dir_with(&fs, dir).unwrap();
-    let victims = sealed_files(&fs, dir);
-    corrupt(&fs, dir, &victims[2]);
+    corrupt(&fs, dir, &segment_files(&fs, dir)[2]);
     let (rec, r1) = TieredStore::recover_dir_with(&fs, dir).unwrap();
     assert!(!r1.is_clean());
     rec.save_dir_with(&fs, dir).unwrap();
@@ -245,55 +257,81 @@ fn empty_or_foreign_directory_reports_no_generation() {
 }
 
 #[test]
-fn retired_path_decomposed_segment_fails_typed_and_quarantines() {
-    // Manifest tag 2 once named a path-decomposed sealed segment. That
-    // representation is gone, but the tag stays reserved: a directory
-    // still holding such a segment must fail with a typed error naming the
-    // file, never be misread, and recovery must set aside only it.
+fn earlier_format_directory_never_reaches_the_segment_loader() {
+    // Every file of a directory written at an earlier format version
+    // carries that version; the version gate runs before the checksums,
+    // so the manifest is refused before any segment is read.
     let dir = Path::new("store");
-    let st = sample_store();
-    let seg_lens = st.segment_lens();
     let fs = MemFs::new();
-    st.save_dir_with(&fs, dir).unwrap();
-    let victim = dir.join(&sealed_files(&fs, dir)[1]);
-
-    // Re-tag segment 1 in the manifest. Payload layout: seal_at,
-    // max_sealed, total length, segment count, then (tag, length) pairs.
-    let mpath = dir.join("manifest-g00000001.wt");
-    let manifest = Archive::parse(&fs.read(&mpath).unwrap(), kind::MANIFEST).unwrap();
-    let mut r = manifest.section(0).unwrap();
-    let mut payload: Vec<u64> = (0..r.remaining()).map(|_| r.read_u64().unwrap()).collect();
-    assert_eq!(payload[4 + 2], 1, "segment 1 is a sealed wavelet trie");
-    payload[4 + 2] = 2;
-    let mut w = ArchiveWriter::new(kind::MANIFEST);
-    w.section(0, payload);
-    w.section(1, vec![1]);
-    fs.write(&mpath, &w.finish()).unwrap();
-    // The segment file holds an archive of the retired kind.
-    let mut pd = ArchiveWriter::new(kind::PATH_DECOMP);
-    pd.section(0, vec![seg_lens[1] as u64]);
-    fs.write(&victim, &pd.finish()).unwrap();
-
-    let err = TieredStore::load_dir_with(&fs, dir).expect_err("retired kind must not load");
-    assert_eq!(err.file().unwrap(), victim);
+    sample_store().save_dir_with(&fs, dir).unwrap();
+    let old = FORMAT_VERSION - 1;
+    for name in fs.list_names(dir) {
+        let path = dir.join(name);
+        let mut bytes = fs.read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        fs.write(&path, &bytes).unwrap();
+    }
+    let manifest = dir.join("manifest-g00000001.wt");
+    let err = TieredStore::load_dir_with(&fs, dir).expect_err("old format must not load");
+    assert_eq!(err.file(), Some(manifest.as_path()));
     assert!(
         matches!(
             err.cause(),
-            StoreErrorCause::Format(LoadError::WrongKind { expected, found })
-                if *expected == kind::WAVELET_TRIE && *found == kind::PATH_DECOMP
+            StoreErrorCause::Format(LoadError::UnsupportedVersion { found }) if *found == old
         ),
         "{err}"
     );
+    let err = TieredStore::recover_dir_with(&fs, dir).expect_err("old format must not recover");
+    assert_eq!(err.file(), Some(manifest.as_path()));
+}
 
-    let (rec, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
-    assert_eq!(report.quarantined.len(), 1, "{report}");
-    assert_eq!(report.quarantined[0].file, victim);
-    assert_eq!(report.strings_lost, seg_lens[1]);
-    let mut expected = strings_of(&st);
-    expected.drain(seg_lens[0]..seg_lens[0] + seg_lens[1]);
-    assert_eq!(
-        strings_of(&rec),
-        expected,
-        "the other segments keep serving"
-    );
+#[test]
+fn checksum_valid_manifest_mutants_never_panic() {
+    // Manifests with 1–3 words of the policy-and-segment-table section
+    // replaced by boundary values or random words, re-wrapped so every
+    // checksum passes. Both loaders must answer with a store or a typed
+    // error: a strict load that succeeds serves the saved strings exactly,
+    // and a recovered store serves a subsequence of them.
+    let dir = Path::new("store");
+    let st = sample_store();
+    let expected = strings_of(&st);
+    let fs = MemFs::new();
+    st.save_dir_with(&fs, dir).unwrap();
+    let mpath = dir.join("manifest-g00000001.wt");
+    let manifest = Archive::parse(&fs.read(&mpath).unwrap(), kind::MANIFEST).unwrap();
+    let mut r = manifest.section(0).unwrap();
+    let words: Vec<u64> = (0..r.remaining()).map(|_| r.read_u64().unwrap()).collect();
+    let mut rnd = xorshift(0x03A7_FE57);
+    for round in 0..4000 {
+        let mut mutant = words.clone();
+        for _ in 0..1 + rnd() % 3 {
+            let at = (rnd() % mutant.len() as u64) as usize;
+            let real = words[at];
+            mutant[at] = match rnd() % 8 {
+                0 => 0,
+                1 => 1,
+                2 => real.wrapping_add(1),
+                3 => real.wrapping_sub(1),
+                4 => 1 << 63,
+                5 => real ^ 1 << 63,
+                6 => u64::MAX,
+                _ => rnd(),
+            };
+        }
+        let mut w = ArchiveWriter::new(kind::MANIFEST);
+        w.section(0, mutant.clone());
+        w.section(1, vec![1]);
+        fs.write(&mpath, &w.finish()).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(loaded) = TieredStore::load_dir_with(&fs, dir) {
+                assert_eq!(strings_of(&loaded), expected);
+            }
+            if let Ok((rec, report)) = TieredStore::recover_dir_with(&fs, dir) {
+                assert_eq!(rec.len(), report.strings_recovered);
+                let mut rest = expected.iter();
+                assert!(strings_of(&rec).iter().all(|s| rest.any(|e| e == s)));
+            }
+        }));
+        assert!(outcome.is_ok(), "round {round}: manifest words {mutant:?}");
+    }
 }
