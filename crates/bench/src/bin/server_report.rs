@@ -4,19 +4,22 @@
 //! hash-partitioned `TieredStore` shards behind a `ShardRouter`, mixed
 //! read/append traffic (70% Count / 20% Access / 10% CountPrefix per
 //! batch, plus ~10% of iterations appending), arrivals scheduled at a
-//! fixed `RATE`. Latency is measured from the *scheduled* arrival, so a
+//! fixed `RATE` by one scheduler thread and run by a pool of client
+//! threads. Latency is measured from the *scheduled* arrival, so a
 //! router that falls behind pays the queueing delay it caused (no
-//! coordinated omission).
+//! coordinated omission), and one slow batch does not delay the
+//! arrivals after it.
 //!
 //! Two runs: clean, and degraded — shard 0 wrapped in a `FaultyShard`
 //! scripted with periodic stalls past the deadline and injected failures,
 //! so the run crosses Healthy → Degraded → Quarantined → probe → Healthy
 //! while the load is in flight. `BENCH_server.json` reports p50/p99/qps,
-//! the completeness rate and the scatter threads spawned for both.
+//! the completeness rate, the scatter threads spawned and how late the
+//! scheduler ran for both.
 //!
 //! Usage: `server_report [--quick] [--out PATH]`
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
@@ -40,6 +43,10 @@ const DEADLINE: Duration = Duration::from_millis(25);
 /// builds are offered the same load and the degraded run the same
 /// schedule as the clean one.
 const RATE: f64 = 800.0;
+/// Client threads running the scheduled arrivals. The router answers a
+/// batch within about one `DEADLINE` (20 arrivals at `RATE`); 32 clients
+/// absorb 40 ms of arrivals before one has to wait for a free client.
+const CLIENTS: usize = 32;
 
 /// One measured series (same shape as the other `*_report` bins).
 struct Measurement {
@@ -59,6 +66,9 @@ struct RunStats {
     complete: usize,
     shed: u64,
     spawns: u64,
+    /// The latest the scheduler handed an arrival to the clients, past
+    /// its scheduled instant.
+    late_max_us: f64,
 }
 
 fn build_router(corpus: &[BitString], degraded: bool) -> (ShardRouter, Option<Arc<FaultyShard>>) {
@@ -150,7 +160,16 @@ fn make_batch(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One scheduled arrival, sent from the scheduler to a client thread.
+enum Arrival {
+    Append(BitString),
+    Query(Vec<Query>),
+}
+
+/// Offers `batches` arrivals at `rate_per_s`: this thread sleeps to each
+/// scheduled instant and hands the arrival to a pool of `CLIENTS` client
+/// threads, which run it and time it from that instant. A slow batch
+/// holds one client, not the schedule.
 fn run_load(
     router: &ShardRouter,
     corpus: &[BitString],
@@ -163,38 +182,73 @@ fn run_load(
     let zipf = Zipf::new(corpus.len(), 1.0);
     let mut rng = rng(seed);
     let interarrival = Duration::from_secs_f64(1.0 / rate_per_s);
-    let mut latencies_us: Vec<f64> = Vec::with_capacity(batches);
-    let mut complete = 0usize;
+    let (tx, rx) = mpsc::channel::<(Instant, Arrival)>();
+    let rx = Mutex::new(rx);
+    let mut late = Duration::ZERO;
     let start = Instant::now();
-    for i in 0..batches {
-        let scheduled = start + interarrival * (i as u32);
-        let now = Instant::now();
-        if now < scheduled {
-            std::thread::sleep(scheduled - now);
-        }
-        // ~10% of iterations are writes (appends of existing strings —
-        // always admissible under the prefix-free invariant).
-        if rng.random::<f64>() < 0.1 {
-            let s = &corpus[zipf.sample(&mut rng)];
-            let _ = router.append(s.as_bitstr());
-            latencies_us.push(scheduled.elapsed().as_secs_f64() * 1e6);
-            complete += 1;
-            continue;
-        }
-        let batch = make_batch(corpus, prefixes, docs, &zipf, &mut rng);
-        let result = router.query(&batch);
-        latencies_us.push(scheduled.elapsed().as_secs_f64() * 1e6);
-        if result.is_complete() {
-            complete += 1;
-        }
-        // Keep the optimizer honest about the answers.
-        std::hint::black_box(result.answers.iter().flatten().fold(0usize, |acc, a| {
-            acc + match a {
-                Answer::Count(c) | Answer::CountPrefix(c) => *c,
-                Answer::Access(s) => s.as_ref().map_or(0, |b| b.len()),
+    let (mut latencies_us, complete) = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut latencies_us = Vec::new();
+                    let mut complete = 0usize;
+                    loop {
+                        let next = rx.lock().expect("no client panics holding it").recv();
+                        let Ok((scheduled, arrival)) = next else {
+                            return (latencies_us, complete);
+                        };
+                        let done = match arrival {
+                            Arrival::Append(s) => {
+                                let _ = router.append(s.as_bitstr());
+                                true
+                            }
+                            Arrival::Query(batch) => {
+                                let result = router.query(&batch);
+                                // Keep the optimizer honest about the answers.
+                                std::hint::black_box(result.answers.iter().flatten().fold(
+                                    0usize,
+                                    |acc, a| {
+                                        acc + match a {
+                                            Answer::Count(c) | Answer::CountPrefix(c) => *c,
+                                            Answer::Access(s) => s.as_ref().map_or(0, |b| b.len()),
+                                        }
+                                    },
+                                ));
+                                result.is_complete()
+                            }
+                        };
+                        latencies_us.push(scheduled.elapsed().as_secs_f64() * 1e6);
+                        complete += done as usize;
+                    }
+                })
+            })
+            .collect();
+        for i in 0..batches {
+            // ~10% of iterations are writes (appends of existing strings —
+            // always admissible under the prefix-free invariant).
+            let arrival = if rng.random::<f64>() < 0.1 {
+                Arrival::Append(corpus[zipf.sample(&mut rng)].clone())
+            } else {
+                Arrival::Query(make_batch(corpus, prefixes, docs, &zipf, &mut rng))
+            };
+            let scheduled = start + interarrival * (i as u32);
+            let now = Instant::now();
+            if now < scheduled {
+                std::thread::sleep(scheduled - now);
             }
-        }));
-    }
+            late = late.max(scheduled.elapsed());
+            tx.send((scheduled, arrival))
+                .expect("clients outlive the schedule");
+        }
+        drop(tx);
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread panicked"))
+            .fold((Vec::with_capacity(batches), 0), |(mut all, n), (l, c)| {
+                all.extend(l);
+                (all, n + c)
+            })
+    });
     let wall = start.elapsed().as_secs_f64();
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let pct = |p: f64| {
@@ -208,6 +262,7 @@ fn run_load(
         complete,
         shed: router.shed_count(),
         spawns: router.spawn_count(),
+        late_max_us: late.as_secs_f64() * 1e6,
     }
 }
 
@@ -275,9 +330,9 @@ fn main() {
     println!("== sharded serving: open-loop Zipf load, clean vs degraded ==\n");
     let t = Table::new(
         &[
-            "mode", "batches", "p50", "p99", "qps", "complete", "shed", "spawns",
+            "mode", "batches", "p50", "p99", "qps", "complete", "shed", "spawns", "late max",
         ],
-        &[10, 9, 10, 11, 11, 10, 6, 7],
+        &[10, 9, 10, 11, 11, 10, 6, 7, 10],
     );
     let mut results: Vec<Measurement> = Vec::new();
 
@@ -310,6 +365,7 @@ fn main() {
             ),
             &format!("{}", stats.shed),
             &format!("{}", stats.spawns),
+            &format!("{:.0}us", stats.late_max_us),
         ]);
         if degraded {
             let h0 = &health[0];
@@ -331,6 +387,7 @@ fn main() {
                 "fraction",
             ),
             ("spawns", stats.spawns as f64, "threads"),
+            ("sched_late_max", stats.late_max_us, "us"),
         ] {
             results.push(Measurement {
                 structure: "ShardRouter",

@@ -12,10 +12,10 @@
 //!   ~depth rounds of overlapped misses. Measured against the scalar-loop
 //!   baseline at batch sizes 1/8/64/512, on the static trie and the tiered
 //!   store.
-//! * **parallel construction** — `build`/`freeze` scaling at 1/2/4 scoped
-//!   worker threads (subtrie tasks + chunk-parallel RRR encode). Note the
-//!   `cores` field: thread scaling is only meaningful when the host grants
-//!   more than one CPU.
+//! * **parallel construction** — string-build scaling at 1/2/4 scoped
+//!   worker threads (subtrie tasks; the succinct assembly after them is
+//!   serial). Note the `cores` field: thread scaling is only meaningful
+//!   when the host grants more than one CPU.
 //! * **concurrent read scaling** — 1/2/4 *real* reader threads, each
 //!   holding a published `StoreSnapshot` of a tiered store and running
 //!   batch-64 `access`/`rank`/`count_prefix` kernels; reported as
@@ -30,7 +30,7 @@
 use std::sync::Barrier;
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wavelet_trie::{BitStr, BitString, DynamicWaveletTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{BitStr, BitString, SeqIndex, WaveletTrie};
 use wt_bench::{fmt_ns, time_per_op_ns, Table};
 use wt_store::{StoreConfig, StoreSnapshot, TieredStore};
 use wt_workloads::urls::{url_log, UrlLogConfig};
@@ -47,10 +47,8 @@ struct QuerySeries {
     scalar_ns_per_op: f64,
 }
 
-/// One measured construction point.
+/// One measured string-build point (the url workload).
 struct BuildSeries {
-    workload: &'static str,
-    op: &'static str,
     threads: usize,
     n: usize,
     ms: f64,
@@ -252,7 +250,6 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
 
 fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
     let n_build = if quick { 60_000 } else { 400_000 };
-    let n_freeze = if quick { 60_000 } else { 200_000 };
     println!("== construction scaling (scoped worker threads) ==\n");
     let t = Table::new(
         &["op", "workload", "threads", "wall", "vs 1T"],
@@ -281,42 +278,8 @@ fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
             &format!("{:.2}x", base_ms / best),
         ]);
         out.push(BuildSeries {
-            workload: "url",
-            op: "build",
             threads,
             n: n_build,
-            ms: best,
-        });
-    }
-    let mut dynamic = DynamicWaveletTrie::new();
-    for s in encoded.iter().take(n_freeze) {
-        dynamic.append(s.as_bitstr()).expect("prefix-free");
-    }
-    let mut base_ms = 0.0f64;
-    for threads in [1usize, 2, 4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            let wt = dynamic.freeze_with_threads(threads);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(wt.len());
-            best = best.min(ms);
-        }
-        if threads == 1 {
-            base_ms = best;
-        }
-        t.row(&[
-            "freeze",
-            "url",
-            &threads.to_string(),
-            &format!("{best:.0}ms"),
-            &format!("{:.2}x", base_ms / best),
-        ]);
-        out.push(BuildSeries {
-            workload: "url",
-            op: "freeze",
-            threads,
-            n: n_freeze,
             ms: best,
         });
     }
@@ -555,23 +518,15 @@ fn write_json(
     }
     s.push_str("  ],\n");
     s.push_str("  \"build_results\": [\n");
-    let base = |op: &str| {
-        builds
-            .iter()
-            .find(|b| b.op == op && b.threads == 1)
-            .map(|b| b.ms)
-            .unwrap_or(0.0)
-    };
+    let base = builds.iter().find(|b| b.threads == 1).map_or(0.0, |b| b.ms);
     for (i, b) in builds.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"op\": \"{}\", \"threads\": {}, \"n\": {}, \
+            "    {{\"workload\": \"url\", \"op\": \"build\", \"threads\": {}, \"n\": {}, \
              \"ms\": {:.1}, \"speedup_vs_1t\": {:.2}}}{}\n",
-            b.workload,
-            b.op,
             b.threads,
             b.n,
             b.ms,
-            base(b.op) / b.ms,
+            base / b.ms,
             if i + 1 < builds.len() { "," } else { "" }
         ));
     }

@@ -185,29 +185,6 @@ impl Fid {
         self.bits.prefetch(i);
     }
 
-    /// Batched [`BitRank::rank1`]: per 64-lane chunk, prefetches every
-    /// lane's directory words, then resolves — chunked so a huge batch
-    /// cannot evict its own early prefetches before their resolve round.
-    /// Results are identical to the scalar calls.
-    ///
-    /// # Panics
-    /// If the slices differ in length or any position exceeds `len()`.
-    pub fn rank1_batch(&self, positions: &[usize], out: &mut [usize]) {
-        assert_eq!(positions.len(), out.len(), "batch length mismatch");
-        for (chunk, outs) in positions
-            .chunks(PIPELINE_LANES)
-            .zip(out.chunks_mut(PIPELINE_LANES))
-        {
-            for &i in chunk {
-                assert!(i <= self.bits.len(), "rank index {i} out of bounds");
-                self.prefetch(i);
-            }
-            for (o, &i) in outs.iter_mut().zip(chunk) {
-                *o = self.rank1(i);
-            }
-        }
-    }
-
     /// Batched `select1` over in-bounds ranks, software-pipelined in three
     /// phases per chunk of lanes: prefetch every lane's hint window of the
     /// block-rank directory, then binary-search each lane's block (the
@@ -258,24 +235,6 @@ impl Fid {
             }
             for ((o, &block), &k) in outs.iter_mut().zip(&blk).zip(chunk) {
                 *o = self.select1_in_block(block, k - self.block_rank[block] as usize);
-            }
-        }
-    }
-
-    /// Batched [`BitAccess::get`] with the same chunked
-    /// prefetch-then-resolve shape as [`Fid::rank1_batch`].
-    pub fn get_batch(&self, positions: &[usize], out: &mut [bool]) {
-        assert_eq!(positions.len(), out.len(), "batch length mismatch");
-        for (chunk, outs) in positions
-            .chunks(PIPELINE_LANES)
-            .zip(out.chunks_mut(PIPELINE_LANES))
-        {
-            for &i in chunk {
-                assert!(i < self.bits.len(), "bit index {i} out of bounds");
-                self.bits.prefetch(i);
-            }
-            for (o, &i) in outs.iter_mut().zip(chunk) {
-                *o = self.bits.get(i);
             }
         }
     }

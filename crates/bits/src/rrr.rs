@@ -557,28 +557,6 @@ impl RrrVector {
         }
     }
 
-    /// Batched [`BitAccess::get`] with the same pipeline as
-    /// [`RrrVector::get_rank1_batch`].
-    pub fn get_batch(&self, positions: &[usize], out: &mut [bool]) {
-        assert_eq!(positions.len(), out.len(), "batch length mismatch");
-        let mut loc = [(0usize, 0usize, 0u32); BATCH_LANES];
-        for (chunk, outs) in positions
-            .chunks(BATCH_LANES)
-            .zip(out.chunks_mut(BATCH_LANES))
-        {
-            for &i in chunk {
-                assert!(i < self.len);
-                self.prefetch(i);
-            }
-            for (l, &i) in loc.iter_mut().zip(chunk) {
-                *l = self.locate_prefetch(i);
-            }
-            for ((o, &i), &(rank, ptr, c)) in outs.iter_mut().zip(chunk).zip(&loc) {
-                *o = self.finish_get_rank1(i % RRR_BLOCK_BITS, rank, ptr, c).0;
-            }
-        }
-    }
-
     #[inline]
     fn zeros_before_sb(&self, sb: usize) -> usize {
         (sb * SB_BLOCKS * RRR_BLOCK_BITS).min(self.len) - self.sb.rank(sb) as usize
@@ -632,132 +610,6 @@ impl RrrVector {
             ptr += OFFSET_WIDTH[c] as usize;
         }
         unreachable!("select directory inconsistent");
-    }
-
-    /// Compresses `bits` with the block encoding spread over `threads`
-    /// scoped worker threads (1 ⇒ the serial [`RrrVector::new`]).
-    ///
-    /// Chunks are aligned to superblock boundaries, so the spliced class /
-    /// offset streams and directory are **bit-identical** to the serial
-    /// construction. This is the heavy phase of the static Wavelet Trie's
-    /// `assemble`, which hands it every node bitvector concatenated.
-    pub fn from_raw_with_threads(bits: &RawBitVec, threads: usize) -> Self {
-        let n_blocks = bits.len().div_ceil(RRR_BLOCK_BITS);
-        let threads = threads.max(1);
-        if threads == 1 || n_blocks < 8 * SB_BLOCKS {
-            return Self::new(bits);
-        }
-        struct Enc {
-            classes: RawBitVec,
-            offsets: RawBitVec,
-            ones: u64,
-            sb_rank: Vec<u64>,
-            sb_ptr: Vec<u64>,
-        }
-        let sb_count = n_blocks.div_ceil(SB_BLOCKS);
-        // A few chunks per worker so uneven densities still balance.
-        let chunk_blocks = sb_count.div_ceil(threads * 4).max(1) * SB_BLOCKS;
-        let n_chunks = n_blocks.div_ceil(chunk_blocks);
-        let encode_chunk = |ci: usize| -> Enc {
-            let b0 = ci * chunk_blocks;
-            let b1 = ((ci + 1) * chunk_blocks).min(n_blocks);
-            let mut classes = RawBitVec::with_capacity((b1 - b0) * CLASS_BITS);
-            let mut offsets = RawBitVec::new();
-            let mut ones = 0u64;
-            let mut sb_rank = Vec::with_capacity((b1 - b0).div_ceil(SB_BLOCKS));
-            let mut sb_ptr = Vec::with_capacity(sb_rank.capacity());
-            for b in b0..b1 {
-                if (b - b0).is_multiple_of(SB_BLOCKS) {
-                    sb_rank.push(ones);
-                    sb_ptr.push(offsets.len() as u64);
-                }
-                let start = b * RRR_BLOCK_BITS;
-                let width = RRR_BLOCK_BITS.min(bits.len() - start);
-                let word = bits.get_bits(start, width);
-                let c = word.count_ones();
-                classes.push_bits(c as u64, CLASS_BITS);
-                let w = OFFSET_WIDTH[c as usize] as usize;
-                if w > 0 {
-                    offsets.push_bits(stored_offset(word, c), w);
-                }
-                ones += c as u64;
-            }
-            Enc {
-                classes,
-                offsets,
-                ones,
-                sb_rank,
-                sb_ptr,
-            }
-        };
-        let mut encs: Vec<Option<Enc>> = (0..n_chunks).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let encode_chunk = &encode_chunk;
-            let handles: Vec<_> = (0..threads.min(n_chunks))
-                .map(|w| {
-                    s.spawn(move || {
-                        (w..n_chunks)
-                            .step_by(threads)
-                            .map(|ci| (ci, encode_chunk(ci)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (ci, e) in h.join().expect("RRR encode worker panicked") {
-                    encs[ci] = Some(e);
-                }
-            }
-        });
-        // Splice the chunk streams; directory entries shift by the running
-        // rank / offset-bit totals.
-        let mut classes = RawBitVec::with_capacity(n_blocks * CLASS_BITS);
-        let mut offsets = RawBitVec::new();
-        let mut sb_rank = Vec::with_capacity(sb_count + 1);
-        let mut sb_ptr = Vec::with_capacity(sb_count + 1);
-        let mut ones = 0u64;
-        for e in encs {
-            let e = e.expect("all chunks encoded");
-            for (&r, &p) in e.sb_rank.iter().zip(&e.sb_ptr) {
-                sb_rank.push(ones + r);
-                sb_ptr.push(offsets.len() as u64 + p);
-            }
-            classes.extend_from_range(&e.classes, 0, e.classes.len());
-            offsets.extend_from_range(&e.offsets, 0, e.offsets.len());
-            ones += e.ones;
-        }
-        Self::finalize(bits.len(), ones as usize, classes, offsets, sb_rank, sb_ptr)
-    }
-
-    /// Seals the streams + directory into a queryable vector: appends the
-    /// sentinel superblock and derives the sampled select hints. Shared by
-    /// [`RrrBuilder::finish`] and the parallel construction. The streams
-    /// drop their growth slack, so the built footprint equals the loaded
-    /// one.
-    fn finalize(
-        target_len: usize,
-        ones: usize,
-        mut classes: RawBitVec,
-        mut offsets: RawBitVec,
-        mut sb_rank: Vec<u64>,
-        mut sb_ptr: Vec<u64>,
-    ) -> RrrVector {
-        classes.shrink_to_fit();
-        offsets.shrink_to_fit();
-        // Sentinel superblock so binary searches have an upper fence.
-        sb_rank.push(ones as u64);
-        sb_ptr.push(offsets.len() as u64);
-        let sb = SbDir::from_parts(&sb_rank, &sb_ptr);
-        let (hints1, hints0) = select_hints(target_len, ones, &sb);
-        RrrVector {
-            len: target_len,
-            ones,
-            classes,
-            offsets,
-            sb,
-            hints1: U32Words::from_vec(hints1),
-            hints0: U32Words::from_vec(hints0),
-        }
     }
 
     /// Checks every block against the directory in one pass over the
@@ -922,8 +774,8 @@ impl Persist for RrrVector {
             hints0,
         };
         v.check_blocks()?;
-        // The select hints must be exactly the ones `finalize` derives: a
-        // hint past its target would start the search beyond it.
+        // The select hints must be exactly the ones `RrrBuilder::finish`
+        // derives: a hint past its target would start the search beyond it.
         let (hints1, hints0) = select_hints(len, ones, &v.sb);
         let same = |got: &U32Words, want: &[u32]| {
             got.len() == want.len() && want.iter().enumerate().all(|(k, &h)| got.get(k) == h)
@@ -1008,20 +860,30 @@ impl RrrBuilder {
         self.len = (self.blocks_pushed * RRR_BLOCK_BITS).min(self.target_len);
     }
 
-    /// Finalizes the vector.
+    /// Finalizes the vector: appends the sentinel superblock and derives
+    /// the sampled select hints. The streams drop their growth slack, so
+    /// the built footprint equals the loaded one.
     ///
     /// # Panics
     /// If fewer blocks than promised were pushed.
-    pub fn finish(self) -> RrrVector {
+    pub fn finish(mut self) -> RrrVector {
         assert!(self.is_complete(), "RrrBuilder: missing blocks");
-        RrrVector::finalize(
-            self.target_len,
-            self.ones,
-            self.classes,
-            self.offsets,
-            self.sb_rank,
-            self.sb_ptr,
-        )
+        self.classes.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        // Sentinel superblock so binary searches have an upper fence.
+        self.sb_rank.push(self.ones as u64);
+        self.sb_ptr.push(self.offsets.len() as u64);
+        let sb = SbDir::from_parts(&self.sb_rank, &self.sb_ptr);
+        let (hints1, hints0) = select_hints(self.target_len, self.ones, &sb);
+        RrrVector {
+            len: self.target_len,
+            ones: self.ones,
+            classes: self.classes,
+            offsets: self.offsets,
+            sb,
+            hints1: U32Words::from_vec(hints1),
+            hints0: U32Words::from_vec(hints0),
+        }
     }
 }
 
@@ -1096,7 +958,7 @@ mod tests {
 
     /// Checks a vector built from `bits`, and the same vector after a
     /// persist round trip, against scans of `bits`: `to_raw`, the scalar
-    /// API and the three `*_batch` entry points. Vectors up to 4096 bits
+    /// API and the two `*_batch` entry points. Vectors up to 4096 bits
     /// are probed at every position.
     fn check(bits: &RawBitVec) {
         use crate::persist::{from_bytes, kind, to_bytes};
@@ -1122,15 +984,12 @@ mod tests {
             assert_eq!(rrr.rank1(i), bits.rank1_scan(i), "rank1({i})");
             assert_eq!(r, bits.rank1_scan(i), "rank1_batch({i})");
         }
-        let mut gets = vec![false; pos.len()];
-        rrr.get_batch(&pos, &mut gets);
         let mut grs = vec![(false, 0usize); pos.len()];
         rrr.get_rank1_batch(&pos, &mut grs);
         for (k, &i) in pos.iter().enumerate() {
             let want = (bits.get(i), bits.rank1_scan(i));
             assert_eq!(rrr.get(i), want.0, "get({i})");
             assert_eq!(rrr.get_rank1(i), want, "get_rank1({i})");
-            assert_eq!(gets[k], want.0, "get_batch({i})");
             assert_eq!(grs[k], want, "get_rank1_batch({i})");
         }
         let ones = bits.count_ones();
@@ -1242,15 +1101,12 @@ mod tests {
             let mut with_len = pos.clone();
             with_len.push(30_000);
             let mut ranks_len = vec![0usize; with_len.len()];
-            let mut gets = vec![false; pos.len()];
             let mut grs = vec![(false, 0usize); pos.len()];
             rrr.rank1_batch(&with_len, &mut ranks_len);
             rrr.rank1_batch(&pos, &mut ranks);
-            rrr.get_batch(&pos, &mut gets);
             rrr.get_rank1_batch(&pos, &mut grs);
             for (k, &i) in pos.iter().enumerate() {
                 assert_eq!(ranks[k], rrr.rank1(i), "rank1_batch({i})");
-                assert_eq!(gets[k], rrr.get(i), "get_batch({i})");
                 assert_eq!(grs[k], rrr.get_rank1(i), "get_rank1_batch({i})");
             }
             assert_eq!(*ranks_len.last().unwrap(), rrr.count_ones());
@@ -1259,28 +1115,6 @@ mod tests {
             let mut one = [0usize];
             rrr.rank1_batch(&[17], &mut one);
             assert_eq!(one[0], rrr.rank1(17));
-        }
-    }
-
-    #[test]
-    fn parallel_encode_matches_serial() {
-        let mut next = xorshift(99);
-        for n in [0usize, 63, 1008, 16_128, 16_129, 100_000] {
-            let bits = RawBitVec::from_bits((0..n).map(|_| next().is_multiple_of(5)));
-            let serial = RrrVector::new(&bits);
-            for threads in [1usize, 2, 4] {
-                let par = RrrVector::from_raw_with_threads(&bits, threads);
-                assert_eq!(par.len(), serial.len());
-                assert_eq!(par.count_ones(), serial.count_ones());
-                assert_eq!(par.to_raw(), serial.to_raw(), "n={n} threads={threads}");
-                let step = (n / 97).max(1);
-                for i in (0..=n).step_by(step) {
-                    assert_eq!(par.rank1(i), serial.rank1(i), "rank1({i})");
-                }
-                for k in (0..par.count_ones()).step_by(step) {
-                    assert_eq!(par.select1(k), serial.select1(k), "select1({k})");
-                }
-            }
         }
     }
 

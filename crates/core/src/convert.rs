@@ -33,16 +33,7 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
         WaveletTrie::assemble(self.freeze_parts())
     }
 
-    /// [`DynWaveletTrie::freeze`] with the succinct assembly spread over
-    /// `threads` scoped worker threads (the delimiters and the
-    /// chunk-parallel RRR encoding run concurrently); the structural walk
-    /// itself stays sequential. Bit-identical to the serial freeze — this
-    /// is what the tiered store's seal/compact path uses per segment.
-    pub fn freeze_with_threads(&self, threads: usize) -> WaveletTrie {
-        WaveletTrie::assemble_with_threads(self.freeze_parts(), threads.max(1))
-    }
-
-    /// The preorder walk shared by both freeze entry points.
+    /// The preorder walk behind [`DynWaveletTrie::freeze`].
     fn freeze_parts(&self) -> StaticParts {
         let n = self.len;
         let root = match &self.root {
@@ -245,35 +236,6 @@ mod tests {
         wt.append(bs("").as_bitstr()).unwrap();
         let frozen = wt.freeze();
         assert_eq!(frozen.access(0), bs(""));
-    }
-
-    #[test]
-    fn freeze_with_threads_matches_serial() {
-        let mut next = xorshift(0x7EA5);
-        let encode = |v: u64| BitString::from_bits((0..12).rev().map(move |k| (v >> k) & 1 != 0));
-        let mut dynamic = DynamicWaveletTrie::new();
-        for _ in 0..3000 {
-            dynamic.append(encode(next() % 500).as_bitstr()).unwrap();
-        }
-        let serial = dynamic.freeze();
-        for threads in [1usize, 2, 4] {
-            let par = dynamic.freeze_with_threads(threads);
-            let a = serial.space_breakdown();
-            let b = par.space_breakdown();
-            assert_eq!(a.total_bits, b.total_bits, "threads={threads}");
-            assert_eq!(par.save_bytes(), serial.save_bytes(), "threads={threads}");
-            for i in (0..3000).step_by(271) {
-                assert_eq!(par.access(i), serial.access(i), "access({i})");
-            }
-            for v in (0..500).step_by(31) {
-                let s = encode(v);
-                assert_eq!(
-                    par.count(s.as_bitstr()),
-                    serial.count(s.as_bitstr()),
-                    "count({v})"
-                );
-            }
-        }
     }
 
     #[test]

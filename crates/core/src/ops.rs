@@ -277,128 +277,6 @@ impl<T: TrieNav> SeqIndex for T {
     }
 }
 
-/// Implements [`SeqIndex`] for an owning smart pointer to a `SeqIndex`
-/// trait object by delegating **every** method — including the ones with
-/// defaults — so the pointee's overrides (e.g. the static trie's
-/// software-pipelined `*_batch` kernels) are never bypassed by a
-/// default-method shortcut.
-macro_rules! impl_seq_index_for_pointer {
-    ($ty:ty) => {
-        impl SeqIndex for $ty {
-            fn seq_len(&self) -> usize {
-                (**self).seq_len()
-            }
-            fn seq_is_empty(&self) -> bool {
-                (**self).seq_is_empty()
-            }
-            fn access(&self, pos: usize) -> BitString {
-                (**self).access(pos)
-            }
-            fn rank(&self, s: BitStr<'_>, pos: usize) -> usize {
-                (**self).rank(s, pos)
-            }
-            fn select(&self, s: BitStr<'_>, idx: usize) -> Option<usize> {
-                (**self).select(s, idx)
-            }
-            fn rank_prefix(&self, p: BitStr<'_>, pos: usize) -> usize {
-                (**self).rank_prefix(p, pos)
-            }
-            fn select_prefix(&self, p: BitStr<'_>, idx: usize) -> Option<usize> {
-                (**self).select_prefix(p, idx)
-            }
-            fn count(&self, s: BitStr<'_>) -> usize {
-                (**self).count(s)
-            }
-            fn count_prefix(&self, p: BitStr<'_>) -> usize {
-                (**self).count_prefix(p)
-            }
-            fn range_count(&self, s: BitStr<'_>, l: usize, r: usize) -> usize {
-                (**self).range_count(s, l, r)
-            }
-            fn range_count_prefix(&self, p: BitStr<'_>, l: usize, r: usize) -> usize {
-                (**self).range_count_prefix(p, l, r)
-            }
-            fn admits(&self, s: BitStr<'_>) -> bool {
-                (**self).admits(s)
-            }
-            fn distinct_len(&self) -> usize {
-                (**self).distinct_len()
-            }
-            fn height(&self) -> usize {
-                (**self).height()
-            }
-            fn avg_height(&self) -> f64 {
-                (**self).avg_height()
-            }
-            fn total_bitvector_bits(&self) -> usize {
-                (**self).total_bitvector_bits()
-            }
-            fn distinct_in_range(&self, l: usize, r: usize) -> Vec<(BitString, usize)> {
-                (**self).distinct_in_range(l, r)
-            }
-            fn distinct_in_range_with_prefix(
-                &self,
-                p: BitStr<'_>,
-                l: usize,
-                r: usize,
-            ) -> Vec<(BitString, usize)> {
-                (**self).distinct_in_range_with_prefix(p, l, r)
-            }
-            fn distinct_prefixes_in_range(
-                &self,
-                l: usize,
-                r: usize,
-                depth: usize,
-            ) -> Vec<(BitString, usize)> {
-                (**self).distinct_prefixes_in_range(l, r, depth)
-            }
-            fn range_majority(&self, l: usize, r: usize) -> Option<(BitString, usize)> {
-                (**self).range_majority(l, r)
-            }
-            fn range_frequent(
-                &self,
-                l: usize,
-                r: usize,
-                min_count: usize,
-            ) -> Vec<(BitString, usize)> {
-                (**self).range_frequent(l, r, min_count)
-            }
-            fn access_batch(&self, positions: &[usize]) -> Vec<BitString> {
-                (**self).access_batch(positions)
-            }
-            fn rank_batch(&self, queries: &[(BitStr<'_>, usize)]) -> Vec<usize> {
-                (**self).rank_batch(queries)
-            }
-            fn select_batch(&self, queries: &[(BitStr<'_>, usize)]) -> Vec<Option<usize>> {
-                (**self).select_batch(queries)
-            }
-            fn count_prefix_batch(&self, prefixes: &[BitStr<'_>]) -> Vec<usize> {
-                (**self).count_prefix_batch(prefixes)
-            }
-            fn iter_range_boxed(
-                &self,
-                l: usize,
-                r: usize,
-            ) -> Box<dyn Iterator<Item = BitString> + '_> {
-                (**self).iter_range_boxed(l, r)
-            }
-            fn iter_seq_boxed(&self) -> Box<dyn Iterator<Item = BitString> + '_> {
-                (**self).iter_seq_boxed()
-            }
-        }
-    };
-}
-
-// The shapes concurrent serving hands around: a snapshot (or any other
-// index) erased to a trait object and shared across threads. These do not
-// overlap the `TrieNav` blanket impl: `TrieNav` is local and unimplemented
-// for these pointer types, and no downstream crate can add such an impl
-// (no local type of theirs appears).
-impl_seq_index_for_pointer!(Box<dyn SeqIndex>);
-impl_seq_index_for_pointer!(Box<dyn SeqIndex + Send + Sync>);
-impl_seq_index_for_pointer!(std::sync::Arc<dyn SeqIndex>);
-impl_seq_index_for_pointer!(std::sync::Arc<dyn SeqIndex + Send + Sync>);
-
 /// Borrowing sequential iterators over an indexed sequence; requires the
 /// concrete navigator type (`Sized`), so it lives outside [`SeqIndex`].
 pub trait SequenceOps: TrieNav + SeqIndex + Sized {
@@ -463,41 +341,6 @@ mod tests {
             let d = idx.distinct_in_range(0, 5);
             assert_eq!(d.len(), 4);
         }
-    }
-
-    /// Erased pointers are `SeqIndex` *themselves* (not just deref-able to
-    /// one): a `Arc<dyn SeqIndex + Send + Sync>` must satisfy a generic
-    /// `T: SeqIndex` bound, answer identically to the pointee, and hop
-    /// threads — the shape concurrent serving hands around.
-    #[test]
-    fn erased_pointers_implement_seq_index() {
-        fn checksum<T: SeqIndex>(idx: &T) -> (usize, usize, usize) {
-            (
-                idx.seq_len(),
-                idx.count_prefix(BitString::parse("00").as_bitstr()),
-                idx.distinct_len(),
-            )
-        }
-        let seq: Vec<BitString> = ["0001", "0011", "0100", "00100", "0100"]
-            .iter()
-            .map(|s| bs(s))
-            .collect();
-        let stat = WaveletTrie::build(&seq).unwrap();
-        let expect = checksum(&stat);
-        let boxed: Box<dyn SeqIndex> = Box::new(stat.clone());
-        assert_eq!(checksum(&boxed), expect);
-        let arc: std::sync::Arc<dyn SeqIndex + Send + Sync> = std::sync::Arc::new(stat.clone());
-        assert_eq!(checksum(&arc), expect);
-        // Batch overrides must reach the pointee's implementation, not a
-        // default loop re-entering the pointer impl.
-        let positions: Vec<usize> = (0..seq.len()).collect();
-        assert_eq!(arc.access_batch(&positions), stat.access_batch(&positions));
-        // And the Arc flavor crosses threads.
-        let worker = {
-            let arc = std::sync::Arc::clone(&arc);
-            std::thread::spawn(move || checksum(&arc))
-        };
-        assert_eq!(worker.join().unwrap(), expect);
     }
 
     #[test]

@@ -386,11 +386,10 @@ impl WaveletTrie {
 
     /// Builds with an explicit thread count: the partition recursion splits
     /// subtries across `threads` scoped worker threads once the preorder
-    /// spine has produced enough independent subtrees, and the succinct
-    /// assembly encodes its components (RRR blocks, delimiters)
-    /// concurrently. `threads <= 1` is the serial construction; any value
-    /// produces a **bit-identical** structure, since workers emit the same
-    /// preorder chunks the serial walk would.
+    /// spine has produced enough independent subtrees; the succinct
+    /// assembly after it is serial. `threads <= 1` is the serial
+    /// construction; any value produces a **bit-identical** structure,
+    /// since workers emit the same preorder chunks the serial walk would.
     pub fn from_views_with_threads<'a, I>(
         seq: I,
         threads: usize,
@@ -482,24 +481,13 @@ impl WaveletTrie {
                 Piece::Task(i) => chunks.push(results[i].take().expect("task ran")?),
             }
         }
-        Ok(Self::assemble_with_threads(
-            parts_from_chunks(n, chunks),
-            threads,
-        ))
+        Ok(Self::assemble(parts_from_chunks(n, chunks)))
     }
 
     /// Renumbers preorder raw parts into level order and compresses them
     /// into the succinct representation of Theorem 3.7 (internal flags +
     /// Elias–Fano delimiters + RRR bitvectors).
     pub(crate) fn assemble(parts: StaticParts) -> Self {
-        Self::assemble_with_threads(parts, 1)
-    }
-
-    /// [`WaveletTrie::assemble`] with the RRR encoding (itself
-    /// chunk-parallel, the dominant cost) on scoped worker threads while
-    /// the main thread builds the Elias–Fano delimiters and the
-    /// internal-flag FID. Bit-identical to the serial assembly.
-    pub(crate) fn assemble_with_threads(parts: StaticParts, threads: usize) -> Self {
         let parts = parts.into_level_order();
         let nh0_bits = parts.nh0_bits();
         let root_label_len = parts.label_lens.first().map_or(0, |&l| l as usize);
@@ -512,31 +500,14 @@ impl WaveletTrie {
             bv_lens,
             bv_ones,
         } = parts;
-        let directories = || {
-            (
-                EliasFano::prefix_sums(label_lens.iter().copied()),
-                Fid::from_bits(internal.iter().copied()),
-                EliasFano::prefix_sums(bv_lens.iter().copied()),
-                EliasFano::prefix_sums(bv_ones.iter().copied()),
-            )
-        };
-        let (bvs, (label_bounds, internal, bv_bounds, bv_ones)) = if threads <= 1 {
-            (RrrVector::new(&bv_concat), directories())
-        } else {
-            std::thread::scope(|s| {
-                let t_bvs = s.spawn(|| RrrVector::from_raw_with_threads(&bv_concat, threads));
-                let dirs = directories();
-                (t_bvs.join().expect("RRR build panicked"), dirs)
-            })
-        };
         WaveletTrie {
             n,
             labels,
-            label_bounds,
-            internal,
-            bvs,
-            bv_bounds,
-            bv_ones,
+            label_bounds: EliasFano::prefix_sums(label_lens),
+            internal: Fid::from_bits(internal),
+            bvs: RrrVector::new(&bv_concat),
+            bv_bounds: EliasFano::prefix_sums(bv_lens),
+            bv_ones: EliasFano::prefix_sums(bv_ones),
             nh0_bits,
             root_label_len,
         }

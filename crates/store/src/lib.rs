@@ -88,8 +88,7 @@ use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 // public handle is fully thread-safe — the store itself (share `&TieredStore`
 // for reads, `&mut` for the single writer), the reader handle, and the
 // snapshots served to query threads — as are the shared read-only
-// structures underneath (scoped-thread construction and cross-thread
-// readers depend on those).
+// structures underneath (cross-thread readers depend on those).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     // The store handle: thread-safe; `&mut` statically enforces one writer.
@@ -102,17 +101,9 @@ const _: () = {
     assert_send_sync::<WaveletTrie>();
     // The compressed bitvector substrate of every static segment.
     assert_send_sync::<wt_bits::RrrVector>();
-    // The hot tier freezes on worker threads via `&DynamicWaveletTrie`.
+    // The hot tail, which published epochs share behind `Arc`.
     assert_send_sync::<DynamicWaveletTrie>();
 };
-
-/// Worker threads for segment freezes: the machine's parallelism, bounded.
-pub(crate) fn auto_freeze_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-        .min(8)
-}
 
 /// Tiering policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -376,28 +367,18 @@ impl TieredStore {
         out
     }
 
-    /// Seals every hot segment (structural freeze) and starts a fresh hot
-    /// tail. Never merges; call [`TieredStore::compact`] for that.
-    /// Freezing uses the machine's available parallelism; see
-    /// [`TieredStore::seal_with_threads`].
-    pub fn seal(&mut self) {
-        self.seal_with_threads(auto_freeze_threads());
-    }
-
-    /// [`TieredStore::seal`] with an explicit worker-thread count: multiple
-    /// hot segments (a melted middle plus the tail) freeze concurrently on
-    /// scoped threads; a single hot segment spreads its succinct assembly
-    /// (RRR encode, delimiters) across the workers instead. The
-    /// resulting segments are bit-identical to a serial seal.
+    /// Seals every hot segment (structural freeze, on the calling thread)
+    /// and starts a fresh hot tail. Never merges; call
+    /// [`TieredStore::compact`] for that.
     ///
     /// # Panics
-    /// Re-raises a freeze-worker panic (a library bug, not an I/O
-    /// condition) — after restoring the store to a valid, fully
-    /// serviceable state; published epochs are never affected. For
-    /// contained, reported failures use [`TieredStore::maintain`].
-    pub fn seal_with_threads(&mut self, threads: usize) {
+    /// Re-raises a freeze panic (a library bug, not an I/O condition) —
+    /// after restoring the store to a valid, fully serviceable state;
+    /// published epochs are never affected. For contained, reported
+    /// failures use [`TieredStore::maintain`].
+    pub fn seal(&mut self) {
         let mut failures = Vec::new();
-        self.seal_probed(threads, &NoProbe, &mut failures);
+        self.seal_probed(&NoProbe, &mut failures);
         if let Some(f) = failures.into_iter().next() {
             panic!("seal: {f}");
         }
@@ -405,20 +386,14 @@ impl TieredStore {
 
     /// Freezes melted middle segments and merges adjacent sealed segments
     /// (thaw + append + freeze, smallest combined length first) until at
-    /// most `max_sealed` sealed segments remain. Freezing parallelizes as
-    /// in [`TieredStore::seal`].
-    pub fn compact(&mut self) {
-        self.compact_with_threads(auto_freeze_threads());
-    }
-
-    /// [`TieredStore::compact`] with an explicit worker-thread count.
+    /// most `max_sealed` sealed segments remain, on the calling thread.
     ///
     /// # Panics
-    /// Re-raises a freeze-worker panic, as [`TieredStore::seal_with_threads`]
-    /// does; the store remains valid and published epochs are unaffected.
-    pub fn compact_with_threads(&mut self, threads: usize) {
+    /// Re-raises a freeze or merge panic, as [`TieredStore::seal`] does;
+    /// the store remains valid and published epochs are unaffected.
+    pub fn compact(&mut self) {
         let mut failures = Vec::new();
-        self.compact_probed(threads, &NoProbe, &mut failures);
+        self.compact_probed(&NoProbe, &mut failures);
         if let Some(f) = failures.into_iter().next() {
             panic!("compact: {f}");
         }
@@ -691,36 +666,62 @@ mod tests {
         assert!(st.admits(bs("01").as_bitstr()), "stale admits verdict");
     }
 
+    /// Records which thread runs each maintenance step.
+    #[derive(Default)]
+    struct ThreadProbe(std::sync::Mutex<Vec<(MaintenanceStep, std::thread::ThreadId)>>);
+
+    impl MaintenanceProbe for ThreadProbe {
+        fn step(&self, step: MaintenanceStep) {
+            let id = std::thread::current().id();
+            self.0.lock().unwrap().push((step, id));
+        }
+    }
+
     #[test]
-    fn parallel_seal_and_compact_match_serial() {
-        let build = |threads: usize| {
-            let mut st = TieredStore::with_config(StoreConfig {
-                seal_at: 64,
-                max_sealed: 4,
-            });
-            for i in 0..200u64 {
-                st.append(encode(i % 50).as_bitstr()).unwrap();
-            }
-            // Melt two middles so multiple hot segments freeze at once.
-            st.insert(encode(51).as_bitstr(), 10).unwrap();
-            st.insert(encode(52).as_bitstr(), 130).unwrap();
-            assert!(st.segments.iter().filter(|g| !g.is_sealed()).count() > 1);
-            st.seal_with_threads(threads);
-            st.compact_with_threads(threads);
-            st
-        };
-        let serial = build(1);
-        let par = build(4);
-        assert_eq!(serial.len(), par.len());
-        assert_eq!(serial.segment_lens(), par.segment_lens());
-        assert_eq!(serial.size_bits(), par.size_bits(), "bit-identical freeze");
-        for i in (0..serial.len()).step_by(7) {
-            assert_eq!(serial.access(i), par.access(i), "access({i})");
+    fn maintain_freezes_and_merges_on_the_calling_thread() {
+        let mut st = TieredStore::with_config(StoreConfig {
+            seal_at: 64,
+            max_sealed: 2,
+        });
+        let mut oracle: Vec<BitString> = (0..200u64).map(|i| encode(i % 50)).collect();
+        for s in &oracle {
+            st.append(s.as_bitstr()).unwrap();
         }
+        // Melt two middles: the pass freezes them and the hot tail.
+        for (pos, v) in [(10, 51u64), (130, 52)] {
+            st.insert(encode(v).as_bitstr(), pos).unwrap();
+            oracle.insert(pos, encode(v));
+        }
+        assert_eq!(st.segments.iter().filter(|g| !g.is_sealed()).count(), 3);
+        let probe = ThreadProbe::default();
+        let report = st.maintain_with(&Maintenance {
+            probe: &probe,
+            ..Maintenance::default()
+        });
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.sealed, 3, "{report}");
+        assert!(report.merged >= 1, "{report}");
+        assert_eq!(st.sealed_segments(), st.num_segments() - 1);
+        assert_eq!(st.segment_lens().last(), Some(&0), "fresh hot tail");
+        let stored: Vec<BitString> = (0..st.len()).map(|i| st.access(i)).collect();
+        assert_eq!(stored, oracle);
         for v in 0..53u64 {
-            let s = encode(v);
-            assert_eq!(serial.count(s.as_bitstr()), par.count(s.as_bitstr()));
+            let want = oracle.iter().filter(|s| **s == encode(v)).count();
+            assert_eq!(st.count(encode(v).as_bitstr()), want, "count({v})");
         }
+        let caller = std::thread::current().id();
+        let steps = probe.0.into_inner().unwrap();
+        let heavy: Vec<_> = steps
+            .iter()
+            .filter(|(step, _)| {
+                matches!(
+                    step,
+                    MaintenanceStep::Freeze { .. } | MaintenanceStep::Merge { .. }
+                )
+            })
+            .collect();
+        assert_eq!(heavy.len(), report.sealed + report.merged);
+        assert!(heavy.iter().all(|&&(_, id)| id == caller), "{steps:?}");
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   mode mirror of [`RecoveryReport`](crate::RecoveryReport)): what got
 //!   sealed/merged/saved/published, and a [`MaintenanceFailure`] per step
 //!   that didn't.
-//! * [`TieredStore::maintain_with`] retries failed passes with the same
-//!   exponential-backoff policy the storage stack uses
-//!   ([`RetryPolicy`]), including its total-elapsed cap.
+//! * [`TieredStore::maintain_with`] retries failed passes on the same
+//!   sleep schedule the storage stack uses ([`RetryPolicy::backoffs`]),
+//!   including its total-elapsed cap.
+//!
+//! Every step runs on the thread that called `maintain_with`.
 //!
 //! The deterministic interleave harness (`tests/interleave.rs`) drives a
 //! probe that panics at every enumerated step in turn — and a
@@ -38,11 +40,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavelet_trie::{DynamicWaveletTrie, SequenceOps, WaveletTrie};
+use wavelet_trie::{DynamicWaveletTrie, SequenceOps};
 use wt_bits::storage::{RetryPolicy, Storage};
 
 use crate::error::StoreError;
-use crate::{auto_freeze_threads, Segment, TieredStore};
+use crate::{Segment, TieredStore};
 
 use self::MaintenanceStep::*;
 
@@ -79,8 +81,9 @@ impl fmt::Display for MaintenanceStep {
 }
 
 /// Observation/injection hook called at the start of every
-/// [`MaintenanceStep`]. Steps may run on worker threads, so probes must
-/// be `Sync`. A probe that **panics** models a fault at exactly that
+/// [`MaintenanceStep`], on the thread running the pass. Probes are
+/// `Sync`, so one probe may watch stores maintained on different
+/// threads. A probe that **panics** models a fault at exactly that
 /// step — the panic is contained and reported, never propagated; the
 /// interleave harness uses this to enumerate every failure point.
 pub trait MaintenanceProbe: Sync {
@@ -207,11 +210,9 @@ impl fmt::Display for MaintenanceReport {
 
 /// Options for [`TieredStore::maintain_with`].
 pub struct Maintenance<'a> {
-    /// Worker threads for segment freezes (defaults to the machine's
-    /// available parallelism, bounded).
-    pub threads: usize,
     /// Retry policy for failed passes: `attempts` passes total, sleeping
-    /// `base_backoff << pass` between them, bounded by `max_elapsed`.
+    /// by [`RetryPolicy::backoffs`] between them (jittered when
+    /// [`RetryPolicy::jitter`] is set), bounded by `max_elapsed`.
     pub retry: RetryPolicy,
     /// Persist into this backend + directory during the `Save` step
     /// (`None` skips saving).
@@ -223,7 +224,6 @@ pub struct Maintenance<'a> {
 impl Default for Maintenance<'_> {
     fn default() -> Self {
         Maintenance {
-            threads: auto_freeze_threads(),
             retry: RetryPolicy::default(),
             save_to: None,
             probe: &NoProbe,
@@ -244,84 +244,31 @@ fn run_step<T>(step: MaintenanceStep, f: impl FnOnce() -> T) -> Result<T, Mainte
 
 impl TieredStore {
     /// Freezes every non-empty hot segment among the first `limit`
-    /// segments, on up to `threads` scoped workers, installing each result
-    /// as it lands. Panics (real or probe-injected) are contained per
-    /// segment: a failed freeze leaves that segment hot and valid.
-    /// Returns the number of segments installed.
+    /// segments, installing each result as it lands. Panics (real or
+    /// probe-injected) are contained per segment: a failed freeze leaves
+    /// that segment hot and valid. Returns the number of segments
+    /// installed.
     fn freeze_probed(
         &mut self,
         limit: usize,
-        threads: usize,
         probe: &dyn MaintenanceProbe,
         failures: &mut Vec<MaintenanceFailure>,
     ) -> usize {
-        let jobs: Vec<(usize, Arc<DynamicWaveletTrie>)> = self.segments[..limit]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| match g {
-                Segment::Hot(h) if !h.is_empty() => Some((i, Arc::clone(h))),
-                _ => None,
-            })
-            .collect();
-        let threads = threads.max(1);
-        type Frozen = (usize, Result<WaveletTrie, MaintenanceFailure>);
-        let frozen: Vec<Frozen> = if jobs.len() <= 1 || threads == 1 {
-            // One hot segment (or one worker): spread its freeze across
-            // the workers internally instead.
-            jobs.iter()
-                .map(|(i, h)| {
-                    let step = Freeze { segment: *i };
-                    (
-                        *i,
-                        run_step(step, || {
-                            probe.step(step);
-                            h.freeze_with_threads(threads)
-                        }),
-                    )
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|(i, h)| {
-                        let (i, h) = (*i, Arc::clone(h));
-                        scope.spawn(move || {
-                            let step = Freeze { segment: i };
-                            (
-                                i,
-                                run_step(step, || {
-                                    probe.step(step);
-                                    h.freeze()
-                                }),
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&jobs)
-                    .map(|(handle, (i, _))| {
-                        // Workers contain their own panics, so join() can
-                        // only fail on a non-unwinding abort; fold the
-                        // impossible case into a reported failure anyway.
-                        handle.join().unwrap_or_else(|p| {
-                            (
-                                *i,
-                                Err(MaintenanceFailure::panicked(
-                                    Freeze { segment: *i },
-                                    p.as_ref(),
-                                )),
-                            )
-                        })
-                    })
-                    .collect()
-            })
-        };
         let mut installed = 0;
-        for (i, result) in frozen {
+        for i in 0..limit {
+            let Segment::Hot(h) = &self.segments[i] else {
+                continue;
+            };
+            if h.is_empty() {
+                continue;
+            }
+            let step = Freeze { segment: i };
+            let frozen = run_step(step, || {
+                probe.step(step);
+                h.freeze()
+            });
             let step = InstallFrozen { segment: i };
-            match result.and_then(|repr| run_step(step, || probe.step(step)).map(|()| repr)) {
+            match frozen.and_then(|repr| run_step(step, || probe.step(step)).map(|()| repr)) {
                 Ok(repr) => {
                     self.segments[i] = Segment::Sealed(Arc::new(repr));
                     installed += 1;
@@ -336,11 +283,10 @@ impl TieredStore {
     /// drop empty ones, and start a fresh hot tail. Returns installs.
     pub(crate) fn seal_probed(
         &mut self,
-        threads: usize,
         probe: &dyn MaintenanceProbe,
         failures: &mut Vec<MaintenanceFailure>,
     ) -> usize {
-        let installed = self.freeze_probed(self.segments.len(), threads, probe, failures);
+        let installed = self.freeze_probed(self.segments.len(), probe, failures);
         self.segments.retain(|g| g.len() > 0);
         // The invariant "the list ends in a hot tail" must hold even after
         // failures: push a fresh tail unless a (failed, still-hot) tail
@@ -406,12 +352,11 @@ impl TieredStore {
     /// merges).
     pub(crate) fn compact_probed(
         &mut self,
-        threads: usize,
         probe: &dyn MaintenanceProbe,
         failures: &mut Vec<MaintenanceFailure>,
     ) -> (usize, usize) {
         let middles = self.segments.len().saturating_sub(1);
-        let installed = self.freeze_probed(middles, threads, probe, failures);
+        let installed = self.freeze_probed(middles, probe, failures);
         let mut merges = 0;
         while self.sealed_segments() > self.config().max_sealed {
             let best = self
@@ -437,8 +382,8 @@ impl TieredStore {
     /// → publish. Failures are appended to `report.failures`.
     fn maintenance_pass(&mut self, opts: &Maintenance<'_>, report: &mut MaintenanceReport) {
         let mut failures = Vec::new();
-        report.sealed += self.seal_probed(opts.threads, opts.probe, &mut failures);
-        let (installed, merged) = self.compact_probed(opts.threads, opts.probe, &mut failures);
+        report.sealed += self.seal_probed(opts.probe, &mut failures);
+        let (installed, merged) = self.compact_probed(opts.probe, &mut failures);
         report.sealed += installed;
         report.merged += merged;
         if let Some((storage, dir)) = opts.save_to {
@@ -467,9 +412,9 @@ impl TieredStore {
 
     /// Runs maintenance passes until one completes without new failures,
     /// the retry budget (`opts.retry.attempts` passes) is exhausted, or
-    /// `opts.retry.max_elapsed` has elapsed — sleeping
-    /// `base_backoff << pass` between passes, exactly like the storage
-    /// stack's transient-I/O retries.
+    /// `opts.retry.max_elapsed` has elapsed — sleeping between passes by
+    /// [`RetryPolicy::backoffs`], the schedule the storage stack's
+    /// transient-I/O retries use.
     ///
     /// This call **never panics and never poisons the store**: every step
     /// runs under `catch_unwind`, a failed step's effect is skipped whole,
@@ -479,6 +424,7 @@ impl TieredStore {
         let mut report = MaintenanceReport::default();
         let attempts = opts.retry.attempts.max(1);
         let started = Instant::now();
+        let mut backoffs = opts.retry.backoffs();
         for pass in 0..attempts {
             let failures_before = report.failures.len();
             self.maintenance_pass(opts, &mut report);
@@ -493,7 +439,7 @@ impl TieredStore {
             if pass + 1 >= attempts || out_of_time {
                 break;
             }
-            let backoff = opts.retry.base_backoff * (1 << pass.min(16));
+            let backoff = backoffs.next().unwrap_or(opts.retry.base_backoff);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }

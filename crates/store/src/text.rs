@@ -64,25 +64,15 @@ impl TieredStrings {
         self.coder.decode(self.inner.delete(pos).as_bitstr())
     }
 
-    /// Seals every hot segment into static form (freezing on worker
-    /// threads; see [`TieredStore::seal`]).
+    /// Seals every hot segment into static form; see
+    /// [`TieredStore::seal`].
     pub fn seal(&mut self) {
         self.inner.seal();
-    }
-
-    /// [`TieredStrings::seal`] with an explicit worker-thread count.
-    pub fn seal_with_threads(&mut self, threads: usize) {
-        self.inner.seal_with_threads(threads);
     }
 
     /// Freezes melted segments and merges small adjacent ones.
     pub fn compact(&mut self) {
         self.inner.compact();
-    }
-
-    /// [`TieredStrings::compact`] with an explicit worker-thread count.
-    pub fn compact_with_threads(&mut self, threads: usize) {
-        self.inner.compact_with_threads(threads);
     }
 
     /// Number of segments (including the hot tail).
@@ -120,8 +110,8 @@ impl TieredStrings {
         self.inner.maintain()
     }
 
-    /// [`TieredStrings::maintain`] with explicit options (worker threads,
-    /// retry policy, persistence backend, probe); see
+    /// [`TieredStrings::maintain`] with explicit options (retry policy,
+    /// persistence backend, probe); see
     /// [`TieredStore::maintain_with`].
     pub fn maintain_with(&mut self, opts: &Maintenance<'_>) -> MaintenanceReport {
         self.inner.maintain_with(opts)

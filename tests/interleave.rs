@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Barrier, Mutex, Once};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wavelet_trie::SeqIndex;
 use wt_bits::{FaultPlan, FaultStorage, MemFs, RetryPolicy};
@@ -169,11 +169,10 @@ impl MaintenanceProbe for Recorder {
     }
 }
 
-/// Single-pass, serial, no-sleep maintenance options (deterministic step
-/// order; retries are exercised separately).
+/// Single-pass, no-sleep maintenance options (deterministic step order;
+/// retries are exercised separately).
 fn one_pass<'a>(probe: &'a dyn MaintenanceProbe) -> Maintenance<'a> {
     Maintenance {
-        threads: 1,
         retry: RetryPolicy {
             attempts: 1,
             base_backoff: Duration::ZERO,
@@ -263,7 +262,6 @@ fn retrying_maintenance_recovers_from_a_transient_panic() {
     // retry pass) succeeds.
     let probe = PanicAt::new(0);
     let report = st.maintain_with(&Maintenance {
-        threads: 1,
         retry: RetryPolicy {
             attempts: 3,
             base_backoff: Duration::ZERO,
@@ -278,6 +276,42 @@ fn retrying_maintenance_recovers_from_a_transient_panic() {
     assert!(report.published.is_some(), "{report}");
     assert!(st.sealed_segments() <= 2, "{:?}", st.segment_lens());
     assert_matches_oracle(&reader.snapshot(), &oracle, "after retry");
+}
+
+/// Probe that panics at every step, so every pass fails.
+struct AlwaysPanic;
+
+impl MaintenanceProbe for AlwaysPanic {
+    fn step(&self, step: MaintenanceStep) {
+        panic!("injected panic at {step}");
+    }
+}
+
+#[test]
+fn maintenance_retries_sleep_by_the_jittered_schedule() {
+    quiet_injected_panics();
+    let mut st = loaded_store();
+    // A seed whose second sleep, drawn from [20, 60] ms, is long: the
+    // plain exponential ladder would sleep 20 + 40 ms instead.
+    let retry = (1..)
+        .map(|seed| RetryPolicy {
+            attempts: 3,
+            base_backoff: Duration::from_millis(20),
+            max_elapsed: None,
+            jitter: Some(seed),
+        })
+        .find(|p| p.backoffs().nth(1).unwrap() >= Duration::from_millis(55))
+        .unwrap();
+    let slept: Duration = retry.backoffs().take(2).sum();
+    let started = Instant::now();
+    let report = st.maintain_with(&Maintenance {
+        retry,
+        probe: &AlwaysPanic,
+        ..Maintenance::default()
+    });
+    let elapsed = started.elapsed();
+    assert_eq!(report.passes, 3, "{report}");
+    assert!(elapsed >= slept, "{elapsed:?} < {slept:?}");
 }
 
 #[test]

@@ -144,12 +144,6 @@ fn rrr_size_bits_matches_after_save_load() {
         let rrr = RrrVector::from_bits(bits.iter().copied());
         let loaded = roundtrip(kind::RRR, &rrr);
         assert_eq!(loaded.size_bits(), rrr.size_bits(), "n = {}", bits.len());
-        let mut raw = RawBitVec::new();
-        for &b in &bits {
-            raw.push(b);
-        }
-        let parallel = RrrVector::from_raw_with_threads(&raw, 3);
-        assert_eq!(parallel.size_bits(), rrr.size_bits(), "n = {}", bits.len());
     }
 }
 
@@ -204,17 +198,13 @@ fn wavelet_trie_size_bits_matches_after_save_load() {
         for s in &seq {
             hot.append(s.as_bitstr()).unwrap();
         }
+        // The store's seal path: a structural freeze of a hot trie.
+        let frozen = hot.freeze();
         for threads in [1, 3] {
             let wt = WaveletTrie::build_with_threads(&seq, threads).expect("prefix-free");
             let loaded = WaveletTrie::load_bytes(&wt.save_bytes()).expect("valid archive");
             assert_eq!(loaded.size_bits(), wt.size_bits(), "threads = {threads}");
-            // The store's seal path: a structural freeze of a hot trie.
-            let frozen = hot.freeze_with_threads(threads);
-            assert_eq!(
-                frozen.size_bits(),
-                wt.size_bits(),
-                "freeze, threads = {threads}"
-            );
+            assert_eq!(frozen.size_bits(), wt.size_bits(), "threads = {threads}");
         }
     }
 }
