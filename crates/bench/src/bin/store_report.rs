@@ -1,13 +1,20 @@
 //! E13: the tiered store and the structural freeze path.
 //!
-//! Two claims, one machine-readable trajectory file (`BENCH_store.json`):
+//! Two claims and one baseline, one machine-readable trajectory file
+//! (`BENCH_store.json`):
 //!
 //! * **freeze vs rebuild** — sealing a dynamic Wavelet Trie with the
 //!   structural `freeze()` (one trie walk, word-level copies) must beat
 //!   rebuilding the static trie from re-emitted strings
 //!   (`iter_seq` → `WaveletTrie::from_bitstrings`) by ≥5× on the
 //!   100k-URL workload, for both the append-only and fully dynamic
-//!   backends;
+//!   backends; the µs per `append` that built each backend is reported
+//!   beside its freeze (the store's hot tail is append-only until
+//!   edited);
+//! * **tail fill** — µs per `TieredStore::append` while the hot tail grows
+//!   from empty to K strings, with and without a `publish()` after every
+//!   append, the pattern of a serving shard: each publish makes the next
+//!   append copy the tail;
 //! * **tiered query overhead** — `TieredStrings` (hot tier + sealed
 //!   static segments + Elias–Fano position routing) pays a bounded
 //!   constant over a single monolithic static `IndexedStrings` on
@@ -18,11 +25,12 @@
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{
-    AppendWaveletTrie, DynamicWaveletTrie, IndexedStrings, SeqIndex, SequenceOps, WaveletTrie,
+    AppendWaveletTrie, BitString, DynWaveletTrie, DynamicWaveletTrie, IndexedStrings, SeqIndex,
+    SequenceOps, WaveletTrie, WtBitVec,
 };
 use wt_bench::{fmt_ns, time_once_ms, time_per_op_ns, Table};
 use wt_bits::SpaceUsage;
-use wt_store::TieredStrings;
+use wt_store::{StoreConfig, TieredStore, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::xorshift;
 
@@ -32,7 +40,7 @@ struct Measurement {
     workload: &'static str,
     op: &'static str,
     n: usize,
-    /// ns/op for query series, ms for build series.
+    /// ns/op for query series, µs per string for appends, ms for builds.
     value: f64,
     unit: &'static str,
     /// Ratio vs the comparison series (speedup for builds, overhead for
@@ -47,30 +55,49 @@ fn median_ms(samples: usize, mut f: impl FnMut() -> f64) -> f64 {
     v[v.len() / 2]
 }
 
-fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>) {
-    println!("== structural freeze vs rebuild-from-strings at n = {n} ==\n");
+fn encode_urls(n: usize, seed: u64) -> Vec<BitString> {
     let coder = NinthBitCoder;
-    let strings = url_log(n, UrlLogConfig::default(), 5);
-    let encoded: Vec<_> = strings.iter().map(|s| coder.encode(s.as_bytes())).collect();
+    let strings = url_log(n, UrlLogConfig::default(), seed);
+    strings.iter().map(|s| coder.encode(s.as_bytes())).collect()
+}
 
-    let mut dynamic = DynamicWaveletTrie::new();
-    let mut append = AppendWaveletTrie::new();
-    for s in &encoded {
-        dynamic
-            .insert(s.as_bitstr(), dynamic.len())
-            .expect("NinthBitCoder output is prefix-free");
-        append
-            .append(s.as_bitstr())
-            .expect("NinthBitCoder output is prefix-free");
-    }
+/// Builds a trie of `encoded` by appends, `samples` times; returns the
+/// last build and the median µs per append.
+fn build_by_appends<B: WtBitVec>(
+    encoded: &[BitString],
+    samples: usize,
+) -> (DynWaveletTrie<B>, f64) {
+    let mut built = DynWaveletTrie::new();
+    let ms = median_ms(samples, || {
+        let (wt, ms) = time_once_ms(|| {
+            let mut wt = DynWaveletTrie::<B>::new();
+            for s in encoded {
+                wt.append(s.as_bitstr())
+                    .expect("NinthBitCoder output is prefix-free");
+            }
+            wt
+        });
+        built = wt;
+        ms
+    });
+    (built, ms * 1e3 / encoded.len() as f64)
+}
+
+fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>) {
+    println!("== append, structural freeze, and rebuild-from-strings at n = {n} ==\n");
+    let encoded = encode_urls(n, 5);
+    let (dynamic, dynamic_us): (DynamicWaveletTrie, f64) = build_by_appends(&encoded, samples);
+    let (append, append_us): (AppendWaveletTrie, f64) = build_by_appends(&encoded, samples);
 
     let t = Table::new(
-        &["backend", "freeze", "rebuild", "speedup"],
-        &[20, 10, 10, 8],
+        &["backend", "append", "freeze", "rebuild", "speedup"],
+        &[20, 10, 10, 10, 8],
     );
-    for (name, freeze_ms, rebuild_ms) in [
+    for (name, append_us, append_ratio, freeze_ms, rebuild_ms) in [
         (
             "DynamicWaveletTrie",
+            dynamic_us,
+            0.0,
             median_ms(samples, || time_once_ms(|| dynamic.freeze()).1),
             median_ms(samples, || {
                 time_once_ms(|| {
@@ -82,6 +109,8 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
         ),
         (
             "AppendWaveletTrie",
+            append_us,
+            dynamic_us / append_us,
             median_ms(samples, || time_once_ms(|| append.freeze()).1),
             median_ms(samples, || {
                 time_once_ms(|| {
@@ -95,10 +124,20 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
         let speedup = rebuild_ms / freeze_ms;
         t.row(&[
             name,
+            &format!("{append_us:.2}µs"),
             &format!("{freeze_ms:.1}ms"),
             &format!("{rebuild_ms:.1}ms"),
             &format!("{speedup:.1}x"),
         ]);
+        out.push(Measurement {
+            structure: name,
+            workload: "url_log",
+            op: "append",
+            n,
+            value: append_us,
+            unit: "us_per_op",
+            ratio: append_ratio,
+        });
         out.push(Measurement {
             structure: name,
             workload: "url_log",
@@ -122,6 +161,58 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
     let frozen = dynamic.freeze();
     assert_eq!(frozen.seq_len(), n);
     assert_eq!(frozen.access(n / 2), encoded[n / 2]);
+    println!();
+}
+
+/// Hot-tail sizes of the fill sweep.
+const TAIL_KS: [usize; 4] = [128, 600, 2_000, 8_192];
+
+fn bench_tail_fill(samples: usize, out: &mut Vec<Measurement>) {
+    println!("== TieredStore::append while the hot tail fills to K strings ==\n");
+    let encoded = encode_urls(TAIL_KS[TAIL_KS.len() - 1], 9);
+    let t = Table::new(&["tail K", "append", "+ publish", "ratio"], &[8, 10, 10, 8]);
+    for k in TAIL_KS {
+        let fill_us = |publish: bool| {
+            let ms = median_ms(samples, || {
+                let mut st = TieredStore::with_config(StoreConfig {
+                    seal_at: usize::MAX,
+                    max_sealed: 8,
+                });
+                time_once_ms(|| {
+                    for s in &encoded[..k] {
+                        st.append(s.as_bitstr())
+                            .expect("NinthBitCoder output is prefix-free");
+                        if publish {
+                            st.publish();
+                        }
+                    }
+                })
+                .1
+            });
+            ms * 1e3 / k as f64
+        };
+        let (bare, published) = (fill_us(false), fill_us(true));
+        t.row(&[
+            &k.to_string(),
+            &format!("{bare:.2}µs"),
+            &format!("{published:.2}µs"),
+            &format!("{:.1}x", published / bare),
+        ]);
+        for (op, value, ratio) in [
+            ("append", bare, 0.0),
+            ("append_publish", published, published / bare),
+        ] {
+            out.push(Measurement {
+                structure: "TieredStore",
+                workload: "url_log",
+                op,
+                n: k,
+                value,
+                unit: "us_per_op",
+                ratio,
+            });
+        }
+    }
     println!();
 }
 
@@ -278,6 +369,7 @@ fn main() {
 
     let mut results = Vec::new();
     bench_freeze_vs_rebuild(n, samples, &mut results);
+    bench_tail_fill(samples, &mut results);
     bench_tiered_overhead(n, iters, &mut results);
     write_json(&out_path, mode, &results);
 }

@@ -295,6 +295,35 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
         self.insert(s, self.len)
     }
 
+    /// Checks the node tree against the sequence it indexes: the trie is
+    /// empty exactly when it has no root, the root's bitvector has one
+    /// bit per string, every internal node's bitvector has one bit per
+    /// string of its subtree, and neither side of any bitvector is empty
+    /// (an empty side would be a leaf no string reaches).
+    pub fn check_invariants(&self) -> Result<(), &'static str> {
+        let root = match &self.root {
+            None if self.len == 0 => return Ok(()),
+            Some(root) if self.len > 0 => root,
+            _ => return Err("sequence length vs root"),
+        };
+        let mut stack = vec![(root, self.len)];
+        while let Some((node, strings)) = stack.pop() {
+            let Node::Internal(int) = node else {
+                continue;
+            };
+            if int.bv.wt_len() != strings {
+                return Err("node bitvector length vs subtree strings");
+            }
+            let ones = int.bv.wt_rank(true, strings);
+            if ones == 0 || ones == strings {
+                return Err("node bitvector with an empty side");
+            }
+            stack.push((&int.children[0], strings - ones));
+            stack.push((&int.children[1], ones));
+        }
+        Ok(())
+    }
+
     /// Heap space of the whole structure in bits, split into the Patricia
     /// part (labels + pointers, the `PT`/`O(|Sset|w)` term) and the
     /// bitvector part (the `nH0` term).
@@ -514,6 +543,7 @@ mod tests {
     /// Naive mirror of the sequence for equivalence checking.
     fn check_equiv<B: WtBitVec>(wt: &DynWaveletTrie<B>, model: &[BitString]) {
         assert_eq!(wt.len(), model.len());
+        assert_eq!(wt.check_invariants(), Ok(()));
         for (i, s) in model.iter().enumerate() {
             assert_eq!(&wt.access(i), s, "access({i})");
         }
@@ -548,6 +578,38 @@ mod tests {
         // prefix ops
         assert_eq!(wt.count_prefix(bs("00").as_bitstr()), 4);
         assert_eq!(wt.select_prefix(bs("00").as_bitstr(), 3), Some(5));
+    }
+
+    #[test]
+    fn check_invariants_flags_broken_tries() {
+        let mut wt = DynamicWaveletTrie::new();
+        assert_eq!(wt.check_invariants(), Ok(()));
+        for s in figure2_strs() {
+            wt.append(bs(s).as_bitstr()).unwrap();
+        }
+        assert_eq!(wt.check_invariants(), Ok(()));
+        let mut rootless = wt.clone();
+        rootless.root = None;
+        assert_eq!(rootless.check_invariants(), Err("sequence length vs root"));
+        let mut longer = wt.clone();
+        longer.len += 1;
+        let err = Err("node bitvector length vs subtree strings");
+        assert_eq!(longer.check_invariants(), err);
+        let (mut one_sided, mut moved) = (wt.clone(), wt.clone());
+        let (Some(Node::Internal(all_ones)), Some(Node::Internal(flipped))) =
+            (&mut one_sided.root, &mut moved.root)
+        else {
+            panic!("four distinct strings need an internal root");
+        };
+        all_ones.bv = DynamicBitVec::filled(true, 7);
+        let err = Err("node bitvector with an empty side");
+        assert_eq!(one_sided.check_invariants(), err);
+        // Root bits 0010101: flipping the first moves a string from the
+        // 0-subtree (an internal node over four strings) to the 1-leaf.
+        let bits: Vec<bool> = (0..7).map(|i| flipped.bv.wt_get(i) ^ (i == 0)).collect();
+        flipped.bv = DynamicBitVec::from_bits(bits);
+        let err = Err("node bitvector length vs subtree strings");
+        assert_eq!(moved.check_invariants(), err);
     }
 
     #[test]

@@ -65,7 +65,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use wavelet_trie::{DynamicWaveletTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{AppendWaveletTrie, SeqIndex, WaveletTrie};
 use wt_bits::persist::{kind, Archive, ArchiveWriter, LoadError};
 use wt_bits::storage::{tmp_path, FsStorage, RetryPolicy, RetryingStorage, Storage};
 use wt_trie::BitStr;
@@ -189,14 +189,15 @@ fn parse_manifest(bytes: &[u8], generation: u64) -> Result<Manifest, LoadError> 
 
 // --- hot-segment string logs -------------------------------------------------
 
-/// Serializes a hot segment as a string log: the strings in order, as one
-/// concatenated bitvector plus a length table. Unlike sealed segments this
-/// is not zero-copy on load — the hot tail is small by policy (`seal_at`),
-/// so re-appending its strings into a fresh dynamic trie is cheap.
-fn hot_log_bytes(h: &DynamicWaveletTrie) -> Vec<u8> {
+/// Serializes a hot segment, append-only or dynamic, as a string log: the
+/// strings in order, as one concatenated bitvector plus a length table,
+/// so both forms write the same bytes. Unlike sealed segments this is not
+/// zero-copy on load — the hot tail is small by policy (`seal_at`), so
+/// re-appending its strings into a fresh append-only trie is cheap.
+pub(crate) fn hot_log_bytes(h: &dyn SeqIndex) -> Vec<u8> {
     let mut lens: Vec<u64> = Vec::new();
     let mut concat = wt_bits::RawBitVec::new();
-    for s in h.iter_range_boxed(0, SeqIndex::seq_len(h)) {
+    for s in h.iter_seq_boxed() {
         lens.push(s.len() as u64);
         s.as_bitstr().append_into(&mut concat);
     }
@@ -208,21 +209,22 @@ fn hot_log_bytes(h: &DynamicWaveletTrie) -> Vec<u8> {
     w.finish()
 }
 
-/// Replays a hot-segment string log written by [`hot_log_bytes`]. With
-/// `partial`, a fault *inside* the (checksum-valid) log — a bad length
-/// table entry or a prefix-free violation — stops the replay and returns
-/// the valid prefix plus the reason, instead of failing the whole load.
+/// Replays a hot-segment string log written by [`hot_log_bytes`] into a
+/// fresh append-only trie. With `partial`, a fault *inside* the
+/// (checksum-valid) log — a bad length table entry or a prefix-free
+/// violation — stops the replay and returns the valid prefix plus the
+/// reason, instead of failing the whole load.
 fn replay_hot_log(
     bytes: &[u8],
     partial: bool,
-) -> Result<(DynamicWaveletTrie, Option<&'static str>), LoadError> {
+) -> Result<(AppendWaveletTrie, Option<&'static str>), LoadError> {
     let a = Archive::parse(bytes, kind::HOT_LOG)?;
     let mut r = a.section(0)?;
     let n = r.read_len()?;
     let lens = r.view(n)?;
     let concat: wt_bits::RawBitVec = wt_bits::Persist::decode(&mut r)?;
     r.finish()?;
-    let mut h = DynamicWaveletTrie::new();
+    let mut h = AppendWaveletTrie::new();
     let mut start = 0usize;
     let mut stopped = None;
     for i in 0..n {
@@ -310,7 +312,10 @@ impl TieredStore {
         for (i, g) in self.segments.iter().enumerate() {
             let (name, bytes) = match g {
                 Segment::Sealed(s) => (segment_name(generation, i, true), s.save_bytes()),
-                Segment::Hot(h) => (segment_name(generation, i, false), hot_log_bytes(h)),
+                hot => (
+                    segment_name(generation, i, false),
+                    hot_log_bytes(hot.index()),
+                ),
             };
             put_file(storage, dir, &name, &bytes)?;
             keep.push(name);
@@ -401,7 +406,7 @@ fn read_manifest(
 }
 
 /// Loads one segment file: a sealed archive zero-copy, or a hot string
-/// log replayed into a fresh dynamic trie. Its length is checked against
+/// log replayed into a fresh append-only trie. Its length is checked against
 /// the manifest's `(sealed, len)` entry, and every error names `path`.
 /// With `partial`, a hot log that replays only a prefix or disagrees with
 /// the manifest still loads, and the second value says why.
@@ -425,10 +430,10 @@ fn load_segment(
         return Ok((Segment::Sealed(Arc::new(wt)), None));
     }
     let (h, stopped) = replay_hot_log(&bytes, partial).map_err(|e| StoreError::format(path, e))?;
-    let mismatch = (SeqIndex::seq_len(&h) != len).then_some("hot segment length vs manifest");
+    let mismatch = (h.len() != len).then_some("hot segment length vs manifest");
     match stopped.or(mismatch) {
         Some(what) if !partial => Err(StoreError::validate(path, what)),
-        damage => Ok((Segment::Hot(Arc::new(h)), damage)),
+        damage => Ok((Segment::Append(Arc::new(h)), damage)),
     }
 }
 
@@ -442,8 +447,10 @@ impl TieredStore {
     /// through the same manifest reader and segment loader.
     ///
     /// Sealed segments load zero-copy (validate-then-view, no bitvector
-    /// rebuilds); hot segments replay their string logs into fresh dynamic
-    /// tries. Segment lengths are cross-checked against the manifest.
+    /// rebuilds); hot segments replay their string logs into fresh
+    /// append-only tries, which an edit other than an append converts to
+    /// the dynamic form. Segment lengths are cross-checked against the
+    /// manifest.
     pub fn load_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::load_dir_with(&default_storage(), dir)
     }
@@ -458,7 +465,7 @@ impl TieredStore {
                 let path = dir.join(segment_name(generation, i, entry.0));
                 segments.push(load_segment(storage, &path, entry, false)?.0);
             }
-            if !matches!(segments.last(), Some(Segment::Hot(_))) {
+            if segments.last().is_none_or(Segment::is_sealed) {
                 let path = dir.join(manifest_name(generation));
                 return Err(StoreError::validate(path, "store must end in a hot tail"));
             }
@@ -530,7 +537,7 @@ impl TieredStore {
             });
         }
         // The store invariant: the segment list ends in a hot tail.
-        if !matches!(segments.last(), Some(Segment::Hot(_))) {
+        if segments.last().is_none_or(Segment::is_sealed) {
             segments.push(Segment::new_hot());
         }
         let len = segments.iter().map(|g| g.len()).sum();

@@ -6,16 +6,21 @@
 //! own motivating workload — a growing URL log (§1) — wants both at once.
 //! [`TieredStore`] resolves the tension the way log-structured systems do:
 //!
-//! * a **hot tail** ([`wavelet_trie::DynamicWaveletTrie`]) absorbs
-//!   appends/inserts/deletes;
+//! * a **hot tail** absorbs appends/inserts/deletes. It is an
+//!   [`AppendWaveletTrie`] (Theorem 4.3, appends in O(|s| + h_s)) while it
+//!   only grows at its end; the first insert anywhere else in it, or any
+//!   delete, converts it once to a [`DynamicWaveletTrie`] (Theorem 4.4,
+//!   edits in O(|s| + h_s log n)), which it stays until sealed;
 //! * once the tail reaches `seal_at` strings it is **sealed** into an
 //!   immutable static segment by the structural
 //!   [`wavelet_trie::DynWaveletTrie::freeze`] — a single trie walk, no
-//!   re-insertion of strings;
+//!   re-insertion of strings — and a fresh append-only tail starts;
 //! * an insert/delete that lands inside a sealed segment **melts** just
 //!   that segment back to dynamic form ([`wavelet_trie::WaveletTrie::thaw`]);
-//! * **compaction** merges adjacent small segments (thaw + append +
-//!   freeze) so the segment count stays bounded by `max_sealed`.
+//!   melted middles stay dynamic until re-frozen;
+//! * **compaction** merges adjacent small segments (thaw into the
+//!   append-only trie + append + freeze) so the segment count stays
+//!   bounded by `max_sealed`.
 //!
 //! Global positions are routed by walking the segment lengths in order.
 //! Queries merge per-segment answers: `rank`/`count` sum across segments,
@@ -80,7 +85,7 @@ use std::sync::Arc;
 
 use crate::merged::{impl_seq_index_for_segmented, SegmentedRead};
 use crate::snapshot::{Epoch, EpochSlot};
-use wavelet_trie::{DynamicWaveletTrie, SeqIndex, WaveletTrie};
+use wavelet_trie::{AppendWaveletTrie, DynamicWaveletTrie, SeqIndex, WaveletTrie};
 use wt_bits::SpaceUsage;
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
@@ -101,7 +106,9 @@ const _: () = {
     assert_send_sync::<WaveletTrie>();
     // The compressed bitvector substrate of every static segment.
     assert_send_sync::<wt_bits::RrrVector>();
-    // The hot tail, which published epochs share behind `Arc`.
+    // The hot tail in both forms, which published epochs share behind
+    // `Arc`.
+    assert_send_sync::<AppendWaveletTrie>();
     assert_send_sync::<DynamicWaveletTrie>();
 };
 
@@ -124,18 +131,24 @@ impl Default for StoreConfig {
     }
 }
 
-/// One tier member: an immutable sealed segment or a hot dynamic one.
-/// Cloning is an `Arc` bump — epochs share segments with the live store;
-/// the writer mutates hot segments copy-on-write via [`Arc::make_mut`].
+/// One tier member: an immutable sealed segment or a hot one. A hot
+/// segment is append-only while it only grows at its end — every fresh
+/// tail and every replayed hot log starts so — and is converted once to
+/// the fully dynamic form by its first other edit (`TieredStore::melt`);
+/// melted middles are dynamic. Cloning is an `Arc` bump — epochs share
+/// segments with the live store; the writer mutates hot segments
+/// copy-on-write via [`Arc::make_mut`].
 #[derive(Clone, Debug)]
 pub(crate) enum Segment {
     Sealed(Arc<WaveletTrie>),
-    Hot(Arc<DynamicWaveletTrie>),
+    Append(Arc<AppendWaveletTrie>),
+    Dynamic(Arc<DynamicWaveletTrie>),
 }
 
 impl Segment {
+    /// The only kind of fresh hot segment: an empty append-only trie.
     fn new_hot() -> Self {
-        Segment::Hot(Arc::new(DynamicWaveletTrie::new()))
+        Segment::Append(Arc::new(AppendWaveletTrie::new()))
     }
 
     /// The object-safe query view — static and dynamic segments are
@@ -143,7 +156,29 @@ impl Segment {
     pub(crate) fn index(&self) -> &dyn SeqIndex {
         match self {
             Segment::Sealed(s) => s.as_ref(),
-            Segment::Hot(h) => h.as_ref(),
+            Segment::Append(h) => h.as_ref(),
+            Segment::Dynamic(h) => h.as_ref(),
+        }
+    }
+
+    /// The static form of a hot segment, by the structural freeze.
+    ///
+    /// # Panics
+    /// On a sealed segment, which is static already.
+    pub(crate) fn freeze(&self) -> WaveletTrie {
+        match self {
+            Segment::Sealed(_) => unreachable!("a sealed segment is frozen already"),
+            Segment::Append(h) => h.freeze(),
+            Segment::Dynamic(h) => h.freeze(),
+        }
+    }
+
+    /// The segment's own structural check.
+    fn check_invariants(&self) -> Result<(), String> {
+        match self {
+            Segment::Sealed(s) => s.check_invariants().map_err(|e| e.to_string()),
+            Segment::Append(h) => h.check_invariants().map_err(str::to_string),
+            Segment::Dynamic(h) => h.check_invariants().map_err(str::to_string),
         }
     }
 
@@ -155,12 +190,23 @@ impl Segment {
     pub(crate) fn len(&self) -> usize {
         match self {
             Segment::Sealed(s) => s.len(),
-            Segment::Hot(h) => h.len(),
+            Segment::Append(h) => h.len(),
+            Segment::Dynamic(h) => h.len(),
         }
     }
 
     pub(crate) fn is_sealed(&self) -> bool {
         matches!(self, Segment::Sealed(_))
+    }
+}
+
+impl SpaceUsage for Segment {
+    fn size_bits(&self) -> usize {
+        match self {
+            Segment::Sealed(s) => s.size_bits(),
+            Segment::Append(h) => h.size_bits(),
+            Segment::Dynamic(h) => h.size_bits(),
+        }
     }
 }
 
@@ -274,6 +320,26 @@ impl TieredStore {
         self.segments.iter().map(|g| g.index())
     }
 
+    /// Checks the store's structure: the segment lengths sum to
+    /// [`TieredStore::len`], the list ends in a hot segment, and every
+    /// segment passes its own check — [`WaveletTrie::check_invariants`]
+    /// for a sealed one, [`wavelet_trie::DynWaveletTrie::check_invariants`]
+    /// for a hot one. The error names the first segment that fails.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let sum: usize = self.segments.iter().map(Segment::len).sum();
+        if sum != self.len {
+            return Err(format!("segment lengths sum to {sum}, not {}", self.len));
+        }
+        if self.segments.last().is_none_or(Segment::is_sealed) {
+            return Err("the segment list does not end in a hot segment".into());
+        }
+        for (i, g) in self.segments.iter().enumerate() {
+            g.check_invariants()
+                .map_err(|e| format!("segment {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
     // --- concurrent serving ------------------------------------------------
 
     /// Publishes the current state as a new immutable epoch and returns a
@@ -318,8 +384,9 @@ impl TieredStore {
         self.insert(s, n)
     }
 
-    /// Inserts `s` immediately before global position `pos`. An insert
-    /// into a sealed segment melts that segment back to dynamic form.
+    /// Inserts `s` immediately before global position `pos`. At the end of
+    /// an append-only hot segment this is an append; anywhere else it
+    /// first melts the owning segment to dynamic form, once.
     ///
     /// # Errors
     /// [`PrefixFreeViolation`] if `s` would break the global prefix-free
@@ -333,22 +400,24 @@ impl TieredStore {
             return Err(PrefixFreeViolation);
         }
         let (seg, off) = self.locate_for_insert(pos);
-        self.melt(seg);
-        match &mut self.segments[seg] {
-            // `admits` above checked every segment, including this one, so
-            // the insert cannot raise a prefix-free violation here.
-            Segment::Hot(h) => Arc::make_mut(h)
-                .insert(s, off)
-                .expect("pre-checked by admits"),
-            Segment::Sealed(_) => unreachable!("melted above"),
+        if off < self.segments[seg].len() {
+            self.melt(seg);
         }
+        let inserted = match &mut self.segments[seg] {
+            Segment::Append(h) => Arc::make_mut(h).append(s),
+            Segment::Dynamic(h) => Arc::make_mut(h).insert(s, off),
+            Segment::Sealed(_) => unreachable!("melted above"),
+        };
+        // `admits` above checked every segment, including this one, so
+        // the insert cannot raise a prefix-free violation here.
+        inserted.expect("pre-checked by admits");
         self.len += 1;
         self.roll();
         Ok(())
     }
 
     /// Removes and returns the string at global position `pos`, melting
-    /// the owning segment if it was sealed.
+    /// the owning segment to dynamic form first unless it is already.
     ///
     /// # Panics
     /// If `pos >= len()`.
@@ -357,8 +426,8 @@ impl TieredStore {
         let (seg, off) = self.locate(pos);
         self.melt(seg);
         let out = match &mut self.segments[seg] {
-            Segment::Hot(h) => Arc::make_mut(h).delete(off),
-            Segment::Sealed(_) => unreachable!("melted above"),
+            Segment::Dynamic(h) => Arc::make_mut(h).delete(off),
+            _ => unreachable!("melted above"),
         };
         self.len -= 1;
         if self.segments[seg].len() == 0 && seg + 1 != self.segments.len() {
@@ -368,7 +437,7 @@ impl TieredStore {
     }
 
     /// Seals every hot segment (structural freeze, on the calling thread)
-    /// and starts a fresh hot tail. Never merges; call
+    /// and starts a fresh append-only hot tail. Never merges; call
     /// [`TieredStore::compact`] for that.
     ///
     /// # Panics
@@ -385,8 +454,9 @@ impl TieredStore {
     }
 
     /// Freezes melted middle segments and merges adjacent sealed segments
-    /// (thaw + append + freeze, smallest combined length first) until at
-    /// most `max_sealed` sealed segments remain, on the calling thread.
+    /// (thaw into the append-only trie + append + freeze, smallest
+    /// combined length first) until at most `max_sealed` sealed segments
+    /// remain, on the calling thread.
     ///
     /// # Panics
     /// Re-raises a freeze or merge panic, as [`TieredStore::seal`] does;
@@ -408,12 +478,16 @@ impl TieredStore {
             .map(|(i, w)| (i, w[0].len() + w[1].len()))
     }
 
-    /// Melts segment `seg` back to dynamic form if it is sealed.
+    /// Converts segment `seg` to the fully dynamic form, once: a sealed
+    /// segment thaws, and an append-only one is frozen and thawed (the
+    /// append-only bitvectors cannot take an insert before their end).
     fn melt(&mut self, seg: usize) {
-        if let Segment::Sealed(sealed) = &self.segments[seg] {
-            let hot: DynamicWaveletTrie = sealed.thaw();
-            self.segments[seg] = Segment::Hot(Arc::new(hot));
-        }
+        let melted: DynamicWaveletTrie = match &self.segments[seg] {
+            Segment::Sealed(s) => s.thaw(),
+            Segment::Append(h) => h.freeze().thaw(),
+            Segment::Dynamic(_) => return,
+        };
+        self.segments[seg] = Segment::Dynamic(Arc::new(melted));
     }
 
     /// Policy hook run after every insert: auto-seal once the hot **tail**
@@ -424,10 +498,10 @@ impl TieredStore {
     /// when a tail roll or an explicit [`TieredStore::seal`] /
     /// [`TieredStore::compact`] happens.
     fn roll(&mut self) {
-        let tail_full = matches!(
-            self.segments.last(),
-            Some(Segment::Hot(h)) if h.len() >= self.config.seal_at
-        );
+        let tail_full = self
+            .segments
+            .last()
+            .is_some_and(|g| !g.is_sealed() && g.len() >= self.config.seal_at);
         if tail_full {
             self.seal();
             if self.sealed_segments() > self.config.max_sealed {
@@ -449,7 +523,8 @@ impl TieredStore {
         let (seg, off) = self.locate(pos);
         if off == 0 && seg > 0 && !self.segments[seg - 1].is_sealed() {
             // Inserting at a boundary: appending to the hot predecessor is
-            // equivalent and cheaper than melting `seg`.
+            // equivalent and cheaper than melting `seg`, and keeps an
+            // append-only predecessor append-only.
             return (seg - 1, self.segments[seg - 1].len());
         }
         (seg, off)
@@ -470,14 +545,7 @@ impl_seq_index_for_segmented!(TieredStore);
 
 impl SpaceUsage for TieredStore {
     fn size_bits(&self) -> usize {
-        let segs: usize = self
-            .segments
-            .iter()
-            .map(|g| match g {
-                Segment::Sealed(s) => s.size_bits(),
-                Segment::Hot(h) => h.size_bits(),
-            })
-            .sum();
+        let segs: usize = self.segments.iter().map(Segment::size_bits).sum();
         segs + 4 * 64
     }
 }
@@ -485,6 +553,11 @@ impl SpaceUsage for TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+    use wavelet_trie::binarize::{Coder, NinthBitCoder};
+    use wavelet_trie::SequenceOps;
+    use wt_bits::storage::{MemFs, Storage};
+    use wt_workloads::urls::{url_log, UrlLogConfig};
     use wt_workloads::xorshift;
 
     fn bs(s: &str) -> BitString {
@@ -500,6 +573,260 @@ mod tests {
             seal_at: 8,
             max_sealed: 3,
         })
+    }
+
+    /// One letter per segment, in order: `S`ealed, `A`ppend-only or
+    /// `D`ynamic.
+    fn kinds(st: &TieredStore) -> String {
+        let kind = |g: &Segment| match g {
+            Segment::Sealed(_) => 'S',
+            Segment::Append(_) => 'A',
+            Segment::Dynamic(_) => 'D',
+        };
+        st.segments.iter().map(kind).collect()
+    }
+
+    /// Where the hot tail lives: an edit that lands in place, without a
+    /// conversion or a copy-on-write clone, leaves it unchanged.
+    fn tail_addr(st: &TieredStore) -> *const () {
+        match st.segments.last() {
+            Some(Segment::Append(h)) => Arc::as_ptr(h).cast(),
+            Some(Segment::Dynamic(h)) => Arc::as_ptr(h).cast(),
+            _ => panic!("the segment list ends in a hot tail"),
+        }
+    }
+
+    fn strings(st: &TieredStore) -> Vec<BitString> {
+        st.iter_seq_boxed().collect()
+    }
+
+    /// A store that never seals on its own, fed `encode(0..n)`.
+    fn unsealed(n: u64) -> (TieredStore, Vec<BitString>) {
+        let mut st = TieredStore::with_config(StoreConfig {
+            seal_at: usize::MAX,
+            max_sealed: 8,
+        });
+        let oracle: Vec<BitString> = (0..n).map(encode).collect();
+        for s in &oracle {
+            st.append(s.as_bitstr()).unwrap();
+        }
+        (st, oracle)
+    }
+
+    #[test]
+    fn appends_keep_the_tail_append_only() {
+        let mut st = tiny();
+        assert_eq!(kinds(&st), "A");
+        for i in 0..20u64 {
+            st.append(encode(i).as_bitstr()).unwrap();
+            assert!(kinds(&st).ends_with('A'), "append {i}: {}", kinds(&st));
+            st.check_invariants().unwrap();
+        }
+        assert_eq!(kinds(&st), "SSA");
+        assert_eq!(st.segment_lens(), [8, 8, 4]);
+        // An insert at the end is an append too.
+        st.insert(encode(30).as_bitstr(), st.len()).unwrap();
+        assert_eq!(kinds(&st), "SSA");
+        assert_eq!(st.access(20), encode(30));
+    }
+
+    #[test]
+    fn a_middle_insert_converts_the_tail_once() {
+        let (mut st, mut oracle) = unsealed(10);
+        st.insert(encode(40).as_bitstr(), 3).unwrap();
+        oracle.insert(3, encode(40));
+        assert_eq!(kinds(&st), "D");
+        let converted = tail_addr(&st);
+        // Later appends and edits land in the converted tail, in place.
+        for v in 10..20 {
+            st.append(encode(v).as_bitstr()).unwrap();
+            oracle.push(encode(v));
+        }
+        st.insert(encode(41).as_bitstr(), 5).unwrap();
+        oracle.insert(5, encode(41));
+        assert_eq!(kinds(&st), "D");
+        assert_eq!(tail_addr(&st), converted, "converted a second time");
+        assert_eq!(strings(&st), oracle);
+        st.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_delete_converts_the_tail_once() {
+        let (mut st, mut oracle) = unsealed(10);
+        assert_eq!(st.delete(9), oracle.remove(9), "even the last string");
+        assert_eq!(kinds(&st), "D");
+        let converted = tail_addr(&st);
+        for v in 10..20 {
+            st.append(encode(v).as_bitstr()).unwrap();
+            oracle.push(encode(v));
+        }
+        assert_eq!(st.delete(2), oracle.remove(2));
+        assert_eq!(kinds(&st), "D");
+        assert_eq!(tail_addr(&st), converted, "converted a second time");
+        assert_eq!(strings(&st), oracle);
+        st.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn boundary_insert_appends_to_an_append_only_predecessor() {
+        // A melted middle saved and loaded again comes back append-only,
+        // in front of the append-only tail.
+        let mut st = tiny();
+        for i in 0..20u64 {
+            st.append(encode(i).as_bitstr()).unwrap();
+        }
+        st.insert(encode(40).as_bitstr(), 10).unwrap();
+        assert_eq!(kinds(&st), "SDA");
+        let (fs, dir) = (MemFs::new(), Path::new("store"));
+        st.save_dir_with(&fs, dir).unwrap();
+        let mut st = TieredStore::load_dir_with(&fs, dir).unwrap();
+        assert_eq!(kinds(&st), "SAA");
+        let mut oracle = strings(&st);
+        // Position 17 starts the tail: the middle takes it as an append.
+        st.insert(encode(41).as_bitstr(), 17).unwrap();
+        oracle.insert(17, encode(41));
+        assert_eq!(kinds(&st), "SAA");
+        assert_eq!(st.segment_lens(), [8, 10, 4]);
+        assert_eq!(strings(&st), oracle);
+        st.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn seal_installs_a_fresh_append_only_tail() {
+        let (mut st, _) = unsealed(10);
+        st.delete(0);
+        assert_eq!(kinds(&st), "D");
+        st.seal();
+        assert_eq!(kinds(&st), "SA");
+        assert_eq!(st.segment_lens(), [9, 0]);
+        let report = st.maintain();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(kinds(&st), "SA");
+        st.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn load_and_recover_replay_hot_logs_append_only() {
+        // Sealed, a melted middle, and a tail an edit made dynamic.
+        let mut st = tiny();
+        for i in 0..20u64 {
+            st.append(encode(i).as_bitstr()).unwrap();
+        }
+        st.insert(encode(40).as_bitstr(), 10).unwrap();
+        st.delete(18);
+        assert_eq!(kinds(&st), "SDD");
+        let oracle = strings(&st);
+        // Both hot forms log a sequence in the same bytes.
+        let Segment::Dynamic(tail) = &st.segments[2] else {
+            panic!("edited tail");
+        };
+        let mut append_only = AppendWaveletTrie::new();
+        for s in tail.iter_seq() {
+            append_only.append(s.as_bitstr()).unwrap();
+        }
+        let logged = durable::hot_log_bytes(tail.as_ref());
+        assert_eq!(durable::hot_log_bytes(&append_only), logged);
+
+        let (fs, dir) = (MemFs::new(), Path::new("store"));
+        st.save_dir_with(&fs, dir).unwrap();
+        let loaded = TieredStore::load_dir_with(&fs, dir).unwrap();
+        let (recovered, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
+        assert!(report.is_clean(), "{report}");
+        for st in [&loaded, &recovered] {
+            assert_eq!(kinds(st), "SAA");
+            assert_eq!(strings(st), oracle);
+            st.check_invariants().unwrap();
+        }
+
+        // A torn tail log: only the first two of its strings survive.
+        let log = fs
+            .list_names(dir)
+            .into_iter()
+            .filter(|name| name.ends_with(".log"))
+            .max()
+            .unwrap();
+        let mut torn = AppendWaveletTrie::new();
+        for s in tail.iter_seq().take(2) {
+            torn.append(s.as_bitstr()).unwrap();
+        }
+        fs.write(&dir.join(log), &durable::hot_log_bytes(&torn))
+            .unwrap();
+        assert!(TieredStore::load_dir_with(&fs, dir).is_err());
+        let (mut recovered, report) = TieredStore::recover_dir_with(&fs, dir).unwrap();
+        assert_eq!(report.strings_lost, tail.len() - 2, "{report}");
+        assert_eq!(kinds(&recovered), "SAA");
+        assert_eq!(recovered.segment_lens(), [8, 9, 2]);
+        assert_eq!(strings(&recovered), oracle[..19]);
+        recovered.append(encode(50).as_bitstr()).unwrap();
+        assert_eq!(kinds(&recovered), "SAA");
+        recovered.check_invariants().unwrap();
+    }
+
+    /// `n` URLs through the text facades' coder.
+    fn urls(n: usize) -> Vec<BitString> {
+        let strings = url_log(n, UrlLogConfig::default(), 5);
+        strings
+            .iter()
+            .map(|s| NinthBitCoder.encode(s.as_bytes()))
+            .collect()
+    }
+
+    /// `n` random 28-bit ints, most of them distinct.
+    fn ints28(n: usize) -> Vec<BitString> {
+        let mut next = xorshift(0x28);
+        (0..n)
+            .map(|_| {
+                let v = next() & ((1 << 28) - 1);
+                BitString::from_bits((0..28).rev().map(move |k| (v >> k) & 1 != 0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merges_and_freezes_match_the_dynamic_path_byte_for_byte() {
+        for (name, seq) in [("urls", urls(1500)), ("ints", ints28(1500))] {
+            let (mut app, mut dynamic) = (AppendWaveletTrie::new(), DynamicWaveletTrie::new());
+            for s in &seq {
+                app.append(s.as_bitstr()).unwrap();
+                dynamic.append(s.as_bitstr()).unwrap();
+            }
+            let frozen = dynamic.freeze().save_bytes();
+            assert!(app.freeze().save_bytes() == frozen, "{name}: freeze");
+            // Two sealed segments, merged by compaction.
+            let mut st = TieredStore::with_config(StoreConfig {
+                seal_at: usize::MAX,
+                max_sealed: 2,
+            });
+            let (head, tail) = seq.split_at(seq.len() / 3);
+            for part in [head, tail] {
+                for s in part {
+                    st.append(s.as_bitstr()).unwrap();
+                }
+                st.seal();
+            }
+            assert_eq!(kinds(&st), "SSA");
+            let (Segment::Sealed(a), Segment::Sealed(b)) = (&st.segments[0], &st.segments[1])
+            else {
+                panic!("two sealed segments");
+            };
+            // The reference merges the way a dynamic trie would.
+            let mut reference: DynamicWaveletTrie = a.thaw();
+            for s in b.iter_seq() {
+                reference.append(s.as_bitstr()).unwrap();
+            }
+            let want = reference.freeze().save_bytes();
+            assert!(
+                want == frozen,
+                "{name}: the merge is the freeze of the whole"
+            );
+            st.config.max_sealed = 1;
+            st.compact();
+            assert_eq!(kinds(&st), "SA");
+            let Segment::Sealed(merged) = &st.segments[0] else {
+                panic!("one sealed segment");
+            };
+            assert!(merged.save_bytes() == want, "{name}: merge");
+        }
     }
 
     #[test]

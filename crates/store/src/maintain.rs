@@ -40,7 +40,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wavelet_trie::{DynamicWaveletTrie, SequenceOps};
+use wavelet_trie::{AppendWaveletTrie, SequenceOps};
 use wt_bits::storage::{RetryPolicy, Storage};
 
 use crate::error::StoreError;
@@ -256,16 +256,14 @@ impl TieredStore {
     ) -> usize {
         let mut installed = 0;
         for i in 0..limit {
-            let Segment::Hot(h) = &self.segments[i] else {
-                continue;
-            };
-            if h.is_empty() {
+            let hot = &self.segments[i];
+            if hot.is_sealed() || hot.len() == 0 {
                 continue;
             }
             let step = Freeze { segment: i };
             let frozen = run_step(step, || {
                 probe.step(step);
-                h.freeze()
+                hot.freeze()
             });
             let step = InstallFrozen { segment: i };
             match frozen.and_then(|repr| run_step(step, || probe.step(step)).map(|()| repr)) {
@@ -280,7 +278,8 @@ impl TieredStore {
     }
 
     /// The probed form of [`TieredStore::seal`]: freeze all hot segments,
-    /// drop empty ones, and start a fresh hot tail. Returns installs.
+    /// drop empty ones, and start a fresh append-only hot tail. Returns
+    /// installs.
     pub(crate) fn seal_probed(
         &mut self,
         probe: &dyn MaintenanceProbe,
@@ -291,9 +290,8 @@ impl TieredStore {
         // The invariant "the list ends in a hot tail" must hold even after
         // failures: push a fresh tail unless a (failed, still-hot) tail
         // survived.
-        if !matches!(self.segments.last(), Some(Segment::Hot(_))) {
-            self.segments
-                .push(Segment::Hot(Arc::new(DynamicWaveletTrie::new())));
+        if self.segments.last().is_none_or(Segment::is_sealed) {
+            self.segments.push(Segment::new_hot());
         }
         installed
     }
@@ -314,7 +312,8 @@ impl TieredStore {
             else {
                 unreachable!("merge_probed called on a non-sealed pair");
             };
-            let mut melted: DynamicWaveletTrie = a.thaw();
+            // Only appends follow, so the append-only trie takes them.
+            let mut melted: AppendWaveletTrie = a.thaw();
             for s in b.iter_seq() {
                 // The two segments coexist in one store, whose inserts
                 // check admits() across *all* segments — so their union

@@ -184,15 +184,7 @@ impl_seq_index_for_segmented!(StoreSnapshot);
 
 impl SpaceUsage for StoreSnapshot {
     fn size_bits(&self) -> usize {
-        let segs: usize = self
-            .epoch
-            .segments
-            .iter()
-            .map(|g| match g {
-                Segment::Sealed(s) => s.size_bits(),
-                Segment::Hot(h) => h.size_bits(),
-            })
-            .sum();
+        let segs: usize = self.epoch.segments.iter().map(Segment::size_bits).sum();
         segs + 3 * 64
     }
 }

@@ -16,9 +16,9 @@ use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{string_facade_queries, SeqIndex};
 use wt_bits::SpaceUsage;
 
-/// Tiered compressed indexed sequence of byte strings: a hot dynamic tier
-/// absorbing updates, sealed into immutable static segments (see the
-/// crate docs for the architecture).
+/// Tiered compressed indexed sequence of byte strings: a hot tier
+/// absorbing updates, append-only until edited, sealed into immutable
+/// static segments (see the crate docs for the architecture).
 #[derive(Clone, Debug, Default)]
 pub struct TieredStrings {
     inner: TieredStore,
@@ -39,7 +39,8 @@ impl TieredStrings {
         }
     }
 
-    /// Appends `s` at the end; amortized O(|s| + h_s log n) plus the
+    /// Appends `s` at the end: O(|s| + h_s) into an append-only tail,
+    /// O(|s| + h_s log n) into one an edit made dynamic, plus the
     /// occasional policy-triggered seal/compaction.
     pub fn push(&mut self, s: impl AsRef<[u8]>) {
         // Infallible: every NinthBitCoder codeword ends in the 9-bit

@@ -322,10 +322,10 @@ pub fn store(seq: &[BitString], seal_at: usize, max_sealed: usize) -> TieredStor
 }
 
 /// Conforms every backend state over `seq` to one oracle: the static trie
-/// built, reloaded and frozen (each invariant-checked), the append-only
-/// and dynamic tries (each shape-checked too), the tiered store under two
-/// seal policies, with a melted middle and after a compaction, and a
-/// published snapshot.
+/// built, reloaded and frozen, the append-only and dynamic tries (each
+/// shape-checked too), the tiered store under two seal policies, with a
+/// melted middle, with an edited hot tail and after a compaction, and a
+/// published snapshot. Every trie and store state is invariant-checked.
 pub fn conform_all(label: &str, seq: &[BitString], seed: u64) {
     let (o, n) = (Oracle::new(seq.to_vec()), seq.len());
     let built = WaveletTrie::build(seq).expect("prefix-free");
@@ -352,6 +352,10 @@ pub fn conform_all(label: &str, seq: &[BitString], seed: u64) {
     for wt in [&built, &reloaded, &frozen] {
         wt.check_invariants().expect("static trie invariants");
     }
+    same!(app.check_invariants() => Ok(()), "{label}: append");
+    for (name, wt) in [("dynamic", &dynamic), ("edited", &edited)] {
+        same!(wt.check_invariants() => Ok(()), "{label}: {name}");
+    }
     let tries: [&dyn SeqIndex; 6] = [&built, &reloaded, &frozen, &app, &dynamic, &edited];
     let names = [
         "static", "reloaded", "frozen", "append", "dynamic", "edited",
@@ -371,6 +375,12 @@ pub fn conform_all(label: &str, seq: &[BitString], seed: u64) {
         melted.insert(seq[n / 2].as_bitstr(), n / 2).unwrap();
         same!(melted.delete(n / 2) => seq[n / 2], "{label}");
     }
+    // An insert and a delete inside the hot tail turn it dynamic.
+    let mut tail_edited = thirds.clone();
+    if n > 0 {
+        tail_edited.insert(seq[n - 1].as_bitstr(), n - 1).unwrap();
+        same!(tail_edited.delete(n - 1) => seq[n - 1], "{label}");
+    }
     // Sealing the tail makes four sealed segments; compaction merges two.
     let mut compacted = fifths.clone();
     compacted.seal();
@@ -382,10 +392,25 @@ pub fn conform_all(label: &str, seq: &[BitString], seed: u64) {
         writer.append(seq[0].as_bitstr()).unwrap();
         writer.delete(0);
     }
-    let stores: [&dyn SeqIndex; 5] = [&fifths, &thirds, &melted, &compacted, &snapshot];
-    let names = ["fifths", "thirds", "melted", "compacted", "snapshot"];
-    for (name, idx) in names.into_iter().zip(stores) {
-        conform(&format!("{label}/store/{name}"), idx, &o, seeds());
+    let stores = [
+        ("fifths", &fifths),
+        ("thirds", &thirds),
+        ("melted", &melted),
+        ("compacted", &compacted),
+    ];
+    for (name, st) in stores {
+        conform(&format!("{label}/store/{name}"), st, &o, seeds());
+    }
+    conform(&format!("{label}/store/snapshot"), &snapshot, &o, seeds());
+    conform(
+        &format!("{label}/store/tail_edited"),
+        &tail_edited,
+        &o,
+        seeds(),
+    );
+    let edited = [("tail_edited", &tail_edited), ("writer", &writer)];
+    for (name, st) in stores.into_iter().chain(edited) {
+        same!(st.check_invariants() => Ok(()), "{label}/store/{name}");
     }
 }
 
@@ -395,6 +420,8 @@ pub fn conform_all(label: &str, seq: &[BitString], seed: u64) {
 pub trait Edit: SeqIndex + Clone {
     fn put(&mut self, s: BitStr<'_>, pos: usize) -> bool;
     fn take(&mut self, pos: usize) -> BitString;
+    /// The structure's own invariant check, run after every op.
+    fn check(&self) -> Result<(), String>;
     fn store(&mut self) -> Option<&mut TieredStore> {
         None
     }
@@ -408,6 +435,9 @@ impl Edit for DynamicWaveletTrie {
     }
     fn take(&mut self, pos: usize) -> BitString {
         self.delete(pos)
+    }
+    fn check(&self) -> Result<(), String> {
+        self.check_invariants().map_err(str::to_string)
     }
     fn finish(&self, at: &str, o: &Oracle, seed: u64) {
         let frozen = self.freeze();
@@ -425,16 +455,20 @@ impl Edit for TieredStore {
     fn take(&mut self, pos: usize) -> BitString {
         self.delete(pos)
     }
+    fn check(&self) -> Result<(), String> {
+        self.check_invariants()
+    }
     fn store(&mut self) -> Option<&mut TieredStore> {
         Some(self)
     }
 }
 
 /// Drives a copy of `empty` through `n_ops` ops on strings from `pool`,
-/// conforming it every `every` ops and at the end. On a failure, bisects
-/// to the shortest failing op prefix and panics with the seed and its
-/// length. The op stream depends only on the seed, so passing that length
-/// as `n_ops` replays exactly the failing prefix.
+/// checking its invariants after every op and conforming it every `every`
+/// ops and at the end. On a failure, bisects to the shortest failing op
+/// prefix and panics with the seed and its length. The op stream depends
+/// only on the seed, so passing that length as `n_ops` replays exactly the
+/// failing prefix.
 pub fn check_ops<T: Edit>(empty: T, pool: &[BitString], seed: u64, n_ops: usize, every: usize) {
     let run = |k| replay(empty.clone(), pool, seed, k, every);
     let fails = |k| catch_unwind(AssertUnwindSafe(|| run(k))).is_err();
@@ -489,6 +523,7 @@ fn replay<T: Edit>(mut t: T, pool: &[BitString], seed: u64, n_ops: usize, every:
                 _ => published = Some((st.publish(), Oracle::new(seq.clone()))),
             }
         }
+        same!(t.check() => Ok(()), "{at}");
         if (step + 1) % every == 0 {
             conform(&at, &t, &Oracle::new(seq.clone()), seed ^ step as u64);
         }
