@@ -14,8 +14,9 @@
 //!   store.
 //! * **parallel construction** — string-build scaling at 1/2/4 scoped
 //!   worker threads (subtrie tasks; the succinct assembly after them is
-//!   serial). Note the `cores` field: thread scaling is only meaningful
-//!   when the host grants more than one CPU.
+//!   serial), on URLs and on near-distinct 28-bit ints. Note the `cores`
+//!   field: thread scaling is only meaningful when the host grants more
+//!   than one CPU.
 //! * **concurrent read scaling** — 1/2/4 *real* reader threads, each
 //!   holding a published `StoreSnapshot` of a tiered store and running
 //!   batch-64 `access`/`rank`/`count_prefix` kernels; reported as
@@ -47,8 +48,9 @@ struct QuerySeries {
     scalar_ns_per_op: f64,
 }
 
-/// One measured string-build point (the url workload).
+/// One measured string-build point.
 struct BuildSeries {
+    workload: &'static str,
     threads: usize,
     n: usize,
     ms: f64,
@@ -248,40 +250,54 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
     println!();
 }
 
+/// String-build scaling on URLs and on near-distinct 28-bit ints (the
+/// shape of ints_scan's segments), best of two builds per thread count.
 fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
-    let n_build = if quick { 60_000 } else { 400_000 };
+    let (n_url, n_ints) = if quick {
+        (60_000, 100_000)
+    } else {
+        (400_000, 600_000)
+    };
     println!("== construction scaling (scoped worker threads) ==\n");
     let t = Table::new(
         &["op", "workload", "threads", "wall", "vs 1T"],
         &[8, 10, 7, 10, 7],
     );
-    let urls = url_log(n_build, UrlLogConfig::default(), 11);
-    let encoded = encode_all(&urls);
-    let mut base_ms = 0.0f64;
-    for threads in [1usize, 2, 4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = std::time::Instant::now();
-            let wt = WaveletTrie::build_with_threads(&encoded, threads).expect("prefix-free");
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(wt.len());
-            best = best.min(ms);
-        }
-        if threads == 1 {
-            base_ms = best;
-        }
-        t.row(&[
-            "build",
+    let corpora = [
+        (
             "url",
-            &threads.to_string(),
-            &format!("{best:.0}ms"),
-            &format!("{:.2}x", base_ms / best),
-        ]);
-        out.push(BuildSeries {
-            threads,
-            n: n_build,
-            ms: best,
-        });
+            encode_all(&url_log(n_url, UrlLogConfig::default(), 11)),
+        ),
+        ("ints", random_ints(n_ints, 28, 99)),
+    ];
+    for (workload, encoded) in &corpora {
+        let mut base_ms = 0.0f64;
+        for threads in [1usize, 2, 4] {
+            let mut best = f64::INFINITY;
+            for _ in 0..2 {
+                let t0 = std::time::Instant::now();
+                let wt = WaveletTrie::build_with_threads(encoded, threads).expect("prefix-free");
+                let ms = t0.elapsed().as_secs_f64() * 1e3;
+                std::hint::black_box(wt.len());
+                best = best.min(ms);
+            }
+            if threads == 1 {
+                base_ms = best;
+            }
+            t.row(&[
+                "build",
+                workload,
+                &threads.to_string(),
+                &format!("{best:.0}ms"),
+                &format!("{:.2}x", base_ms / best),
+            ]);
+            out.push(BuildSeries {
+                workload,
+                threads,
+                n: encoded.len(),
+                ms: best,
+            });
+        }
     }
     println!();
 }
@@ -518,15 +534,21 @@ fn write_json(
     }
     s.push_str("  ],\n");
     s.push_str("  \"build_results\": [\n");
-    let base = builds.iter().find(|b| b.threads == 1).map_or(0.0, |b| b.ms);
+    let build_base = |workload: &str| {
+        builds
+            .iter()
+            .find(|b| b.workload == workload && b.threads == 1)
+            .map_or(0.0, |b| b.ms)
+    };
     for (i, b) in builds.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workload\": \"url\", \"op\": \"build\", \"threads\": {}, \"n\": {}, \
+            "    {{\"workload\": \"{}\", \"op\": \"build\", \"threads\": {}, \"n\": {}, \
              \"ms\": {:.1}, \"speedup_vs_1t\": {:.2}}}{}\n",
+            b.workload,
             b.threads,
             b.n,
             b.ms,
-            base / b.ms,
+            build_base(b.workload) / b.ms,
             if i + 1 < builds.len() { "," } else { "" }
         ));
     }

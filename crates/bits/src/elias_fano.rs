@@ -326,7 +326,8 @@ impl Persist for EliasFano {
         if low_width >= 64 || low.len() != n * low_width {
             return Err(LoadError::Invalid("elias-fano low stream length"));
         }
-        // One set bit per element in the upper bucket unary stream.
+        // One set bit per element in the upper bucket unary stream
+        // (`Fid::decode` has checked the count against the words).
         if high.count_ones() != n {
             return Err(LoadError::Invalid("elias-fano upper bucket count"));
         }

@@ -88,6 +88,14 @@ pub trait BitSelect: BitRank {
 #[derive(Clone, Debug)]
 pub struct Fid {
     bits: RawBitVec,
+    dir: Directory,
+}
+
+/// The rank and select directory of a [`Fid`], a function of its bits
+/// alone: [`Fid::new`] builds it and [`Fid`]'s `decode` rebuilds it to
+/// check the stored one.
+#[derive(Clone, Debug, PartialEq)]
+struct Directory {
     /// Absolute rank before each 512-bit block.
     block_rank: Words,
     /// Packed 9-bit relative ranks before words 1..=7 of each block
@@ -100,11 +108,10 @@ pub struct Fid {
     hints0: U32Words,
 }
 
-impl Fid {
-    /// Builds the directory over `bits`, dropping their growth slack so
-    /// the built footprint equals the loaded one.
-    pub fn new(mut bits: RawBitVec) -> Self {
-        bits.shrink_to_fit();
+impl Directory {
+    /// One popcount pass over the words of `bits`, then one walk of the
+    /// block ranks per hint array.
+    fn of(bits: &RawBitVec) -> Self {
         let n_blocks = bits.len().div_ceil(BLOCK_BITS).max(1);
         let mut block_rank = Vec::with_capacity(n_blocks + 1);
         let mut sub_rank = Vec::with_capacity(n_blocks);
@@ -144,14 +151,23 @@ impl Fid {
             }
             hints0.push(b as u32);
         }
-        Fid {
-            bits,
+        Directory {
             block_rank: block_rank.into(),
             sub_rank: sub_rank.into(),
             ones: total_ones,
             hints1: U32Words::from_vec(hints1),
             hints0: U32Words::from_vec(hints0),
         }
+    }
+}
+
+impl Fid {
+    /// Builds the directory over `bits`, dropping their growth slack so
+    /// the built footprint equals the loaded one.
+    pub fn new(mut bits: RawBitVec) -> Self {
+        bits.shrink_to_fit();
+        let dir = Directory::of(&bits);
+        Fid { bits, dir }
     }
 
     /// Builds from an iterator of bits.
@@ -170,7 +186,7 @@ impl Fid {
         if word_in_block == 0 {
             0
         } else {
-            (self.sub_rank[block] >> (9 * (word_in_block - 1))) & 0x1FF
+            (self.dir.sub_rank[block] >> (9 * (word_in_block - 1))) & 0x1FF
         }
     }
 
@@ -180,8 +196,8 @@ impl Fid {
     #[inline]
     pub fn prefetch(&self, i: usize) {
         let block = i / BLOCK_BITS;
-        prefetch_read(self.block_rank.as_ptr().wrapping_add(block));
-        prefetch_read(self.sub_rank.as_ptr().wrapping_add(block));
+        prefetch_read(self.dir.block_rank.as_ptr().wrapping_add(block));
+        prefetch_read(self.dir.sub_rank.as_ptr().wrapping_add(block));
         self.bits.prefetch(i);
     }
 
@@ -204,44 +220,45 @@ impl Fid {
             .zip(out.chunks_mut(PIPELINE_LANES))
         {
             for (r, &k) in range.iter_mut().zip(chunk) {
-                assert!(k < self.ones, "select1 rank {k} out of bounds");
+                assert!(k < self.dir.ones, "select1 rank {k} out of bounds");
                 let hi = k / SELECT_SAMPLE;
-                let lo_block = self.hints1.get(hi) as usize;
+                let lo_block = self.dir.hints1.get(hi) as usize;
                 let hi_block = self
+                    .dir
                     .hints1
                     .get_opt(hi + 1)
                     .map(|b| b as usize + 1)
-                    .unwrap_or(self.block_rank.len() - 1);
+                    .unwrap_or(self.dir.block_rank.len() - 1);
                 // The whole window the binary search can touch (8 u64
                 // directory entries per line; cap the round for very
                 // sparse vectors with wide windows).
                 let mut b = lo_block;
                 let mut budget = 8;
                 while b <= hi_block && budget > 0 {
-                    prefetch_read(self.block_rank.as_ptr().wrapping_add(b));
+                    prefetch_read(self.dir.block_rank.as_ptr().wrapping_add(b));
                     b += 8;
                     budget -= 1;
                 }
                 *r = (lo_block, hi_block);
             }
             for ((b, &(lo, hi)), &k) in blk.iter_mut().zip(&range).zip(chunk) {
-                let block = select_block(lo, hi, k, |blk| self.block_rank[blk] as usize);
+                let block = select_block(lo, hi, k, |blk| self.dir.block_rank[blk] as usize);
                 // The resolve round reads the sub-rank word plus one data
                 // word somewhere in the block's two cache lines.
-                prefetch_read(self.sub_rank.as_ptr().wrapping_add(block));
+                prefetch_read(self.dir.sub_rank.as_ptr().wrapping_add(block));
                 self.bits.prefetch(block * BLOCK_BITS);
                 self.bits.prefetch(block * BLOCK_BITS + BLOCK_BITS - 64);
                 *b = block;
             }
             for ((o, &block), &k) in outs.iter_mut().zip(&blk).zip(chunk) {
-                *o = self.select1_in_block(block, k - self.block_rank[block] as usize);
+                *o = self.select1_in_block(block, k - self.dir.block_rank[block] as usize);
             }
         }
     }
 
     #[inline]
     fn zeros_before_block(&self, blk: usize) -> usize {
-        (blk * BLOCK_BITS).min(self.bits.len()) - self.block_rank[blk] as usize
+        (blk * BLOCK_BITS).min(self.bits.len()) - self.dir.block_rank[blk] as usize
     }
 
     /// Resolves the `remaining`-th one inside `block` with **no word
@@ -252,7 +269,7 @@ impl Fid {
     /// Requires the block to actually contain the target.
     #[inline]
     fn select1_in_block(&self, block: usize, remaining: usize) -> usize {
-        let packed = self.sub_rank[block];
+        let packed = self.dir.sub_rank[block];
         let mut w = 0usize;
         for t in 1..WORDS_PER_BLOCK {
             let before = ((packed >> (9 * (t - 1))) & 0x1FF) as usize;
@@ -274,24 +291,28 @@ impl Fid {
     /// Shared select kernel: `bit` chooses ones/zeros.
     fn select_generic(&self, bit: bool, k: usize) -> Option<usize> {
         let total = if bit {
-            self.ones
+            self.dir.ones
         } else {
-            self.bits.len() - self.ones
+            self.bits.len() - self.dir.ones
         };
         if k >= total {
             return None;
         }
-        let hints = if bit { &self.hints1 } else { &self.hints0 };
+        let hints = if bit {
+            &self.dir.hints1
+        } else {
+            &self.dir.hints0
+        };
         let hi = k / SELECT_SAMPLE;
         let lo_block = hints.get(hi) as usize;
         let hi_block = hints
             .get_opt(hi + 1)
             .map(|b| b as usize + 1)
-            .unwrap_or(self.block_rank.len() - 1);
+            .unwrap_or(self.dir.block_rank.len() - 1);
         // Binary search for the block containing the k-th target bit.
         let count_before = |blk: usize| {
             if bit {
-                self.block_rank[blk] as usize
+                self.dir.block_rank[blk] as usize
             } else {
                 self.zeros_before_block(blk)
             }
@@ -338,7 +359,7 @@ impl BitRank for Fid {
         assert!(i <= self.bits.len(), "rank index {i} out of bounds");
         let block = i / BLOCK_BITS;
         let word = (i % BLOCK_BITS) / 64;
-        let mut r = self.block_rank[block] as usize + self.sub(block, word) as usize;
+        let mut r = self.dir.block_rank[block] as usize + self.sub(block, word) as usize;
         let off = i % 64;
         if off != 0 {
             r += (self.bits.word(block * WORDS_PER_BLOCK + word) & ((1u64 << off) - 1)).count_ones()
@@ -349,7 +370,7 @@ impl BitRank for Fid {
 
     #[inline]
     fn count_ones(&self) -> usize {
-        self.ones
+        self.dir.ones
     }
 }
 
@@ -368,10 +389,10 @@ impl BitSelect for Fid {
 impl SpaceUsage for Fid {
     fn size_bits(&self) -> usize {
         self.bits.size_bits()
-            + self.block_rank.size_bits()
-            + self.sub_rank.size_bits()
-            + self.hints1.size_bits()
-            + self.hints0.size_bits()
+            + self.dir.block_rank.size_bits()
+            + self.dir.sub_rank.size_bits()
+            + self.dir.hints1.size_bits()
+            + self.dir.hints0.size_bits()
             + 64
     }
 }
@@ -379,58 +400,44 @@ impl SpaceUsage for Fid {
 impl Persist for Fid {
     fn encode(&self, out: &mut Vec<u64>) {
         self.bits.encode(out);
-        self.block_rank.encode(out);
-        self.sub_rank.encode(out);
-        out.push(self.ones as u64);
-        self.hints1.encode(out);
-        self.hints0.encode(out);
+        self.dir.block_rank.encode(out);
+        self.dir.sub_rank.encode(out);
+        out.push(self.dir.ones as u64);
+        self.dir.hints1.encode(out);
+        self.dir.hints0.encode(out);
     }
 
     fn decode(r: &mut WordsReader) -> Result<Self, LoadError> {
         let bits = RawBitVec::decode(r)?;
-        let block_rank = Words::decode(r)?;
-        let sub_rank = Words::decode(r)?;
-        let ones = r.read_len()?;
-        let hints1 = U32Words::decode(r)?;
-        let hints0 = U32Words::decode(r)?;
-        // Structural invariants the query paths rely on, all checked at
-        // directory (word) granularity — never per bit.
-        let n_blocks = bits.len().div_ceil(BLOCK_BITS).max(1);
-        if block_rank.len() != n_blocks + 1 || sub_rank.len() != n_blocks {
+        let dir = Directory {
+            block_rank: Words::decode(r)?,
+            sub_rank: Words::decode(r)?,
+            ones: r.read_len()?,
+            hints1: U32Words::decode(r)?,
+            hints0: U32Words::decode(r)?,
+        };
+        // Lengths and totals first, so a truncated or resized directory
+        // gets its own error before the rebuild below.
+        let (n_blocks, ones) = (bits.len().div_ceil(BLOCK_BITS).max(1), dir.ones);
+        if dir.block_rank.len() != n_blocks + 1 || dir.sub_rank.len() != n_blocks {
             return Err(LoadError::Invalid("fid directory length"));
         }
-        if block_rank[0] != 0 || block_rank[n_blocks] != ones as u64 || ones > bits.len() {
+        if dir.block_rank[0] != 0 || dir.block_rank[n_blocks] != ones as u64 || ones > bits.len() {
             return Err(LoadError::Invalid("fid rank totals"));
         }
-        for b in 0..n_blocks {
-            if block_rank[b + 1] < block_rank[b]
-                || block_rank[b + 1] - block_rank[b] > BLOCK_BITS as u64
-            {
-                return Err(LoadError::Invalid("fid rank directory not monotone"));
-            }
-        }
         let zeros = bits.len() - ones;
-        if hints1.len() != ones.div_ceil(SELECT_SAMPLE)
-            || hints0.len() != zeros.div_ceil(SELECT_SAMPLE)
+        if dir.hints1.len() != ones.div_ceil(SELECT_SAMPLE)
+            || dir.hints0.len() != zeros.div_ceil(SELECT_SAMPLE)
         {
             return Err(LoadError::Invalid("fid hint length"));
         }
-        for hints in [&hints1, &hints0] {
-            for k in 0..hints.len() {
-                let b = hints.get(k) as usize;
-                if b >= n_blocks || (k > 0 && b < hints.get(k - 1) as usize) {
-                    return Err(LoadError::Invalid("fid hint out of range"));
-                }
-            }
+        // The query paths trust every directory entry (a select resolves
+        // inside the block its hint and block ranks name), so the stored
+        // directory must be the one the words derive: one popcount pass.
+        if dir != Directory::of(&bits) {
+            return Err(LoadError::Invalid("fid directory disagrees with its words"));
         }
-        Ok(Fid {
-            bits,
-            block_rank,
-            sub_rank,
-            ones,
-            hints1,
-            hints0,
-        })
+        Ok(Fid { bits, dir })
     }
 }
 

@@ -5,9 +5,9 @@
 //! a typed [`LoadError`], never a panic, never a queryable structure.
 
 use wt_bits::persist::{
-    crc64, from_bytes, kind, to_bytes, Archive, ArchiveWriter, LoadError, FORMAT_VERSION,
+    crc64, from_bytes, kind, to_bytes, Archive, ArchiveWriter, LoadError, Persist, FORMAT_VERSION,
 };
-use wt_bits::{BitAccess, BitRank, BitSelect, EliasFano, Fid, RawBitVec, RrrVector};
+use wt_bits::{BitSelect, EliasFano, Fid, RawBitVec, RrrVector};
 use wt_workloads::xorshift;
 
 /// One representative image per archive-rooted container kind.
@@ -421,12 +421,13 @@ fn rrr_block_mutants() {
     }
 }
 
-/// Queries a loaded RRR vector against scans of its own `to_raw`: rank1 at
-/// 0, at `len` and at random positions, `get_rank1`, and sampled selects.
-/// A mutant that passes validation must answer consistently, never panic.
-fn query_rrr(v: &RrrVector, rnd: &mut impl FnMut() -> u64) {
-    let raw = v.to_raw();
+/// Queries a loaded bitvector against scans of `raw`, the bits it holds:
+/// `get` and `rank1` at 0, at `len` and at random positions, and sampled
+/// selects. A mutant that passes validation must answer consistently,
+/// never panic.
+fn query_bits<V: BitSelect>(v: &V, raw: &RawBitVec, rnd: &mut impl FnMut() -> u64) {
     let (n, ones) = (v.len(), v.count_ones());
+    assert_eq!(n, raw.len());
     assert_eq!(ones, raw.count_ones());
     assert_eq!(v.rank1(0), 0);
     assert_eq!(v.rank1(n), ones);
@@ -434,11 +435,7 @@ fn query_rrr(v: &RrrVector, rnd: &mut impl FnMut() -> u64) {
         let i = (rnd() % (n as u64 + 1)) as usize;
         assert_eq!(v.rank1(i), raw.rank1_scan(i), "rank1({i})");
         if i < n {
-            assert_eq!(
-                v.get_rank1(i),
-                (raw.get(i), raw.rank1_scan(i)),
-                "get_rank1({i})"
-            );
+            assert_eq!(v.get(i), raw.get(i), "get({i})");
         }
     }
     for k in (0..=ones).step_by((ones / 32).max(1)) {
@@ -446,6 +443,43 @@ fn query_rrr(v: &RrrVector, rnd: &mut impl FnMut() -> u64) {
     }
     for k in (0..=n - ones).step_by(((n - ones) / 32).max(1)) {
         assert_eq!(v.select0(k), raw.select0_scan(k), "select0({k})");
+    }
+}
+
+/// An RRR vector against its own bits as `to_raw` decodes them from the
+/// classes and offsets, `get_rank1` included.
+fn query_rrr(v: &RrrVector, rnd: &mut impl FnMut() -> u64) {
+    let raw = v.to_raw();
+    query_bits(v, &raw, rnd);
+    for _ in 0..64 {
+        let i = (rnd() % (raw.len() as u64 + 1)) as usize;
+        if i < raw.len() {
+            let want = (raw.get(i), raw.rank1_scan(i));
+            assert_eq!(v.get_rank1(i), want, "get_rank1({i})");
+        }
+    }
+}
+
+/// Every `get` of a loaded Elias–Fano sequence against its two halves
+/// read back from `image` itself: the low bits, and the upper unary
+/// stream scanned without the directory of the `Fid` that holds it.
+fn query_elias_fano(ef: &EliasFano, image: &[u8]) {
+    let archive = Archive::parse(image, kind::ELIAS_FANO).unwrap();
+    let mut r = archive.section(0).unwrap();
+    let n = r.read_len().unwrap();
+    let _universe = r.read_u64().unwrap();
+    let low_width = r.read_len().unwrap();
+    let low = RawBitVec::decode(&mut r).unwrap();
+    let high = RawBitVec::decode(&mut r).unwrap(); // the upper `Fid`'s bits
+    assert_eq!(ef.len(), n);
+    for i in 0..n {
+        let hi = (high.select1_scan(i).unwrap() - i) as u64;
+        let lo = if low_width == 0 {
+            0
+        } else {
+            low.get_bits(i * low_width, low_width)
+        };
+        assert_eq!(ef.get(i), (hi << low_width) | lo, "get({i})");
     }
 }
 
@@ -496,16 +530,23 @@ fn fuzz_mutations_never_panic() {
         // only for checksum-refixed splices that happen to produce another
         // well-formed image — loads as a structure whose canonical re-save
         // is byte-identical to the mutant. Anything else (a panic, or a
-        // loaded structure that does not round-trip) is a failure. An RRR
-        // mutant that loads must also answer queries consistently.
+        // loaded structure that does not round-trip) is a failure. An RRR,
+        // `Fid` or Elias–Fano mutant that loads must also answer queries
+        // like its own bits.
         let outcome = match *k {
             kind::RAW => from_bytes::<RawBitVec>(*k, &m).map(|v| to_bytes(*k, &v)),
-            kind::FID => from_bytes::<Fid>(*k, &m).map(|v| to_bytes(*k, &v)),
+            kind::FID => from_bytes::<Fid>(*k, &m).map(|v| {
+                query_bits(&v, v.raw(), &mut rnd);
+                to_bytes(*k, &v)
+            }),
             kind::RRR => from_bytes::<RrrVector>(*k, &m).map(|v| {
                 query_rrr(&v, &mut rnd);
                 to_bytes(*k, &v)
             }),
-            kind::ELIAS_FANO => from_bytes::<EliasFano>(*k, &m).map(|v| to_bytes(*k, &v)),
+            kind::ELIAS_FANO => from_bytes::<EliasFano>(*k, &m).map(|v| {
+                query_elias_fano(&v, &m);
+                to_bytes(*k, &v)
+            }),
             _ => unreachable!(),
         };
         match outcome {

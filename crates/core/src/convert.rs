@@ -55,10 +55,10 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
                 Node::Leaf(_) => internal.push(false),
                 Node::Internal(int) => {
                     internal.push(true);
-                    let len = int.bv.wt_len();
+                    let len = int.bv.len();
                     int.bv.wt_append_into(&mut bv_concat);
                     bv_lens.push(len as u64);
-                    bv_ones.push(int.bv.wt_rank(true, len) as u64);
+                    bv_ones.push(int.bv.rank1(len) as u64);
                     // Child 0 must pop first (preorder).
                     stack.push(&int.children[1]);
                     stack.push(&int.children[0]);

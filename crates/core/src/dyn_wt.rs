@@ -13,23 +13,17 @@
 //!   [`DynamicBitVec`] (§4.2 RLE+γ); `Insert`/`Delete` and queries in
 //!   O(|s| + h_s log n).
 
-use crate::nav::TrieNav;
-use wt_bits::{BitAccess, BitRank, BitSelect, DynamicBitVec, OffsetBitVec, RawBitVec, SpaceUsage};
+use crate::nav::{self, TrieNav};
+use wt_bits::{BitAccess, BitSelect, DynamicBitVec, OffsetBitVec, RawBitVec, SpaceUsage};
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
-/// Bitvector interface required by the dynamic Wavelet Trie nodes.
-pub trait WtBitVec: Default + SpaceUsage {
+/// Bitvector interface required by the dynamic Wavelet Trie nodes: the
+/// queries of [`BitSelect`] plus the constructors and the one mutation
+/// the §4 algorithms need.
+pub trait WtBitVec: Default + SpaceUsage + BitSelect {
     /// `Init(b, n)`: constant bitvector of `n` copies of `bit`
     /// (Remark 4.2: must not cost Ω(n)).
     fn wt_filled(bit: bool, n: usize) -> Self;
-    /// Length.
-    fn wt_len(&self) -> usize;
-    /// Bit at `i`.
-    fn wt_get(&self, i: usize) -> bool;
-    /// Occurrences of `bit` in `[0, i)`.
-    fn wt_rank(&self, bit: bool, i: usize) -> usize;
-    /// Position of the `k`-th `bit`.
-    fn wt_select(&self, bit: bool, k: usize) -> Option<usize>;
     /// Inserts `bit` at `i`. Append-only implementations support only
     /// `i == len` (which is the only position the append-only Wavelet Trie
     /// ever produces).
@@ -44,8 +38,7 @@ pub trait WtBitVec: Default + SpaceUsage {
     fn wt_from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let mut v = Self::default();
         for b in iter {
-            let n = v.wt_len();
-            v.wt_insert(n, b);
+            v.wt_insert(v.len(), b);
         }
         v
     }
@@ -61,18 +54,6 @@ impl WtBitVec for OffsetBitVec {
     fn wt_filled(bit: bool, n: usize) -> Self {
         OffsetBitVec::filled(bit, n)
     }
-    fn wt_len(&self) -> usize {
-        self.len()
-    }
-    fn wt_get(&self, i: usize) -> bool {
-        self.get(i)
-    }
-    fn wt_rank(&self, bit: bool, i: usize) -> usize {
-        self.rank(bit, i)
-    }
-    fn wt_select(&self, bit: bool, k: usize) -> Option<usize> {
-        self.select(bit, k)
-    }
     fn wt_insert(&mut self, i: usize, bit: bool) {
         assert_eq!(i, self.len(), "append-only bitvector: insert at end only");
         self.push(bit);
@@ -85,18 +66,6 @@ impl WtBitVec for OffsetBitVec {
 impl WtBitVec for DynamicBitVec {
     fn wt_filled(bit: bool, n: usize) -> Self {
         DynamicBitVec::filled(bit, n)
-    }
-    fn wt_len(&self) -> usize {
-        self.len()
-    }
-    fn wt_get(&self, i: usize) -> bool {
-        self.get(i)
-    }
-    fn wt_rank(&self, bit: bool, i: usize) -> usize {
-        self.rank(bit, i)
-    }
-    fn wt_select(&self, bit: bool, k: usize) -> Option<usize> {
-        self.select(bit, k)
     }
     fn wt_insert(&mut self, i: usize, bit: bool) {
         self.insert(i, bit);
@@ -174,46 +143,6 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
         self.len == 0
     }
 
-    /// Read-only pre-check so a failed insert leaves the trie untouched.
-    fn check_insertable(&self, s: BitStr<'_>) -> Result<(), PrefixFreeViolation> {
-        let mut node = match &self.root {
-            None => return Ok(()),
-            Some(r) => r,
-        };
-        let mut delta = 0usize;
-        loop {
-            let label = node.label().as_bitstr();
-            let rest = s.suffix(delta);
-            let l = rest.lcp(&label);
-            if l < label.len() {
-                return if delta + l == s.len() {
-                    // s ends strictly inside the label: proper prefix.
-                    Err(PrefixFreeViolation)
-                } else {
-                    Ok(()) // genuine mismatch: a split will happen
-                };
-            }
-            delta += l;
-            match node {
-                Node::Leaf(_) => {
-                    return if delta == s.len() {
-                        Ok(()) // exact duplicate: fine
-                    } else {
-                        Err(PrefixFreeViolation) // stored string is prefix of s
-                    };
-                }
-                Node::Internal(int) => {
-                    if delta == s.len() {
-                        return Err(PrefixFreeViolation); // s prefix of stored
-                    }
-                    let b = s.get(delta);
-                    delta += 1;
-                    node = &int.children[b as usize];
-                }
-            }
-        }
-    }
-
     /// `Insert(s, pos)` (§4): inserts `s` immediately before position `pos`.
     ///
     /// # Errors
@@ -224,7 +153,10 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
     /// If `pos > len()`, or (append-only backend) if `pos != len()`.
     pub fn insert(&mut self, s: BitStr<'_>, pos: usize) -> Result<(), PrefixFreeViolation> {
         assert!(pos <= self.len, "insert position out of bounds");
-        self.check_insertable(s)?;
+        // Checked before any edit, so a failed insert leaves the trie as it was.
+        if !nav::admits(self, s) {
+            return Err(PrefixFreeViolation);
+        }
         let root = match self.root.as_mut() {
             None => {
                 self.root = Some(Node::Leaf(s.to_owned_str()));
@@ -271,16 +203,16 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
             delta += l;
             match node {
                 Node::Leaf(_) => {
-                    debug_assert_eq!(delta, s.len(), "checked by check_insertable");
+                    debug_assert_eq!(delta, s.len(), "checked by admits");
                     break; // exact duplicate: all path bitvectors updated
                 }
                 Node::Internal(int) => {
-                    debug_assert!(delta < s.len(), "checked by check_insertable");
+                    debug_assert!(delta < s.len(), "checked by admits");
                     let b = s.get(delta);
                     delta += 1;
-                    let child_count = int.bv.wt_rank(b, int.bv.wt_len());
+                    let child_count = int.bv.rank(b, int.bv.len());
                     int.bv.wt_insert(p, b);
-                    p = int.bv.wt_rank(b, p);
+                    p = int.bv.rank(b, p);
                     m = child_count;
                     node = &mut int.children[b as usize];
                 }
@@ -311,10 +243,10 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
             let Node::Internal(int) = node else {
                 continue;
             };
-            if int.bv.wt_len() != strings {
+            if int.bv.len() != strings {
                 return Err("node bitvector length vs subtree strings");
             }
-            let ones = int.bv.wt_rank(true, strings);
+            let ones = int.bv.rank1(strings);
             if ones == 0 || ones == strings {
                 return Err("node bitvector with an empty side");
             }
@@ -380,8 +312,8 @@ impl<B: WtBitVecRemove> DynWaveletTrie<B> {
         let (b, mapped) = match node {
             Node::Leaf(_) => return,
             Node::Internal(int) => {
-                let b = int.bv.wt_get(pos);
-                let mapped = int.bv.wt_rank(b, pos);
+                let b = int.bv.get(pos);
+                let mapped = int.bv.rank(b, pos);
                 int.bv.wt_remove(pos);
                 (b, mapped)
             }
@@ -393,7 +325,7 @@ impl<B: WtBitVecRemove> DynWaveletTrie<B> {
                 // Last occurrence of the leaf's string gone? (its side of the
                 // bitvector became constant-empty)
                 matches!(&int.children[b as usize], Node::Leaf(_))
-                    && int.bv.wt_rank(b, int.bv.wt_len()) == 0
+                    && int.bv.rank(b, int.bv.len()) == 0
             }
             Node::Leaf(_) => unreachable!(),
         };
@@ -483,7 +415,7 @@ impl<B: WtBitVec> TrieNav for DynWaveletTrie<B> {
     #[inline]
     fn nav_bv_len<'a>(&'a self, v: NodeRef<'a, B>) -> usize {
         match v.0 {
-            Node::Internal(int) => int.bv.wt_len(),
+            Node::Internal(int) => int.bv.len(),
             Node::Leaf(_) => panic!("nav_bv_len on a leaf"),
         }
     }
@@ -491,7 +423,7 @@ impl<B: WtBitVec> TrieNav for DynWaveletTrie<B> {
     #[inline]
     fn nav_bv_get<'a>(&'a self, v: NodeRef<'a, B>, i: usize) -> bool {
         match v.0 {
-            Node::Internal(int) => int.bv.wt_get(i),
+            Node::Internal(int) => int.bv.get(i),
             Node::Leaf(_) => panic!("nav_bv_get on a leaf"),
         }
     }
@@ -499,7 +431,7 @@ impl<B: WtBitVec> TrieNav for DynWaveletTrie<B> {
     #[inline]
     fn nav_bv_rank<'a>(&'a self, v: NodeRef<'a, B>, bit: bool, i: usize) -> usize {
         match v.0 {
-            Node::Internal(int) => int.bv.wt_rank(bit, i),
+            Node::Internal(int) => int.bv.rank(bit, i),
             Node::Leaf(_) => panic!("nav_bv_rank on a leaf"),
         }
     }
@@ -507,7 +439,7 @@ impl<B: WtBitVec> TrieNav for DynWaveletTrie<B> {
     #[inline]
     fn nav_bv_select<'a>(&'a self, v: NodeRef<'a, B>, bit: bool, k: usize) -> Option<usize> {
         match v.0 {
-            Node::Internal(int) => int.bv.wt_select(bit, k),
+            Node::Internal(int) => int.bv.select(bit, k),
             Node::Leaf(_) => panic!("nav_bv_select on a leaf"),
         }
     }
@@ -606,7 +538,7 @@ mod tests {
         assert_eq!(one_sided.check_invariants(), err);
         // Root bits 0010101: flipping the first moves a string from the
         // 0-subtree (an internal node over four strings) to the 1-leaf.
-        let bits: Vec<bool> = (0..7).map(|i| flipped.bv.wt_get(i) ^ (i == 0)).collect();
+        let bits: Vec<bool> = (0..7).map(|i| flipped.bv.get(i) ^ (i == 0)).collect();
         flipped.bv = DynamicBitVec::from_bits(bits);
         let err = Err("node bitvector length vs subtree strings");
         assert_eq!(moved.check_invariants(), err);
@@ -620,8 +552,8 @@ mod tests {
         for s in ["0001", "0001", "0011"] {
             wt.append(bs(s).as_bitstr()).unwrap();
         }
-        // root: label "00", bv = 001 (children "1" leaf… wait: strings 0001,0011
-        // LCP = "00", branch bits: 0,0,1.
+        // Root: label "00", the LCP of 0001 and 0011, and bitvector 001,
+        // each string's branch bit after it.
         {
             let root = wt.nav_root().unwrap();
             let mut lab = BitString::new();

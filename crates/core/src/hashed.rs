@@ -14,7 +14,6 @@
 
 use crate::binarize::FixedWidthMsb;
 use crate::dyn_wt::DynamicWaveletTrie;
-use crate::nav::TrieNav;
 use crate::ops::{SeqIndex, SequenceOps};
 use wt_bits::SpaceUsage;
 use wt_trie::BitString;
@@ -178,52 +177,6 @@ pub fn unhashed_height(values: &[u64], width: u32) -> usize {
         t.push(v);
     }
     t.height()
-}
-
-// Re-export for the balance experiment: the trie must also be reachable
-// through `TrieNav` for generic inspection.
-impl TrieNav for RandomizedWaveletTree {
-    type Node<'a> = <DynamicWaveletTrie as TrieNav>::Node<'a>;
-
-    fn nav_root(&self) -> Option<Self::Node<'_>> {
-        self.inner.nav_root()
-    }
-    fn nav_len(&self) -> usize {
-        self.inner.nav_len()
-    }
-    fn nav_is_leaf<'a>(&'a self, v: Self::Node<'a>) -> bool {
-        self.inner.nav_is_leaf(v)
-    }
-    fn nav_child<'a>(&'a self, v: Self::Node<'a>, bit: bool) -> Self::Node<'a> {
-        self.inner.nav_child(v, bit)
-    }
-    fn nav_label_len<'a>(&'a self, v: Self::Node<'a>) -> usize {
-        self.inner.nav_label_len(v)
-    }
-    fn nav_label_bit<'a>(&'a self, v: Self::Node<'a>, i: usize) -> bool {
-        self.inner.nav_label_bit(v, i)
-    }
-    fn nav_label_lcp<'a>(&'a self, v: Self::Node<'a>, s: wt_trie::BitStr<'_>) -> usize {
-        self.inner.nav_label_lcp(v, s)
-    }
-    fn nav_label_append<'a>(&'a self, v: Self::Node<'a>, out: &mut BitString) {
-        self.inner.nav_label_append(v, out)
-    }
-    fn nav_bv_len<'a>(&'a self, v: Self::Node<'a>) -> usize {
-        self.inner.nav_bv_len(v)
-    }
-    fn nav_bv_get<'a>(&'a self, v: Self::Node<'a>, i: usize) -> bool {
-        self.inner.nav_bv_get(v, i)
-    }
-    fn nav_bv_rank<'a>(&'a self, v: Self::Node<'a>, bit: bool, i: usize) -> usize {
-        self.inner.nav_bv_rank(v, bit, i)
-    }
-    fn nav_bv_select<'a>(&'a self, v: Self::Node<'a>, bit: bool, k: usize) -> Option<usize> {
-        self.inner.nav_bv_select(v, bit, k)
-    }
-    fn nav_key<'a>(&'a self, v: Self::Node<'a>) -> usize {
-        self.inner.nav_key(v)
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! bound `LB(S) = LT(Sset) + nH0(S)`, and the average height `h̃`
 //! (Definition 3.4). These drive the space experiments E4/E10.
 
-use std::collections::HashMap;
-use wt_trie::{BitStr, BitString, PatriciaSet};
+use crate::nav::{self, Descent, TrieNav};
+use wt_trie::{BitStr, BitString};
 
 /// Information-theoretic summary of a sequence of binary strings.
 #[derive(Clone, Copy, Debug)]
@@ -28,49 +28,50 @@ pub struct SequenceStats {
 }
 
 impl SequenceStats {
-    /// Computes the stats; O(total input bits · log) time.
+    /// Computes the stats from the sorted strings, in O(n log n)
+    /// comparisons.
+    ///
+    /// `|L|` needs no trie. Each non-empty distinct prefix of `Sset` is
+    /// one position of its Patricia trie, either a label bit or one of
+    /// the `e` branch bits, and in sorted order the new prefixes each
+    /// string adds are the bits past its LCP with its predecessor. So
+    /// `|L| = Σ|s| − Σ lcp − e − root label`, where the root label (the
+    /// LCP of the whole set) is the smallest adjacent LCP.
     ///
     /// Returns `None` if the string set is not prefix-free (the bounds are
     /// defined for prefix-free sets only).
     pub fn from_bitstrings(seq: &[BitString]) -> Option<Self> {
         let n = seq.len();
-        let mut counts: HashMap<&BitString, usize> = HashMap::new();
-        for s in seq {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-        let distinct = counts.len();
-        let nh0_bits: f64 = counts
-            .values()
-            .map(|&c| c as f64 * (n as f64 / c as f64).log2())
-            .sum();
-        // Build the Patricia trie of Sset to obtain |L|.
-        let mut trie = PatriciaSet::new();
-        for s in counts.keys() {
-            match trie.insert(s.as_bitstr()) {
-                Ok(_) => {}
-                Err(_) => return None,
+        let mut sorted: Vec<&BitString> = seq.iter().collect();
+        sorted.sort_unstable();
+        let mut nh0_bits = 0.0;
+        let (mut distinct, mut distinct_bits, mut lcp_bits) = (0usize, 0usize, 0usize);
+        let mut root_label = usize::MAX;
+        let mut prev: Option<&BitString> = None;
+        for run in sorted.chunk_by(|a, b| a == b) {
+            let s = run[0];
+            let c = run.len() as f64;
+            nh0_bits += c * (n as f64 / c).log2();
+            distinct += 1;
+            distinct_bits += s.len();
+            if let Some(p) = prev {
+                let l = p.as_bitstr().lcp(&s.as_bitstr());
+                if l == p.len() {
+                    return None; // `p` is a proper prefix of `s`
+                }
+                lcp_bits += l;
+                root_label = root_label.min(l);
             }
+            prev = Some(s);
         }
-        // label_bits counts every node label including the root; Theorem 3.6
-        // concatenates the e non-root labels. Recover the root label length
-        // as the LCP of the whole set.
-        let root_label = if distinct <= 1 {
-            seq.first().map_or(0, |s| s.len())
-        } else {
-            let mut it = counts.keys();
-            let first = it.next().expect("nonempty");
-            let mut l = first.len();
-            for s in it {
-                l = l.min(first.as_bitstr().lcp(&s.as_bitstr()));
-            }
-            l
-        };
-        let l_bits = trie.label_bits().saturating_sub(root_label);
         let e = 2 * distinct.saturating_sub(1);
-        let lt_bits = if distinct <= 1 {
-            l_bits as f64
+        let (l_bits, lt_bits) = if distinct <= 1 {
+            (0, 0.0) // the only label is the root's
         } else {
-            l_bits as f64 + e as f64 + wt_bits::entropy::binomial_bound_bits(l_bits + e, e)
+            let l_bits = distinct_bits - lcp_bits - e - root_label;
+            let lt =
+                l_bits as f64 + e as f64 + wt_bits::entropy::binomial_bound_bits(l_bits + e, e);
+            (l_bits, lt)
         };
         let total_input_bits = seq.iter().map(|s| s.len()).sum();
         Some(SequenceStats {
@@ -104,13 +105,14 @@ impl SequenceStats {
     }
 }
 
-/// Average height `h̃` computed directly from the strings via a Patricia
-/// descent per string (Definition 3.4: `h̃ = (1/n)Σ h_{s_i}`).
+/// Average height `h̃` of the strings (Definition 3.4:
+/// `h̃ = (1/n)Σ h_{s_i}`): builds their static Wavelet Trie and reads
+/// `h̃ = Σ|β| / n` off its bitvector lengths. `NaN` if the set is not
+/// prefix-free.
 pub fn average_height_of(seq: &[BitString]) -> f64 {
     if seq.is_empty() {
         return 0.0;
     }
-    // Build a static Wavelet Trie and read h̃ = Σ|β| / n off it.
     use crate::ops::SeqIndex;
     match crate::static_wt::WaveletTrie::build(seq) {
         Ok(wt) => wt.avg_height(),
@@ -118,28 +120,12 @@ pub fn average_height_of(seq: &[BitString]) -> f64 {
     }
 }
 
-/// Per-string trie depth `h_s` (internal nodes traversed when searching
-/// `s`), computed against a Patricia trie of the distinct set.
-pub fn string_depth<T: crate::nav::TrieNav>(t: &T, s: BitStr<'_>) -> Option<usize> {
-    let mut v = t.nav_root()?;
-    let mut delta = 0usize;
-    let mut depth = 0usize;
-    loop {
-        let l = t.nav_label_lcp(v, s.suffix(delta));
-        if l < t.nav_label_len(v) {
-            return None;
-        }
-        delta += l;
-        if t.nav_is_leaf(v) {
-            return (delta == s.len()).then_some(depth);
-        }
-        if delta == s.len() {
-            return None;
-        }
-        let b = s.get(delta);
-        delta += 1;
-        depth += 1;
-        v = t.nav_child(v, b);
+/// Per-string trie depth `h_s`: the internal nodes one descent of `t`
+/// traverses when searching `s`, or `None` if `s` is not stored.
+pub fn string_depth<T: TrieNav>(t: &T, s: BitStr<'_>) -> Option<usize> {
+    match nav::descend_exact(t, s) {
+        Descent::Found { path, .. } => Some(path.iter().count()),
+        Descent::Absent => None,
     }
 }
 
@@ -151,16 +137,20 @@ mod tests {
         BitString::parse(s)
     }
 
+    fn figure2_strs() -> [&'static str; 7] {
+        ["0001", "0011", "0100", "00100", "0100", "00100", "0100"]
+    }
+
     #[test]
     fn figure2_stats() {
-        let seq: Vec<BitString> = ["0001", "0011", "0100", "00100", "0100", "00100", "0100"]
-            .iter()
-            .map(|s| bs(s))
-            .collect();
+        let seq: Vec<BitString> = figure2_strs().iter().map(|s| bs(s)).collect();
         let st = SequenceStats::from_bitstrings(&seq).unwrap();
         assert_eq!(st.n, 7);
         assert_eq!(st.distinct, 4);
         assert_eq!(st.e, 6);
+        // Below the root label "0", Figure 2's labels are "00", "1", "0"
+        // and three empty ones; B(6, 10) = ⌈log₂ C(10, 6)⌉ = 8.
+        assert_eq!((st.l_bits, st.lt_bits), (4, 18.0));
         // H0 = -(1/7 log 1/7 + 1/7 ... + 3/7 log 3/7 + 2/7 log 2/7)
         let h0 = st.h0_per_string();
         let expect = (1.0f64 / 7.0) * 7f64.log2() * 2.0
@@ -175,8 +165,17 @@ mod tests {
 
     #[test]
     fn non_prefix_free_detected() {
-        let seq = vec![bs("01"), bs("010")];
-        assert!(SequenceStats::from_bitstrings(&seq).is_none());
+        // A proper prefix sorts right before its extensions, in any input
+        // order; ε is a prefix of everything.
+        for set in [
+            &["01", "010"][..],
+            &["010", "01"],
+            &["", "0"],
+            &["01", "0100", "0111"],
+        ] {
+            let seq: Vec<BitString> = set.iter().map(|s| bs(s)).collect();
+            assert!(SequenceStats::from_bitstrings(&seq).is_none(), "{set:?}");
+        }
     }
 
     #[test]
@@ -187,16 +186,51 @@ mod tests {
         assert_eq!(st.nh0_bits, 0.0);
         assert_eq!(st.e, 0);
         assert_eq!(st.l_bits, 0); // the single label is the root label
+        let st = SequenceStats::from_bitstrings(&[]).unwrap();
+        assert_eq!((st.n, st.distinct, st.e, st.l_bits), (0, 0, 0, 0));
+        assert_eq!((st.nh0_bits, st.lt_bits), (0.0, 0.0));
+    }
+
+    /// `LT` from the sorted LCPs equals `LT` read off the built trie's
+    /// labels and node count, and both `nH0` sums agree.
+    #[test]
+    fn stats_agree_with_the_trie_they_bound() {
+        use crate::binarize::{Coder, FixedWidthMsb, NinthBitCoder};
+        use wt_workloads::{url_log, word_text, xorshift, UrlLogConfig};
+        let text = |v: Vec<String>| -> Vec<BitString> {
+            v.iter()
+                .map(|s| NinthBitCoder.encode(s.as_bytes()))
+                .collect()
+        };
+        let mut next = xorshift(0x57A7);
+        let ints = FixedWidthMsb::new(28);
+        let corpora = [
+            ("figure 2", figure2_strs().iter().map(|s| bs(s)).collect()),
+            ("urls", text(url_log(5_000, UrlLogConfig::default(), 3))),
+            ("words", text(word_text(5_000, 400, 4))),
+            (
+                "28-bit ints",
+                (0..5_000)
+                    .map(|_| ints.encode_u64(next() & ((1 << 28) - 1)))
+                    .collect(),
+            ),
+        ];
+        for (name, seq) in corpora {
+            let st = SequenceStats::from_bitstrings(&seq).unwrap();
+            let sp = crate::static_wt::WaveletTrie::build(&seq)
+                .unwrap()
+                .space_breakdown();
+            assert_eq!(st.distinct, sp.distinct, "{name}");
+            assert_eq!(st.lt_bits, sp.lt_bits, "{name}");
+            let rel = (st.nh0_bits - sp.nh0_bits).abs() / sp.nh0_bits.max(1.0);
+            assert!(rel < 1e-9, "{name}: nH0 {} vs {}", st.nh0_bits, sp.nh0_bits);
+        }
     }
 
     #[test]
     fn trie_shape_figure2() {
-        use crate::nav::TrieNav;
         use crate::ops::SeqIndex;
-        let seq: Vec<BitString> = ["0001", "0011", "0100", "00100", "0100", "00100", "0100"]
-            .iter()
-            .map(|s| bs(s))
-            .collect();
+        let seq: Vec<BitString> = figure2_strs().iter().map(|s| bs(s)).collect();
         let wt = crate::static_wt::WaveletTrie::build(&seq).unwrap();
         // Leaves: 0100×3 at depth 1, 0001×1 at 2, 0011×1 and 00100×2 at 3.
         let depths: Vec<usize> = seq

@@ -8,6 +8,19 @@
 
 use wt_bits::RawBitVec;
 
+/// Error returned when an operation would break prefix-freeness
+/// (the paper requires `Sset` prefix-free; see §3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrefixFreeViolation;
+
+impl std::fmt::Display for PrefixFreeViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "operation would make the string set non-prefix-free")
+    }
+}
+
+impl std::error::Error for PrefixFreeViolation {}
+
 /// An owned binary string (sequence of bits).
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitString {

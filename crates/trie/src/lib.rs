@@ -1,20 +1,19 @@
-//! # wt-trie — trie substrates for the Wavelet Trie
+//! # wt-trie — binary strings for the Wavelet Trie
 //!
-//! Substrates from §2, §3 and Appendix B of *"The Wavelet Trie"*
-//! (Grossi & Ottaviano, PODS 2012):
+//! [`bitstr`] holds the binary strings the Wavelet Trie of *"The Wavelet
+//! Trie"* (Grossi & Ottaviano, PODS 2012) stores, at bit granularity:
+//! [`BitString`] and the borrowed [`BitStr`] with LCP, slicing and
+//! ordering, plus [`PrefixFreeViolation`], the error every structure
+//! returns when a string would break §3's prefix-free requirement.
 //!
-//! * [`bitstr`] — binary strings at bit granularity ([`BitString`],
-//!   [`BitStr`]): LCP, slicing, ordering.
-//! * [`patricia`] — the dynamic Patricia trie of Appendix B
-//!   ([`PatriciaSet`]), with O(|s|) insert and merge-on-delete.
-//!
-//! The static Wavelet Trie needs no tree encoding from this crate: its
-//! internal nodes are always binary, so numbering nodes in level order
-//! makes one internal flag per node the whole topology (see
-//! `wavelet_trie::WaveletTrie`).
+//! The Patricia trie of §2 and Appendix B is not a separate structure
+//! here: the Wavelet Trie is that trie with a bitvector on each internal
+//! node. The dynamic variants split and merge its nodes
+//! (`wavelet_trie::DynWaveletTrie`), one set of descents serves every
+//! variant (`wavelet_trie::TrieNav`), and the static trie numbers its
+//! nodes in level order, so one internal flag per node is the whole
+//! topology (`wavelet_trie::WaveletTrie`).
 
 pub mod bitstr;
-pub mod patricia;
 
-pub use bitstr::{BitStr, BitString};
-pub use patricia::{PatriciaSet, PrefixFreeViolation};
+pub use bitstr::{BitStr, BitString, PrefixFreeViolation};
