@@ -6,13 +6,17 @@
 //! payload words in place — zero per-bit work) must beat rebuilding the
 //! same index from its input strings by ≥50× on the 100k-URL workload.
 //! The tiered store's directory load (sealed segments zero-copy, hot tail
-//! replayed) is reported alongside.
+//! replayed) is reported alongside, with its build split into the time
+//! spent appending, freezing tails and merging segments.
 //!
 //! Usage: `persist_report [--quick] [--out PATH]`
 
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
 use wavelet_trie::IndexedStrings;
 use wt_bench::{time_once_ms, Table};
-use wt_store::TieredStrings;
+use wt_store::{Maintenance, MaintenanceProbe, MaintenanceStep, StoreConfig, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 
 /// One measured series.
@@ -97,6 +101,62 @@ fn bench_indexed_strings(n: usize, samples: usize, out: &mut Vec<Measurement>, t
     });
 }
 
+/// Sums the time from each `Freeze` or `Merge` step to its install.
+#[derive(Default)]
+struct StepTimer(Mutex<StepTimes>);
+
+#[derive(Default)]
+struct StepTimes {
+    started: Option<Instant>,
+    freeze: Duration,
+    merge: Duration,
+}
+
+impl MaintenanceProbe for StepTimer {
+    fn step(&self, step: MaintenanceStep) {
+        let t = &mut *self.0.lock().expect("no probe panics");
+        let since_start =
+            |started: &mut Option<Instant>| started.take().expect("step started").elapsed();
+        match step {
+            MaintenanceStep::Freeze { .. } | MaintenanceStep::Merge { .. } => {
+                t.started = Some(Instant::now());
+            }
+            MaintenanceStep::InstallFrozen { .. } => t.freeze += since_start(&mut t.started),
+            MaintenanceStep::InstallMerged { .. } => t.merge += since_start(&mut t.started),
+            _ => {}
+        }
+    }
+}
+
+/// The default-policy build of `TieredStrings`, split: the store never
+/// seals on its own, and a maintenance pass after every `seal_at`
+/// strings seals and compacts as the policy would. Returns the ms spent
+/// appending, freezing and merging.
+fn split_build(strings: &[String]) -> [f64; 3] {
+    let policy = StoreConfig::default();
+    let mut st = TieredStrings::with_config(StoreConfig {
+        seal_at: usize::MAX,
+        ..policy
+    });
+    let timer = StepTimer::default();
+    let opts = Maintenance {
+        probe: &timer,
+        ..Maintenance::default()
+    };
+    let mut append = Duration::ZERO;
+    for chunk in strings.chunks(policy.seal_at) {
+        let t = Instant::now();
+        st.extend(chunk);
+        append += t.elapsed();
+        if chunk.len() == policy.seal_at {
+            assert!(st.maintain_with(&opts).is_clean());
+        }
+    }
+    assert_eq!(st.len(), strings.len());
+    let t = timer.0.into_inner().expect("no probe panics");
+    [append, t.freeze, t.merge].map(|d| d.as_secs_f64() * 1e3)
+}
+
 fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table) {
     let strings = url_log(n, UrlLogConfig::default(), 5);
     let build = || {
@@ -106,6 +166,7 @@ fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table)
     };
     let build_ms = median_ms(samples, || time_once_ms(build).1);
     let st = build();
+    let [append_ms, freeze_ms, merge_ms] = split_build(&strings);
     let dir = scratch_dir().join(format!("store-{n}"));
     let save_ms = median_ms(samples, || {
         time_once_ms(|| st.save_dir(&dir).expect("save store to scratch dir")).1
@@ -176,11 +237,17 @@ fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table)
         &format!("{speedup:.0}x"),
     ]);
     println!(
+        "    build split: append {append_ms:.1}ms, freeze {freeze_ms:.1}ms, merge {merge_ms:.1}ms"
+    );
+    println!(
         "    recovery: clean {recover_clean_ms:.2}ms, \
          one-segment-corrupt {recover_degraded_ms:.2}ms"
     );
     for (op, value, ratio) in [
         ("build", build_ms, 0.0),
+        ("build_append", append_ms, 0.0),
+        ("build_freeze", freeze_ms, 0.0),
+        ("build_merge", merge_ms, 0.0),
         ("save", save_ms, 0.0),
         ("cold_load", load_ms, speedup),
         ("recover_clean", recover_clean_ms, 0.0),

@@ -1,6 +1,6 @@
 //! E13: the tiered store and the structural freeze path.
 //!
-//! Two claims and one baseline, one machine-readable trajectory file
+//! Two claims and two baselines, one machine-readable trajectory file
 //! (`BENCH_store.json`):
 //!
 //! * **freeze vs rebuild** — sealing a dynamic Wavelet Trie with the
@@ -11,6 +11,10 @@
 //!   backends; the µs per `append` that built each backend is reported
 //!   beside its freeze (the store's hot tail is append-only until
 //!   edited);
+//! * **ints shard** — µs per append and the freeze of an
+//!   `AppendWaveletTrie` over 150k near-distinct 28-bit ints that share
+//!   their top two bits, the shape of one ints_scan shard of `wtbench`,
+//!   where appends and the seal are nearly all of the set-up;
 //! * **tail fill** — µs per `TieredStore::append` while the hot tail grows
 //!   from empty to K strings, with and without a `publish()` after every
 //!   append, the pattern of a serving shard: each publish makes the next
@@ -161,6 +165,44 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
     let frozen = dynamic.freeze();
     assert_eq!(frozen.seq_len(), n);
     assert_eq!(frozen.access(n / 2), encoded[n / 2]);
+    println!();
+}
+
+/// Strings in one ints_scan shard: 600k ints over four shards.
+const INTS_SHARD: usize = 150_000;
+
+fn bench_ints_shard(samples: usize, out: &mut Vec<Measurement>) {
+    println!("== append and freeze of one ints_scan shard, n = {INTS_SHARD} ==\n");
+    // The shard's ints share their top two bits, as `shard_for` places them.
+    let mut next = xorshift(0x1A75);
+    let encoded: Vec<BitString> = (0..INTS_SHARD)
+        .map(|_| {
+            let v = next() & ((1 << 26) - 1);
+            BitString::from_bits((0..28).rev().map(move |k| (v >> k) & 1 != 0))
+        })
+        .collect();
+    let (append, append_us): (AppendWaveletTrie, f64) = build_by_appends(&encoded, samples);
+    let freeze_ms = median_ms(samples, || time_once_ms(|| append.freeze()).1);
+    let t = Table::new(&["backend", "append", "freeze"], &[20, 10, 10]);
+    t.row(&[
+        "AppendWaveletTrie",
+        &format!("{append_us:.2}µs"),
+        &format!("{freeze_ms:.1}ms"),
+    ]);
+    for (op, value, unit) in [
+        ("append", append_us, "us_per_op"),
+        ("freeze", freeze_ms, "ms"),
+    ] {
+        out.push(Measurement {
+            structure: "AppendWaveletTrie",
+            workload: "ints28",
+            op,
+            n: INTS_SHARD,
+            value,
+            unit,
+            ratio: 0.0,
+        });
+    }
     println!();
 }
 
@@ -369,6 +411,7 @@ fn main() {
 
     let mut results = Vec::new();
     bench_freeze_vs_rebuild(n, samples, &mut results);
+    bench_ints_shard(samples, &mut results);
     bench_tail_fill(samples, &mut results);
     bench_tiered_overhead(n, iters, &mut results);
     write_json(&out_path, mode, &results);

@@ -27,85 +27,126 @@ const STEPS_PER_APPEND: usize = 2;
 
 /// Small explicit bitvector (Lemma 4.6): raw bits plus per-word cumulative
 /// ranks, so every operation is O(1) for the bounded sizes it is used at.
+///
+/// The first 64 bits sit in an inline word, whose rank is 0, so the heap
+/// words and the rank directory both start at word 1. Most node
+/// bitvectors of a Wavelet Trie never outgrow that word, and those
+/// allocate nothing.
 #[derive(Clone, Debug, Default)]
 struct SmallTail {
-    bits: RawBitVec,
-    /// Cumulative ones before each *completed* word.
+    /// Bits 0..64, LSB-first.
+    first: u64,
+    /// Words 1, 2, … of the bits.
+    rest: Vec<u64>,
+    /// `word_ranks[k]`: ones before word `k + 1`.
     word_ranks: Vec<u32>,
+    len: usize,
     ones: usize,
 }
 
 impl SmallTail {
-    /// Starts empty; storage grows with content so that short-lived node
-    /// bitvectors (the common case in a Wavelet Trie) stay tiny.
-    fn new() -> Self {
-        SmallTail::default()
-    }
-
     #[inline]
     fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     #[inline]
     fn push(&mut self, bit: bool) {
-        if self.bits.len().is_multiple_of(64) {
-            self.word_ranks.push(self.ones as u32);
+        let (w, off) = (self.len / 64, self.len % 64);
+        if w == 0 {
+            self.first |= (bit as u64) << off;
+        } else {
+            if off == 0 {
+                self.rest.push(0);
+                self.word_ranks.push(self.ones as u32);
+            }
+            self.rest[w - 1] |= (bit as u64) << off;
         }
-        self.bits.push(bit);
+        self.len += 1;
         self.ones += bit as usize;
+    }
+
+    /// Word `w` of the bits; the last one is zero-padded.
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        if w == 0 {
+            self.first
+        } else {
+            self.rest[w - 1]
+        }
+    }
+
+    /// Ones before word `w`, for `w` up to one past the last word.
+    #[inline]
+    fn ones_before_word(&self, w: usize) -> usize {
+        match w.checked_sub(1) {
+            None => 0,
+            Some(k) => self.word_ranks.get(k).map_or(self.ones, |&r| r as usize),
+        }
     }
 
     #[inline]
     fn get(&self, i: usize) -> bool {
-        self.bits.get(i)
+        debug_assert!(i < self.len);
+        (self.word(i / 64) >> (i % 64)) & 1 != 0
+    }
+
+    /// Reads `width <= 64` bits from bit `i`, LSB-first.
+    fn get_bits(&self, i: usize, width: usize) -> u64 {
+        debug_assert!(width <= 64 && i + width <= self.len);
+        let (w, off) = (i / 64, i % 64);
+        let mut v = self.word(w) >> off;
+        if off + width > 64 {
+            v |= self.word(w + 1) << (64 - off);
+        }
+        if width == 64 {
+            v
+        } else {
+            v & ((1u64 << width) - 1)
+        }
     }
 
     #[inline]
     fn rank1(&self, i: usize) -> usize {
-        debug_assert!(i <= self.len());
-        if i == self.len() {
+        debug_assert!(i <= self.len);
+        if i == self.len {
             return self.ones;
         }
-        let w = i / 64;
-        let off = i % 64;
-        let mut r = self.word_ranks[w] as usize;
-        if off != 0 {
-            r += (self.bits.word(w) & ((1u64 << off) - 1)).count_ones() as usize;
-        }
-        r
+        let (w, off) = (i / 64, i % 64);
+        self.ones_before_word(w) + (self.word(w) & ((1u64 << off) - 1)).count_ones() as usize
     }
 
     fn select(&self, bit: bool, k: usize) -> Option<usize> {
-        let total = if bit {
-            self.ones
-        } else {
-            self.len() - self.ones
-        };
+        let total = if bit { self.ones } else { self.len - self.ones };
         if k >= total {
             return None;
         }
         // Binary search completed words, then in-word select.
         let count_before = |w: usize| {
-            let r1 = if w < self.word_ranks.len() {
-                self.word_ranks[w] as usize
-            } else {
-                self.ones
-            };
+            let r1 = self.ones_before_word(w);
             if bit {
                 r1
             } else {
-                (w * 64).min(self.len()) - r1
+                (w * 64).min(self.len) - r1
             }
         };
-        let lo = select_block(0, self.len() / 64 + 1, k, count_before);
-        let valid = self.len() - lo * 64;
+        let lo = select_block(0, self.len / 64 + 1, k, count_before);
+        let valid = self.len - lo * 64;
         let rem = (k - count_before(lo)) as u32;
-        Some(lo * 64 + select_bit_in_word(self.bits.word(lo), bit, valid, rem) as usize)
+        Some(lo * 64 + select_bit_in_word(self.word(lo), bit, valid, rem) as usize)
     }
 
+    /// Appends every bit to `out`, a word at a time.
+    fn append_into(&self, out: &mut RawBitVec) {
+        out.push_bits(self.first, self.len.min(64));
+        for (k, &word) in self.rest.iter().enumerate() {
+            out.push_bits(word, (self.len - 64 * (k + 1)).min(64));
+        }
+    }
+
+    /// The inline word, `len` and `ones`, plus the heap words and ranks.
     fn size_bits(&self) -> usize {
-        self.bits.size_bits() + self.word_ranks.capacity() * 32 + 64
+        3 * 64 + self.rest.capacity() * 64 + self.word_ranks.capacity() * 32
     }
 }
 
@@ -138,7 +179,7 @@ impl PendingSeal {
             }
             let width = RRR_BLOCK_BITS.min(self.frozen.len() - self.fed);
             self.builder
-                .push_block(self.frozen.bits.get_bits(self.fed, width));
+                .push_block(self.frozen.get_bits(self.fed, width));
             self.fed += width;
         }
         self.builder.is_complete()
@@ -181,7 +222,7 @@ impl AppendBitVec {
         AppendBitVec {
             sealed: Vec::new(),
             pending: None,
-            tail: SmallTail::new(),
+            tail: SmallTail::default(),
             len: 0,
             ones: 0,
         }
@@ -235,9 +276,9 @@ impl AppendBitVec {
             out.extend_from_range(&raw, 0, raw.len());
         }
         if let Some(p) = &self.pending {
-            out.extend_from_range(&p.frozen.bits, 0, p.frozen.bits.len());
+            p.frozen.append_into(out);
         }
-        out.extend_from_range(&self.tail.bits, 0, self.tail.bits.len());
+        self.tail.append_into(out);
     }
 
     /// Ones before the region (pending + tail) that follows sealed blocks.
@@ -447,6 +488,90 @@ mod tests {
         assert!(v.get(0));
         assert_eq!(v.select1(10), Some(20));
         assert_eq!(v.select0(10), Some(21));
+    }
+
+    /// Every `get`, `rank1`, `select1` and `select0`, and `append_into`,
+    /// against the model.
+    fn check_every_position(v: &AppendBitVec, model: &[bool]) {
+        let n = model.len();
+        assert_eq!(v.len(), n);
+        let (mut ones, mut zeros) = (0, 0);
+        for (i, &b) in model.iter().enumerate() {
+            assert_eq!(v.get(i), b, "get({i}) at length {n}");
+            assert_eq!(v.rank1(i), ones, "rank1({i}) at length {n}");
+            if b {
+                assert_eq!(v.select1(ones), Some(i), "select1({ones}) at length {n}");
+                ones += 1;
+            } else {
+                assert_eq!(v.select0(zeros), Some(i), "select0({zeros}) at length {n}");
+                zeros += 1;
+            }
+        }
+        assert_eq!(v.rank1(n), ones);
+        assert_eq!(v.count_ones(), ones);
+        assert_eq!(v.select1(ones), None);
+        assert_eq!(v.select0(zeros), None);
+        let mut out = RawBitVec::new();
+        v.append_into(&mut out);
+        assert_eq!(
+            out,
+            RawBitVec::from_bits(model.iter().copied()),
+            "append_into"
+        );
+    }
+
+    #[test]
+    fn inline_word_boundaries() {
+        let mut next = wt_workloads::xorshift(0x0014_F11E);
+        let mut bit = || next().is_multiple_of(3);
+        let mut v = AppendBitVec::new();
+        let mut model = Vec::new();
+        check_every_position(&v, &model);
+        for len in 1..=130 {
+            let b = bit();
+            v.push(b);
+            model.push(b);
+            check_every_position(&v, &model);
+            if len == 100 {
+                // A clone taken here grows apart from the original.
+                let (mut c, mut cm) = (v.clone(), model.clone());
+                for _ in 0..60 {
+                    let b = !bit();
+                    c.push(b);
+                    cm.push(b);
+                    check_every_position(&c, &cm);
+                }
+            }
+        }
+        // Across the first seal, which stays in flight for a few dozen
+        // appends after the tail fills; a clone taken mid-seal finishes
+        // its own copy.
+        while model.len() < BLOCK_BITS - 2 {
+            let b = bit();
+            v.push(b);
+            model.push(b);
+        }
+        let seal_appends = BLOCK_BITS / RRR_BLOCK_BITS / STEPS_PER_APPEND;
+        let mut clone = None;
+        for len in BLOCK_BITS - 2..=BLOCK_BITS + 70 {
+            let in_flight = len > BLOCK_BITS && len <= BLOCK_BITS + seal_appends;
+            assert_eq!(v.pending.is_some(), in_flight, "seal at length {len}");
+            check_every_position(&v, &model);
+            if len == BLOCK_BITS + 10 {
+                clone = Some((v.clone(), model.clone()));
+            }
+            let b = bit();
+            v.push(b);
+            model.push(b);
+        }
+        assert!(v.pending.is_none(), "the first seal has finished");
+        let (mut c, mut cm) = clone.expect("taken mid-seal");
+        for _ in 0..60 {
+            let b = !bit();
+            c.push(b);
+            cm.push(b);
+            check_every_position(&c, &cm);
+        }
     }
 
     #[test]

@@ -296,9 +296,49 @@ impl EliasFano {
         self.rank_leq(x).checked_sub(1)
     }
 
-    /// Iterates over all values in order.
+    /// Iterates over all values in order, decoding them in one walk over
+    /// the upper stream's words.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.n).map(move |i| self.get(i))
+        self.parts().map(|(hi, lo)| (hi << self.low_width) | lo)
+    }
+
+    /// The high and low parts of every value, in order: the position of
+    /// each upper-stream one less the ones before it, and the low bits.
+    fn parts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let words = self.high.raw().words();
+        let (mut w, mut ones, mut i) = (0, words.first().copied().unwrap_or(0), 0);
+        std::iter::from_fn(move || {
+            while ones == 0 {
+                w += 1;
+                ones = *words.get(w)?;
+            }
+            let hi = (w * 64 + ones.trailing_zeros() as usize - i) as u64;
+            ones &= ones - 1;
+            i += 1;
+            Some((hi, self.low_of(i - 1)))
+        })
+    }
+
+    /// Checks that the values never decrease and stay below `u` (which
+    /// saturates at `u64::MAX`, a value it then admits), in one pass over
+    /// both streams: queries subtract neighbouring values and compare
+    /// against `u`.
+    fn check_values(&self) -> Result<(), LoadError> {
+        let mut prev = 0u64;
+        for (hi, lo) in self.parts() {
+            if hi > u64::MAX >> self.low_width {
+                return Err(LoadError::Invalid("elias-fano value overflows"));
+            }
+            let v = (hi << self.low_width) | lo;
+            if v < prev {
+                return Err(LoadError::Invalid("elias-fano values decrease"));
+            }
+            if v >= self.u && self.u != u64::MAX {
+                return Err(LoadError::Invalid("elias-fano value reaches its bound"));
+            }
+            prev = v;
+        }
+        Ok(())
     }
 }
 
@@ -331,13 +371,15 @@ impl Persist for EliasFano {
         if high.count_ones() != n {
             return Err(LoadError::Invalid("elias-fano upper bucket count"));
         }
-        Ok(EliasFano {
+        let ef = EliasFano {
             n,
             u,
             low_width,
             low,
             high,
-        })
+        };
+        ef.check_values()?;
+        Ok(ef)
     }
 }
 
@@ -442,6 +484,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decode_refuses_decreasing_or_unbounded_values() {
+        let roundtrip = |ef: &EliasFano| {
+            let bytes = crate::persist::to_bytes(crate::persist::kind::ELIAS_FANO, ef);
+            let loaded =
+                crate::persist::from_bytes::<EliasFano>(crate::persist::kind::ELIAS_FANO, &bytes);
+            loaded.map(|l| l.iter().collect::<Vec<u64>>())
+        };
+        let values = [4u64, 6, 7, 40];
+        let ef = EliasFano::new(&values);
+        assert_eq!(ef.low_width, 3, "4, 6 and 7 share bucket 0");
+        assert_eq!(roundtrip(&ef).unwrap(), values);
+        // 6 and 7 swap their low bits: 4, 7, 6, 40.
+        let mut swapped = ef.clone();
+        swapped.low = RawBitVec::new();
+        for lo in [4, 7, 6, 0] {
+            swapped.low.push_bits(lo, 3);
+        }
+        let err = LoadError::Invalid("elias-fano values decrease");
+        assert_eq!(
+            roundtrip(&swapped).unwrap_err().to_string(),
+            err.to_string()
+        );
+        let mut low_bound = ef.clone();
+        low_bound.u = 40;
+        let err = LoadError::Invalid("elias-fano value reaches its bound");
+        assert_eq!(
+            roundtrip(&low_bound).unwrap_err().to_string(),
+            err.to_string()
+        );
+        // A bound that saturates admits `u64::MAX` itself.
+        let top = [0, u64::MAX];
+        assert_eq!(roundtrip(&EliasFano::new(&top)).unwrap(), top);
     }
 
     #[test]

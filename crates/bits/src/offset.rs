@@ -179,6 +179,35 @@ mod tests {
     }
 
     #[test]
+    fn split_node_pushes_past_the_inline_word() {
+        // §4's split: `Init(b, m)`, then the new string's bit, then the
+        // bits of later strings.
+        let mut next = wt_workloads::xorshift(0x5_B117);
+        for (bit, m) in [(false, 1), (true, 5), (false, 64), (true, 1000)] {
+            for pushes in 1..=70 {
+                let mut v = OffsetBitVec::filled(bit, m);
+                let mut model = vec![bit; m];
+                let mut space_at_first_explicit = None;
+                for k in 0..pushes {
+                    let b = if k == 0 {
+                        !bit
+                    } else {
+                        next().is_multiple_of(2)
+                    };
+                    v.push(b);
+                    model.push(b);
+                    let explicit = v.len() - v.implicit_len();
+                    let space = *space_at_first_explicit.get_or_insert(v.size_bits());
+                    if explicit <= 64 {
+                        assert_eq!(v.size_bits(), space, "{explicit} explicit bits");
+                    }
+                }
+                check_against(&model, &v);
+            }
+        }
+    }
+
+    #[test]
     fn implicit_run_extends_while_constant() {
         let mut v = OffsetBitVec::filled(true, 10);
         v.push(true);
@@ -201,9 +230,8 @@ mod tests {
     #[test]
     fn init_space_independent_of_n() {
         let v = OffsetBitVec::filled(false, 1 << 40);
-        // The empty AppendBitVec pre-allocates one block of tail capacity
-        // (a few KiB); the point is independence from n = 2^40.
-        assert!(v.size_bits() < 16 * 1024);
+        // A few words, independent of n = 2^40: nothing is allocated.
+        assert!(v.size_bits() < 1024);
         assert_eq!(v.rank0(1 << 39), 1 << 39);
     }
 }

@@ -208,11 +208,20 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
                 }
                 Node::Internal(int) => {
                     debug_assert!(delta < s.len(), "checked by admits");
+                    debug_assert_eq!(m, int.bv.len());
                     let b = s.get(delta);
                     delta += 1;
-                    let child_count = int.bv.rank(b, int.bv.len());
+                    let ones = int.bv.count_ones();
+                    let child_count = if b { ones } else { m - ones };
+                    // The mapped position is rank(b, p); at the end of the
+                    // bitvector (every append) that is the child's count.
+                    let mapped = if p == m {
+                        child_count
+                    } else {
+                        int.bv.rank(b, p)
+                    };
                     int.bv.wt_insert(p, b);
-                    p = int.bv.rank(b, p);
+                    p = mapped;
                     m = child_count;
                     node = &mut int.children[b as usize];
                 }

@@ -726,11 +726,13 @@ impl WaveletTrie {
 
     /// Checks the cross-component invariants every query relies on: the
     /// internal flags form a full binary trie, the label and bitvector
-    /// directories agree with their concatenations, and each internal
-    /// child's bitvector is exactly as long as its parent's zero or one
-    /// count. O(1) directory probes per node, no per-bit work. The loader
-    /// runs it on every archive, so a corrupt image fails with a typed error
-    /// instead of answering out of bounds.
+    /// directories agree with their concatenations, each node's ones
+    /// entry is the rank of the bitvector concatenation at the node's
+    /// start, and each internal child's bitvector is exactly as long as
+    /// its parent's zero or one count. Forward passes over the
+    /// directories, and over the RRR blocks the node starts land in. The
+    /// loader runs it on every archive, so a corrupt image fails with a
+    /// typed error instead of answering out of bounds or wrongly.
     pub fn check_invariants(&self) -> Result<(), LoadError> {
         let (n, nh0_bits, root_label_len) = (self.n, self.nh0_bits, self.root_label_len);
         let Self {
@@ -779,31 +781,49 @@ impl WaveletTrie {
         if !nh0_bits.is_finite() || nh0_bits < 0.0 {
             return Err(LoadError::Invalid("entropy metadata"));
         }
+        // Each node's ones entry is the rank of the concatenation at the
+        // node's start, which queries subtract from their in-node ranks:
+        // one forward pass over the bounds (non-decreasing, as their
+        // loader checked) and the blocks they land in.
+        let starts = bv_bounds.iter().map(|s| s as usize);
+        if !bvs
+            .rank1_ascending(starts)
+            .eq(bv_ones.iter().map(|o| o as usize))
+        {
+            return Err(LoadError::Invalid("bitvector ones directory vs its bits"));
+        }
         // Every child's segment holds exactly the positions its parent
         // routes to it, so a descent never maps a position past its node's
-        // segment. Directory probes only, no per-bit work.
-        let segment = |j: usize| {
-            let (s, e) = bv_bounds.get_pair(j);
-            let (o0, o1) = bv_ones.get_pair(j);
-            (e - s, o1 - o0)
-        };
-        if internals > 0 && segment(0).0 != n as u64 {
-            return Err(LoadError::Invalid("root bitvector length"));
-        }
-        for j in 0..internals {
-            let (len, ones) = segment(j);
-            if ones > len {
-                return Err(LoadError::Invalid("bitvector ones exceed length"));
+        // segment. One forward pass: the children of internal node `j`
+        // are ids `2j + 1` and `2j + 2`, so the internal ones among them
+        // come up in id order, which is their directory order after the
+        // root's entry.
+        let root_internal = internals > 0 && internal.get(0);
+        let mut child_lens = gaps(bv_bounds).skip(root_internal as usize);
+        for (j, (len, ones)) in gaps(bv_bounds).zip(gaps(bv_ones)).enumerate() {
+            if j == 0 && len != n as u64 {
+                return Err(LoadError::Invalid("root bitvector length"));
             }
             for (b, count) in [(0, len - ones), (1, ones)] {
-                let c = 2 * j + 1 + b;
-                if internal.get(c) && segment(internal.rank1(c)).0 != count {
+                if internal.get(2 * j + 1 + b) && child_lens.next() != Some(count) {
                     return Err(LoadError::Invalid("child bitvector length"));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Differences of neighbouring values, in order: each node's segment
+/// length from the bounds, or its ones from the ones directory.
+fn gaps(ef: &EliasFano) -> impl Iterator<Item = u64> + '_ {
+    let mut values = ef.iter();
+    let mut prev = values.next().unwrap_or(0);
+    values.map(move |v| {
+        let gap = v - prev;
+        prev = v;
+        gap
+    })
 }
 
 impl SpaceUsage for WaveletTrie {

@@ -396,21 +396,28 @@ impl TieredStore {
     /// If `pos > len()`.
     pub fn insert(&mut self, s: BitStr<'_>, pos: usize) -> Result<(), PrefixFreeViolation> {
         assert!(pos <= self.len, "insert position out of bounds");
-        if !self.segments.iter().all(|g| g.admits(s)) {
+        let (seg, off) = self.locate_for_insert(pos);
+        // The target checks `s` itself in its own insert, before its first
+        // edit, so only the other segments are asked here — unless the
+        // target must melt first, which a refused string must not cause.
+        let target = &self.segments[seg];
+        let melts = off < target.len() && !matches!(target, Segment::Dynamic(_));
+        let admitted = self
+            .segments
+            .iter()
+            .enumerate()
+            .all(|(i, g)| (i == seg && !melts) || g.admits(s));
+        if !admitted {
             return Err(PrefixFreeViolation);
         }
-        let (seg, off) = self.locate_for_insert(pos);
-        if off < self.segments[seg].len() {
+        if melts {
             self.melt(seg);
         }
-        let inserted = match &mut self.segments[seg] {
-            Segment::Append(h) => Arc::make_mut(h).append(s),
-            Segment::Dynamic(h) => Arc::make_mut(h).insert(s, off),
+        match &mut self.segments[seg] {
+            Segment::Append(h) => Arc::make_mut(h).append(s)?,
+            Segment::Dynamic(h) => Arc::make_mut(h).insert(s, off)?,
             Segment::Sealed(_) => unreachable!("melted above"),
-        };
-        // `admits` above checked every segment, including this one, so
-        // the insert cannot raise a prefix-free violation here.
-        inserted.expect("pre-checked by admits");
+        }
         self.len += 1;
         self.roll();
         Ok(())
@@ -909,6 +916,53 @@ mod tests {
         assert_eq!(st.len(), 3);
         assert!(!st.admits(bs("011").as_bitstr()));
         assert!(st.admits(bs("00").as_bitstr()));
+    }
+
+    #[test]
+    fn refused_inserts_leave_every_segment_as_it_was() {
+        // Segments: sealed [0..8) and an append-only tail [8..12), all
+        // 10-bit; 7-bit and 11-bit strings are prefixes and extensions.
+        let mut st = tiny();
+        for i in 0..12u64 {
+            st.append(encode(i).as_bitstr()).unwrap();
+        }
+        assert_eq!(kinds(&st), "SA");
+        let before = strings(&st);
+        let prefix = |v: u64| encode(v).as_bitstr().prefix(7).to_owned_str();
+        let extension = |v: u64| {
+            let mut s = encode(v);
+            s.push(true);
+            s
+        };
+        let unchanged = |st: &TieredStore, what: &str| {
+            assert_eq!(kinds(st), "SA", "{what}");
+            assert_eq!(st.segment_lens(), [8, 4], "{what}");
+            assert_eq!(strings(st), before, "{what}");
+            st.check_invariants().unwrap();
+        };
+        // Appends to the tail, clashing with the tail itself (its own
+        // insert refuses) and with the sealed segment; the second after
+        // a publish, so the refused append meets a shared tail.
+        assert!(st.append(extension(9).as_bitstr()).is_err());
+        unchanged(&st, "append clashing with the tail");
+        let snap = st.publish();
+        assert!(st.append(prefix(2).as_bitstr()).is_err());
+        unchanged(&st, "append clashing with a sealed string");
+        assert_eq!(snap.len(), 12);
+        // Inserts before the tail's end must not convert it.
+        for (s, what) in [(prefix(10), "own"), (extension(3), "sealed")] {
+            assert!(st.insert(s.as_bitstr(), 9).is_err());
+            unchanged(&st, &format!("tail insert clashing with a {what} string"));
+        }
+        // Inserts into the sealed segment must not melt it.
+        for (s, what) in [(extension(5), "own"), (prefix(11), "tail")] {
+            assert!(st.insert(s.as_bitstr(), 3).is_err());
+            unchanged(&st, &format!("sealed insert clashing with a {what} string"));
+        }
+        // An admissible string still lands where it was asked to.
+        st.insert(encode(40).as_bitstr(), 3).unwrap();
+        assert_eq!(kinds(&st), "DA");
+        assert_eq!(st.access(3), encode(40));
     }
 
     #[test]

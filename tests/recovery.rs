@@ -9,14 +9,17 @@
 //! manifests never panic either loader, and a directory of an earlier
 //! format gets a typed error from both.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use wavelet_trie::SeqIndex;
+use wavelet_trie::binarize::{Coder, NinthBitCoder};
+use wavelet_trie::{SeqIndex, WaveletTrie};
 use wt_bits::persist::{kind, Archive, ArchiveWriter, FORMAT_VERSION};
 use wt_bits::{FaultPlan, FaultStorage, LoadError, MemFs, Storage};
 use wt_store::{StoreConfig, StoreErrorCause, TieredStore};
 use wt_trie::BitString;
+use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::xorshift;
 
 fn encode(v: u64) -> BitString {
@@ -334,4 +337,110 @@ fn checksum_valid_manifest_mutants_never_panic() {
         }));
         assert!(outcome.is_ok(), "round {round}: manifest words {mutant:?}");
     }
+}
+
+/// The sections of an archive image, as (tag, payload words) in table
+/// order.
+fn sections_of(image: &[u8]) -> Vec<(u32, Vec<u64>)> {
+    let words: Vec<u64> = image
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let payload_start = 5 + 4 * words[2] as usize;
+    (0..words[2] as usize)
+        .map(|k| {
+            let (tag, offset, len) = (words[4 + 4 * k], words[5 + 4 * k], words[6 + 4 * k]);
+            let start = payload_start + offset as usize;
+            (tag as u32, words[start..start + len as usize].to_vec())
+        })
+        .collect()
+}
+
+/// `mutants` images of one static trie over 3,000 URLs, each with 1–3
+/// payload words replaced by a random word, a one-bit flip or zero and
+/// every checksum refixed. A mutant loads or gets a typed error; one that
+/// loads must rank each string it returns like an oracle over its own
+/// sequence: `rank(access(i), i + 1)` is the occurrences of `access(i)`
+/// among `access(0..=i)`, so at least 1. Every position is asked through
+/// the batch entry points, every 64th through the scalar ones too.
+/// Returns how many mutants loaded.
+fn payload_mutants_answer_like_their_own_sequence(seed: u64, mutants: usize) -> usize {
+    let coder = NinthBitCoder;
+    let urls = url_log(3000, UrlLogConfig::default(), 0x0A11);
+    let encoded: Vec<BitString> = urls.iter().map(|u| coder.encode(u.as_bytes())).collect();
+    let sections = sections_of(&WaveletTrie::build(&encoded).unwrap().save_bytes());
+    let payload_words: usize = sections.iter().map(|(_, p)| p.len()).sum();
+    let mut rnd = xorshift(seed);
+    let mut loaded = 0;
+    for round in 0..mutants {
+        let mut mutant = sections.clone();
+        for _ in 0..1 + rnd() % 3 {
+            let mut at = (rnd() % payload_words as u64) as usize;
+            let mut k = 0;
+            while at >= mutant[k].1.len() {
+                at -= mutant[k].1.len();
+                k += 1;
+            }
+            let payload = &mut mutant[k].1;
+            payload[at] = match rnd() % 3 {
+                0 => rnd(),
+                1 => payload[at] ^ 1 << (rnd() % 64),
+                _ => 0,
+            };
+        }
+        let mut w = ArchiveWriter::new(kind::WAVELET_TRIE);
+        for (tag, payload) in &mutant {
+            w.section(*tag, payload.clone());
+        }
+        let bytes = w.finish();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(wt) = WaveletTrie::load_bytes(&bytes) else {
+                return false;
+            };
+            let positions: Vec<usize> = (0..wt.len()).collect();
+            let seq = wt.access_batch(&positions);
+            let queries: Vec<_> = (0..seq.len())
+                .map(|i| (seq[i].as_bitstr(), i + 1))
+                .collect();
+            let ranks = wt.rank_batch(&queries);
+            let mut seen: HashMap<&BitString, usize> = HashMap::new();
+            for (i, (s, rank)) in seq.iter().zip(ranks).enumerate() {
+                let count = seen.entry(s).or_default();
+                *count += 1;
+                assert_eq!(rank, *count, "rank_batch(access({i}), {})", i + 1);
+                if i % 64 == 0 {
+                    assert_eq!(&wt.access(i), s, "access({i})");
+                    assert_eq!(wt.rank(s.as_bitstr(), i + 1), *count, "rank at {i}");
+                }
+            }
+            true
+        }));
+        match outcome {
+            Ok(true) => loaded += 1,
+            Ok(false) => {}
+            Err(_) => panic!("seed {seed:#x} round {round}: a mutant panicked"),
+        }
+    }
+    loaded
+}
+
+// Two halves of 1,500 mutants each, so the harness runs them side by side.
+
+#[test]
+fn checksum_valid_payload_mutants_never_panic() {
+    let loaded = payload_mutants_answer_like_their_own_sequence(0x9A7_10AD, 1500);
+    // Label words and padding may change freely; most mutants must not load.
+    assert!(
+        loaded > 0 && loaded < 750,
+        "{loaded} of 1,500 mutants loaded"
+    );
+}
+
+#[test]
+fn checksum_valid_payload_mutants_never_panic_second_half() {
+    let loaded = payload_mutants_answer_like_their_own_sequence(0x9A7_10AE, 1500);
+    assert!(
+        loaded > 0 && loaded < 750,
+        "{loaded} of 1,500 mutants loaded"
+    );
 }
