@@ -663,56 +663,6 @@ impl RrrVector {
         Ok(())
     }
 
-    /// [`BitRank::rank1`] at each of `positions`, which must not decrease:
-    /// one forward walk over the blocks that jumps whole superblocks by
-    /// the directory and decodes each block a position lands in once.
-    /// The sequential form of `rank1`, for checking a directory of ranks
-    /// at sorted positions in one pass.
-    ///
-    /// # Panics
-    /// If a position exceeds `len()` or is below the one before it.
-    pub fn rank1_ascending<'a>(
-        &'a self,
-        positions: impl IntoIterator<Item = usize> + 'a,
-    ) -> impl Iterator<Item = usize> + 'a {
-        // The walk stands at block `b`, with `rank` ones and `ptr` offset
-        // bits before it; `word` caches the block's bits once decoded.
-        let (mut b, mut rank, mut ptr, mut word) = (0usize, 0usize, 0usize, None);
-        let class = |b: usize| self.classes.get_bits(b * CLASS_BITS, CLASS_BITS) as usize;
-        positions.into_iter().map(move |i| {
-            assert!(
-                i <= self.len,
-                "rank index {i} out of bounds (len {})",
-                self.len
-            );
-            let target = i / RRR_BLOCK_BITS;
-            assert!(target >= b, "positions must not decrease");
-            if i == self.len {
-                return self.ones;
-            }
-            if target / SB_BLOCKS > b / SB_BLOCKS {
-                let sb = target / SB_BLOCKS;
-                (b, rank, ptr) = (
-                    sb * SB_BLOCKS,
-                    self.sb.rank(sb) as usize,
-                    self.sb.ptr(sb) as usize,
-                );
-                word = None;
-            }
-            while b < target {
-                let c = class(b);
-                (b, rank, ptr) = (b + 1, rank + c, ptr + OFFSET_WIDTH[c] as usize);
-                word = None;
-            }
-            let off = i % RRR_BLOCK_BITS;
-            if off == 0 {
-                return rank;
-            }
-            let bits = *word.get_or_insert_with(|| self.decode_block_with(class(b) as u32, ptr));
-            rank + low_bits(bits, off).count_ones() as usize
-        })
-    }
-
     /// Decompresses the whole vector (tests, iteration).
     pub fn to_raw(&self) -> RawBitVec {
         let mut out = RawBitVec::with_capacity(self.len);
@@ -1033,15 +983,6 @@ mod tests {
         for (&i, &r) in with_len.iter().zip(&ranks) {
             assert_eq!(rrr.rank1(i), bits.rank1_scan(i), "rank1({i})");
             assert_eq!(r, bits.rank1_scan(i), "rank1_batch({i})");
-        }
-        // Ascending ranks, each position twice (the second reuses the
-        // decoded block), with jumps of many superblocks between them.
-        let twice = with_len.iter().flat_map(|&i| [i, i]);
-        let jumps = with_len.iter().step_by(97).copied();
-        for positions in [twice.collect::<Vec<_>>(), jumps.collect()] {
-            let got: Vec<usize> = rrr.rank1_ascending(positions.iter().copied()).collect();
-            let want: Vec<usize> = positions.iter().map(|&i| bits.rank1_scan(i)).collect();
-            assert_eq!(got, want, "rank1_ascending");
         }
         let mut grs = vec![(false, 0usize); pos.len()];
         rrr.get_rank1_batch(&pos, &mut grs);

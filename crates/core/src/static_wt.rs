@@ -730,9 +730,9 @@ impl WaveletTrie {
     /// entry is the rank of the bitvector concatenation at the node's
     /// start, and each internal child's bitvector is exactly as long as
     /// its parent's zero or one count. Forward passes over the
-    /// directories, and over the RRR blocks the node starts land in. The
-    /// loader runs it on every archive, so a corrupt image fails with a
-    /// typed error instead of answering out of bounds or wrongly.
+    /// directories, and one batched rank per node start. The loader runs
+    /// it on every archive, so a corrupt image fails with a typed error
+    /// instead of answering out of bounds or wrongly.
     pub fn check_invariants(&self) -> Result<(), LoadError> {
         let (n, nh0_bits, root_label_len) = (self.n, self.nh0_bits, self.root_label_len);
         let Self {
@@ -782,14 +782,13 @@ impl WaveletTrie {
             return Err(LoadError::Invalid("entropy metadata"));
         }
         // Each node's ones entry is the rank of the concatenation at the
-        // node's start, which queries subtract from their in-node ranks:
-        // one forward pass over the bounds (non-decreasing, as their
-        // loader checked) and the blocks they land in.
-        let starts = bv_bounds.iter().map(|s| s as usize);
-        if !bvs
-            .rank1_ascending(starts)
-            .eq(bv_ones.iter().map(|o| o as usize))
-        {
+        // node's start, which queries subtract from their in-node ranks.
+        // The bounds do not decrease (their loader checked) and end at the
+        // concatenation's length, so every start is a valid rank index.
+        let starts: Vec<usize> = bv_bounds.iter().map(|s| s as usize).collect();
+        let mut ranks = vec![0; starts.len()];
+        bvs.rank1_batch(&starts, &mut ranks);
+        if !ranks.iter().map(|&r| r as u64).eq(bv_ones.iter()) {
             return Err(LoadError::Invalid("bitvector ones directory vs its bits"));
         }
         // Every child's segment holds exactly the positions its parent
