@@ -16,7 +16,7 @@ use std::hint::black_box;
 
 use wavelet_trie::AppendLog;
 use wt_baselines::{BTreeIndex, DictSequence};
-use wt_bench::{bits_per, fmt_ns, time_once_ms, time_per_op_ns, Table};
+use wt_bench::{bits_per, fmt_ns, median_ns_per_op, time_once_ms, Table};
 use wt_bits::SpaceUsage;
 use wt_workloads::{url_log, UrlLogConfig};
 
@@ -124,11 +124,11 @@ fn rank_prefix_costs(cfg: UrlLogConfig) {
             i = (i + 7919) % n;
             i
         };
-        let ns = time_per_op_ns(2_000, 5, || {
+        let ns = median_ns_per_op(2_000, 5, || {
             black_box(log.rank_prefix("http://host1", next()));
         });
         t.row(&[&n.to_string(), "wavelet trie", &fmt_ns(ns)]);
-        let ns = time_per_op_ns(2_000, 5, || {
+        let ns = median_ns_per_op(2_000, 5, || {
             black_box(btree.rank_prefix("http://host1", next()));
         });
         t.row(&[&n.to_string(), "BTree + copy", &fmt_ns(ns)]);

@@ -9,7 +9,7 @@ use std::hint::black_box;
 use wavelet_trie::hashed::unhashed_height;
 use wavelet_trie::RandomizedWaveletTree;
 use wt_baselines::IntWaveletTree;
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{fmt_ns, median_ns_per_op, Table};
 use wt_workloads::{power_comb, small_alphabet_u64};
 
 fn main() {
@@ -101,24 +101,24 @@ fn op_costs() {
         i
     };
     let t = Table::new(&["structure", "op", "ns/op"], &[16, 15, 9]);
-    let ns = time_per_op_ns(10_000, 5, || {
+    let ns = median_ns_per_op(10_000, 5, || {
         black_box(hashed.get(next()));
     });
     t.row(&["hashed", "access", &fmt_ns(ns)]);
-    let ns = time_per_op_ns(10_000, 5, || {
+    let ns = median_ns_per_op(10_000, 5, || {
         black_box(unhashed.get(next()));
     });
     t.row(&["unhashed", "access", &fmt_ns(ns)]);
-    let ns = time_per_op_ns(10_000, 5, || {
+    let ns = median_ns_per_op(10_000, 5, || {
         black_box(int_wt.access(next()));
     });
     t.row(&["int WT (fixed Σ)", "access", &fmt_ns(ns)]);
-    let ns = time_per_op_ns(10_000, 5, || {
+    let ns = median_ns_per_op(10_000, 5, || {
         let p = next();
         black_box(hashed.rank(values[p], p));
     });
     t.row(&["hashed", "rank", &fmt_ns(ns)]);
-    let ns = time_per_op_ns(2_000, 5, || {
+    let ns = median_ns_per_op(2_000, 5, || {
         let p = next();
         hashed.insert(values[p], p);
         black_box(hashed.remove(p));

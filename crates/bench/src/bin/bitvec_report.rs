@@ -6,7 +6,7 @@
 //!   O(log n); `Init(b, n)` constant-time/-space regardless of `n`, the
 //!   property that rules out gap-encoded and plain bitvectors.
 
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{fmt_ns, median_ns_per_op, per_op_ns, Table};
 use wt_bits::entropy::bitvec_h0_bits;
 use wt_bits::{
     AppendBitVec, BitAccess, BitRank, BitSelect, DynamicBitVec, Fid, RawBitVec, RrrVector,
@@ -24,24 +24,18 @@ fn main() {
     for &n in &[100_000usize, 400_000, 1_600_000] {
         let mut next = xorshift(42);
         let mut v = AppendBitVec::new();
-        let append = {
-            let t0 = std::time::Instant::now();
-            for _ in 0..n {
-                v.push(next().is_multiple_of(10));
-            }
-            t0.elapsed().as_nanos() as f64 / n as f64
-        };
+        let append = per_op_ns(n, || v.push(next().is_multiple_of(10)));
         let mut i = 0usize;
-        let access = time_per_op_ns(5000, 3, || {
+        let access = median_ns_per_op(5000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(v.get(i));
         });
-        let rank = time_per_op_ns(5000, 3, || {
+        let rank = median_ns_per_op(5000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(v.rank1(i));
         });
         let ones = v.count_ones();
-        let select = time_per_op_ns(5000, 3, || {
+        let select = median_ns_per_op(5000, 3, || {
             i = (i + 7919) % ones;
             std::hint::black_box(v.select1(i));
         });
@@ -94,18 +88,18 @@ fn main() {
             v.push(next().is_multiple_of(8));
         }
         let mut i = 0usize;
-        let insert = time_per_op_ns(2000, 3, || {
+        let insert = median_ns_per_op(2000, 3, || {
             i = (i + 7919) % n;
             v.insert(i, i.is_multiple_of(2));
             v.remove(i);
         }) / 2.0;
         let delete = insert; // measured jointly to keep n fixed
-        let rank = time_per_op_ns(2000, 3, || {
+        let rank = median_ns_per_op(2000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(v.rank1(i));
         });
         let ones = v.count_ones();
-        let select = time_per_op_ns(2000, 3, || {
+        let select = median_ns_per_op(2000, 3, || {
             i = (i + 7919) % ones;
             std::hint::black_box(v.select1(i));
         });
@@ -127,12 +121,12 @@ fn main() {
         &[12, 12, 12, 10],
     );
     for &n in &[1_000usize, 1_000_000, 1_000_000_000] {
-        let init = time_per_op_ns(100, 3, || {
+        let init = median_ns_per_op(100, 3, || {
             std::hint::black_box(DynamicBitVec::filled(true, n));
         });
         // A plain bitvector must materialize n bits.
         let plain = if n <= 1_000_000 {
-            time_per_op_ns(10, 3, || {
+            median_ns_per_op(10, 3, || {
                 std::hint::black_box(RawBitVec::filled(true, n));
             })
         } else {

@@ -9,33 +9,37 @@
 //! replayed) is reported alongside, with its build split into the time
 //! spent appending, freezing tails and merging segments.
 //!
-//! Usage: `persist_report [--quick] [--out PATH]`
+//! Usage: `persist_report [--quick] [--out PATH]` (see [`wt_bench::Report`]).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use wavelet_trie::IndexedStrings;
-use wt_bench::{time_once_ms, Table};
+use wt_bench::{time_ms, Json, Report, Summary, Table};
 use wt_store::{Maintenance, MaintenanceProbe, MaintenanceStep, StoreConfig, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 
-/// One measured series.
-struct Measurement {
-    structure: &'static str,
-    workload: &'static str,
-    op: &'static str,
+/// Adds one `url_log` row: `value` in `unit`, with the build-to-load
+/// ratio (the cold-start speedup) on the `cold_load` rows.
+fn push(
+    report: &mut Report,
+    (structure, op): (&str, &str),
     n: usize,
-    value: f64,
-    unit: &'static str,
-    /// build-time / load-time (the cold-start speedup); 0 when n/a.
-    ratio: f64,
-}
-
-fn median_ms(samples: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut v: Vec<f64> = (0..samples).map(|_| f()).collect();
-    // Timings come from `Instant` deltas, so NaN is impossible.
-    v.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
-    v[v.len() / 2]
+    value: impl Json,
+    unit: &str,
+    ratio: Option<f64>,
+) {
+    let row = report
+        .row()
+        .set("structure", structure)
+        .set("workload", "url_log")
+        .set("op", op)
+        .set("n", n)
+        .set("value", value)
+        .set("unit", unit);
+    if let Some(r) = ratio {
+        row.set("ratio", r);
+    }
 }
 
 fn scratch_dir() -> std::path::PathBuf {
@@ -44,19 +48,17 @@ fn scratch_dir() -> std::path::PathBuf {
     d
 }
 
-fn bench_indexed_strings(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table) {
+fn bench_indexed_strings(n: usize, samples: usize, report: &mut Report, t: &Table) {
     let strings = url_log(n, UrlLogConfig::default(), 5);
-    let build_ms = median_ms(samples, || {
-        time_once_ms(|| IndexedStrings::build(strings.iter())).1
-    });
+    let build_ms = time_ms(samples, || IndexedStrings::build(strings.iter()));
     let idx = IndexedStrings::build(strings.iter());
     let path = scratch_dir().join(format!("urls-{n}.wt"));
-    let save_ms = median_ms(samples, || {
-        time_once_ms(|| idx.save(&path).expect("save image to scratch dir")).1
+    let save_ms = time_ms(samples, || {
+        idx.save(&path).expect("save image to scratch dir")
     });
     let file_bytes = std::fs::metadata(&path).expect("stat saved image").len();
-    let load_ms = median_ms(samples, || {
-        time_once_ms(|| IndexedStrings::load(&path).expect("load image just saved")).1
+    let load_ms = time_ms(samples, || {
+        IndexedStrings::load(&path).expect("load image just saved")
     });
     // Sanity: the loaded index answers like the built one.
     let loaded = IndexedStrings::load(&path).expect("load image just saved");
@@ -65,40 +67,25 @@ fn bench_indexed_strings(n: usize, samples: usize, out: &mut Vec<Measurement>, t
     assert_eq!(loaded.count_prefix("http://"), idx.count_prefix("http://"));
     std::fs::remove_file(&path).ok();
 
-    let speedup = build_ms / load_ms;
+    let speedup = build_ms.p50 / load_ms.p50;
     t.row(&[
         "IndexedStrings",
         &format!("{n}"),
-        &format!("{build_ms:.1}ms"),
-        &format!("{save_ms:.1}ms"),
-        &format!("{load_ms:.2}ms"),
+        &format!("{:.1}ms", build_ms.p50),
+        &format!("{:.1}ms", save_ms.p50),
+        &format!("{:.2}ms", load_ms.p50),
         &format!("{:.1}KiB", file_bytes as f64 / 1024.0),
         &format!("{speedup:.0}x"),
     ]);
     for (op, value, ratio) in [
-        ("build", build_ms, 0.0),
-        ("save", save_ms, 0.0),
-        ("cold_load", load_ms, speedup),
+        ("build", build_ms, None),
+        ("save", save_ms, None),
+        ("cold_load", load_ms, Some(speedup)),
     ] {
-        out.push(Measurement {
-            structure: "IndexedStrings",
-            workload: "url_log",
-            op,
-            n,
-            value,
-            unit: "ms",
-            ratio,
-        });
+        push(report, ("IndexedStrings", op), n, value, "ms", ratio);
     }
-    out.push(Measurement {
-        structure: "IndexedStrings",
-        workload: "url_log",
-        op: "file_size",
-        n,
-        value: file_bytes as f64,
-        unit: "bytes",
-        ratio: 0.0,
-    });
+    let key = ("IndexedStrings", "file_size");
+    push(report, key, n, file_bytes as usize, "bytes", None);
 }
 
 /// Sums the time from each `Freeze` or `Merge` step to its install.
@@ -157,19 +144,19 @@ fn split_build(strings: &[String]) -> [f64; 3] {
     [append, t.freeze, t.merge].map(|d| d.as_secs_f64() * 1e3)
 }
 
-fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table) {
+fn bench_tiered(n: usize, samples: usize, report: &mut Report, t: &Table) {
     let strings = url_log(n, UrlLogConfig::default(), 5);
     let build = || {
         let mut st = TieredStrings::new();
         st.extend(strings.iter());
         st
     };
-    let build_ms = median_ms(samples, || time_once_ms(build).1);
+    let build_ms = time_ms(samples, build);
     let st = build();
     let [append_ms, freeze_ms, merge_ms] = split_build(&strings);
     let dir = scratch_dir().join(format!("store-{n}"));
-    let save_ms = median_ms(samples, || {
-        time_once_ms(|| st.save_dir(&dir).expect("save store to scratch dir")).1
+    let save_ms = time_ms(samples, || {
+        st.save_dir(&dir).expect("save store to scratch dir")
     });
     let dir_bytes: u64 = std::fs::read_dir(&dir)
         .expect("list saved store dir")
@@ -180,20 +167,17 @@ fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table)
                 .len()
         })
         .sum();
-    let load_ms = median_ms(samples, || {
-        time_once_ms(|| TieredStrings::load_dir(&dir).expect("load store just saved")).1
+    let load_ms = time_ms(samples, || {
+        TieredStrings::load_dir(&dir).expect("load store just saved")
     });
     let loaded = TieredStrings::load_dir(&dir).expect("load store just saved");
     assert_eq!(loaded.len(), n);
     assert_eq!(loaded.get_string(n / 2), strings[n / 2]);
     // Recovery time, clean path: the resilient loader's overhead over the
     // strict one (same directory, per-segment validation + temp sweep).
-    let recover_clean_ms = median_ms(samples, || {
-        time_once_ms(|| {
-            let (_, report) = TieredStrings::recover_dir(&dir).expect("recover undamaged dir");
-            assert!(report.is_clean());
-        })
-        .1
+    let recover_clean_ms = time_ms(samples, || {
+        let (_, report) = TieredStrings::recover_dir(&dir).expect("recover undamaged dir");
+        assert!(report.is_clean());
     });
     // Recovery time, degraded path: one sealed segment corrupted — the
     // loader must checksum everything, quarantine the victim and still
@@ -215,24 +199,21 @@ fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table)
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&victim, bytes).expect("write corrupted segment");
-    let recover_degraded_ms = median_ms(samples, || {
-        time_once_ms(|| {
-            let (_, report) =
-                TieredStrings::recover_dir(&broken).expect("recover dir with one bad segment");
-            assert_eq!(report.quarantined.len(), 1);
-        })
-        .1
+    let recover_degraded_ms = time_ms(samples, || {
+        let (_, report) =
+            TieredStrings::recover_dir(&broken).expect("recover dir with one bad segment");
+        assert_eq!(report.quarantined.len(), 1);
     });
     std::fs::remove_dir_all(&broken).ok();
     std::fs::remove_dir_all(&dir).ok();
 
-    let speedup = build_ms / load_ms;
+    let speedup = build_ms.p50 / load_ms.p50;
     t.row(&[
         "TieredStrings",
         &format!("{n}"),
-        &format!("{build_ms:.1}ms"),
-        &format!("{save_ms:.1}ms"),
-        &format!("{load_ms:.2}ms"),
+        &format!("{:.1}ms", build_ms.p50),
+        &format!("{:.1}ms", save_ms.p50),
+        &format!("{:.2}ms", load_ms.p50),
         &format!("{:.1}KiB", dir_bytes as f64 / 1024.0),
         &format!("{speedup:.0}x"),
     ]);
@@ -240,85 +221,34 @@ fn bench_tiered(n: usize, samples: usize, out: &mut Vec<Measurement>, t: &Table)
         "    build split: append {append_ms:.1}ms, freeze {freeze_ms:.1}ms, merge {merge_ms:.1}ms"
     );
     println!(
-        "    recovery: clean {recover_clean_ms:.2}ms, \
-         one-segment-corrupt {recover_degraded_ms:.2}ms"
+        "    recovery: clean {:.2}ms, one-segment-corrupt {:.2}ms",
+        recover_clean_ms.p50, recover_degraded_ms.p50
     );
+    // The split is one build's: a single sample each.
+    let once = |ms: f64| Summary::of(vec![ms]);
     for (op, value, ratio) in [
-        ("build", build_ms, 0.0),
-        ("build_append", append_ms, 0.0),
-        ("build_freeze", freeze_ms, 0.0),
-        ("build_merge", merge_ms, 0.0),
-        ("save", save_ms, 0.0),
-        ("cold_load", load_ms, speedup),
-        ("recover_clean", recover_clean_ms, 0.0),
-        ("recover_degraded", recover_degraded_ms, 0.0),
+        ("build", build_ms, None),
+        ("build_append", once(append_ms), None),
+        ("build_freeze", once(freeze_ms), None),
+        ("build_merge", once(merge_ms), None),
+        ("save", save_ms, None),
+        ("cold_load", load_ms, Some(speedup)),
+        ("recover_clean", recover_clean_ms, None),
+        ("recover_degraded", recover_degraded_ms, None),
     ] {
-        out.push(Measurement {
-            structure: "TieredStrings",
-            workload: "url_log",
-            op,
-            n,
-            value,
-            unit: "ms",
-            ratio,
-        });
+        push(report, ("TieredStrings", op), n, value, "ms", ratio);
     }
-    out.push(Measurement {
-        structure: "TieredStrings",
-        workload: "url_log",
-        op: "file_size",
-        n,
-        value: dir_bytes as f64,
-        unit: "bytes",
-        ratio: 0.0,
-    });
-}
-
-fn write_json(path: &str, mode: &str, results: &[Measurement]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"persist_report\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let ratio = if m.ratio > 0.0 {
-            format!(", \"ratio\": {:.2}", m.ratio)
-        } else {
-            String::new()
-        };
-        s.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"workload\": \"{}\", \"op\": \"{}\", \"n\": {}, \
-             \"value\": {:.2}, \"unit\": \"{}\"{}}}{}\n",
-            m.structure,
-            m.workload,
-            m.op,
-            m.n,
-            m.value,
-            m.unit,
-            ratio,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_persist.json");
-    println!("wrote {path} ({} series)", results.len());
+    let key = ("TieredStrings", "file_size");
+    push(report, key, n, dir_bytes as usize, "bytes", None);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_persist.json".to_string());
-    let (sizes, samples): (&[usize], usize) = if quick {
+    let mut report = Report::from_args("persist_report");
+    let (sizes, samples): (&[usize], usize) = if report.quick {
         (&[20_000], 3)
     } else {
         (&[100_000, 1_000_000], 5)
     };
-    let mode = if quick { "quick" } else { "full" };
 
     println!("== cold-start: zero-copy load vs rebuild ==\n");
     let t = Table::new(
@@ -333,12 +263,11 @@ fn main() {
         ],
         &[14, 8, 9, 8, 9, 10, 8],
     );
-    let mut results = Vec::new();
     for &n in sizes {
-        bench_indexed_strings(n, samples, &mut results, &t);
-        bench_tiered(n, samples, &mut results, &t);
+        bench_indexed_strings(n, samples, &mut report, &t);
+        bench_tiered(n, samples, &mut report, &t);
     }
     println!();
     std::fs::remove_dir_all(scratch_dir()).ok();
-    write_json(&out_path, mode, &results);
+    report.finish();
 }

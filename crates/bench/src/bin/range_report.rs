@@ -5,10 +5,9 @@
 //! window grows, because their cost scales with the *distinct* strings in
 //! the window (`Σ |s| + h_s·C_op`), not with the window length.
 
-use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wavelet_trie::{BitString, SeqIndex, SequenceOps, WaveletTrie};
+use wavelet_trie::{SeqIndex, SequenceOps, WaveletTrie};
 use wt_baselines::NaiveSeq;
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{encode_all, fmt_ns, median_ns_per_op, Table};
 use wt_workloads::{url_log, word_text, UrlLogConfig};
 
 fn main() {
@@ -24,8 +23,7 @@ fn main() {
 }
 
 fn run(name: &str, data: Vec<String>, n: usize) {
-    let coder = NinthBitCoder;
-    let seq: Vec<BitString> = data.iter().map(|s| coder.encode(s.as_bytes())).collect();
+    let seq = encode_all(&data);
     let wt = WaveletTrie::build(&seq).expect("NinthBitCoder output is prefix-free");
     let naive = NaiveSeq::from_iter(data.iter());
     println!(
@@ -41,10 +39,10 @@ fn run(name: &str, data: Vec<String>, n: usize) {
         let l = (n - w) / 2;
         let r = l + w;
 
-        let wt_d = time_per_op_ns(5, 3, || {
+        let wt_d = median_ns_per_op(5, 3, || {
             std::hint::black_box(wt.distinct_in_range(l, r));
         });
-        let nv_d = time_per_op_ns(5, 3, || {
+        let nv_d = median_ns_per_op(5, 3, || {
             std::hint::black_box(naive.distinct_in_range(l, r));
         });
         t.row(&[
@@ -55,10 +53,10 @@ fn run(name: &str, data: Vec<String>, n: usize) {
             &format!("{:.1}x", nv_d / wt_d),
         ]);
 
-        let wt_m = time_per_op_ns(20, 3, || {
+        let wt_m = median_ns_per_op(20, 3, || {
             std::hint::black_box(wt.range_majority(l, r));
         });
-        let nv_m = time_per_op_ns(5, 3, || {
+        let nv_m = median_ns_per_op(5, 3, || {
             std::hint::black_box(naive.range_majority(l, r));
         });
         t.row(&[
@@ -70,10 +68,10 @@ fn run(name: &str, data: Vec<String>, n: usize) {
         ]);
 
         let thresh = (w / 50).max(2);
-        let wt_f = time_per_op_ns(20, 3, || {
+        let wt_f = median_ns_per_op(20, 3, || {
             std::hint::black_box(wt.range_frequent(l, r, thresh));
         });
-        let nv_f = time_per_op_ns(5, 3, || {
+        let nv_f = median_ns_per_op(5, 3, || {
             std::hint::black_box(naive.range_frequent(l, r, thresh));
         });
         t.row(&[
@@ -85,14 +83,14 @@ fn run(name: &str, data: Vec<String>, n: usize) {
         ]);
 
         // Sequential iteration (per extracted string) vs per-position Access.
-        let iter_ns = time_per_op_ns(3, 3, || {
+        let iter_ns = median_ns_per_op(3, 3, || {
             let mut c = 0usize;
             for s in wt.iter_range(l, r) {
                 c += s.len();
             }
             std::hint::black_box(c);
         }) / w as f64;
-        let access_ns = time_per_op_ns(3, 3, || {
+        let access_ns = median_ns_per_op(3, 3, || {
             let mut c = 0usize;
             for i in l..(l + (w / 10).max(1)) {
                 c += wt.access(i).len();

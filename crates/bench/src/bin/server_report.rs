@@ -17,13 +17,13 @@
 //! the completeness rate, the scatter threads spawned and how late the
 //! scheduler ran for both.
 //!
-//! Usage: `server_report [--quick] [--out PATH]`
+//! Usage: `server_report [--quick] [--out PATH]` (see [`wt_bench::Report`]).
 
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wt_bench::Table;
+use wt_bench::{encode_all, Json, Report, Summary, Table};
 use wt_bits::RetryPolicy;
 use wt_server::{
     Answer, DocId, FaultScript, FaultyShard, HealthConfig, Query, RouterConfig, Shard, ShardRouter,
@@ -48,24 +48,14 @@ const RATE: f64 = 800.0;
 /// absorb 40 ms of arrivals before one has to wait for a free client.
 const CLIENTS: usize = 32;
 
-/// One measured series (same shape as the other `*_report` bins).
-struct Measurement {
-    structure: &'static str,
-    workload: &'static str,
-    op: &'static str,
-    n: usize,
-    value: f64,
-    unit: &'static str,
-}
-
 struct RunStats {
-    p50_us: f64,
-    p99_us: f64,
+    /// Latency of each arrival from its scheduled instant.
+    latency_us: Summary,
     qps: f64,
     batches: usize,
     complete: usize,
     shed: u64,
-    spawns: u64,
+    spawns: usize,
     /// The latest the scheduler handed an arrival to the clients, past
     /// its scheduled instant.
     late_max_us: f64,
@@ -186,7 +176,7 @@ fn run_load(
     let rx = Mutex::new(rx);
     let mut late = Duration::ZERO;
     let start = Instant::now();
-    let (mut latencies_us, complete) = std::thread::scope(|s| {
+    let (latencies_us, complete) = std::thread::scope(|s| {
         let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 s.spawn(|| {
@@ -250,18 +240,13 @@ fn run_load(
             })
     });
     let wall = start.elapsed().as_secs_f64();
-    latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pct = |p: f64| {
-        latencies_us[((latencies_us.len() as f64 * p) as usize).min(latencies_us.len() - 1)]
-    };
     RunStats {
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
+        latency_us: Summary::of(latencies_us),
         qps: (batches * BATCH) as f64 / wall,
         batches,
         complete,
         shed: router.shed_count(),
-        spawns: router.spawn_count(),
+        spawns: router.spawn_count() as usize,
         late_max_us: late.as_secs_f64() * 1e6,
     }
 }
@@ -280,51 +265,18 @@ fn prefix_pool(raw: &[String]) -> Vec<BitString> {
     out
 }
 
-fn write_json(path: &str, mode: &str, results: &[Measurement]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"server_report\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    s.push_str(&format!("  \"batch\": {BATCH},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"workload\": \"{}\", \"op\": \"{}\", \"n\": {}, \
-             \"value\": {:.2}, \"unit\": \"{}\"}}{}\n",
-            m.structure,
-            m.workload,
-            m.op,
-            m.n,
-            m.value,
-            m.unit,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_server.json");
-    println!("wrote {path} ({} series)", results.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_server.json".to_string());
-    let (n, batches): (usize, usize) = if quick {
+    let mut report = Report::from_args("server_report");
+    let (n, batches): (usize, usize) = if report.quick {
         (20_000, 300)
     } else {
         (100_000, 2_000)
     };
-    let mode = if quick { "quick" } else { "full" };
+    report.set("shards", SHARDS);
+    report.set("batch", BATCH);
 
     let raw = url_log(n, UrlLogConfig::default(), 5);
-    let coder = NinthBitCoder;
-    let corpus: Vec<BitString> = raw.iter().map(|s| coder.encode(s.as_bytes())).collect();
+    let corpus = encode_all(&raw);
     let prefixes = prefix_pool(&raw);
 
     println!("== sharded serving: open-loop Zipf load, clean vs degraded ==\n");
@@ -334,8 +286,6 @@ fn main() {
         ],
         &[10, 9, 10, 11, 11, 10, 6, 7, 10],
     );
-    let mut results: Vec<Measurement> = Vec::new();
-
     for (label, degraded) in [("clean", false), ("degraded", true)] {
         let (router, handle) = build_router(&corpus, degraded);
         // DocIds for Access traffic: sample local positions per shard.
@@ -353,16 +303,14 @@ fn main() {
         }
         let stats = run_load(&router, &corpus, &prefixes, &docs, batches, RATE, 42);
         let health = router.health_report();
+        let complete_rate = stats.complete as f64 / stats.batches as f64;
         t.row(&[
             label,
             &format!("{}", stats.batches),
-            &format!("{:.0}us", stats.p50_us),
-            &format!("{:.0}us", stats.p99_us),
+            &format!("{:.0}us", stats.latency_us.p50),
+            &format!("{:.0}us", stats.latency_us.p99),
             &format!("{:.0}", stats.qps),
-            &format!(
-                "{:.1}%",
-                100.0 * stats.complete as f64 / stats.batches as f64
-            ),
+            &format!("{:.1}%", 100.0 * complete_rate),
             &format!("{}", stats.shed),
             &format!("{}", stats.spawns),
             &format!("{:.0}us", stats.late_max_us),
@@ -378,27 +326,23 @@ fn main() {
             }
         }
         for (op, value, unit) in [
-            ("p50", stats.p50_us, "us"),
-            ("p99", stats.p99_us, "us"),
-            ("qps", stats.qps, "ops/s"),
-            (
-                "complete_rate",
-                stats.complete as f64 / stats.batches as f64,
-                "fraction",
-            ),
-            ("spawns", stats.spawns as f64, "threads"),
-            ("sched_late_max", stats.late_max_us, "us"),
+            ("p50", &stats.latency_us as &dyn Json, "us"),
+            ("p99", &stats.latency_us.p99, "us"),
+            ("qps", &stats.qps, "ops/s"),
+            ("complete_rate", &complete_rate, "fraction"),
+            ("spawns", &stats.spawns, "threads"),
+            ("sched_late_max", &stats.late_max_us, "us"),
         ] {
-            results.push(Measurement {
-                structure: "ShardRouter",
-                workload: label,
-                op,
-                n,
-                value,
-                unit,
-            });
+            report
+                .row()
+                .set("structure", "ShardRouter")
+                .set("workload", label)
+                .set("op", op)
+                .set("n", n)
+                .set("value", value)
+                .set("unit", unit);
         }
     }
     println!();
-    write_json(&out_path, mode, &results);
+    report.finish();
 }

@@ -14,35 +14,14 @@
 //! * `IndexedStrings` (static Wavelet Trie, Thm 3.7) — access/rank/select/
 //!   prefix ops on the url-log and word-text workloads.
 //!
-//! Usage: `static_report [--quick] [--out PATH] [--baseline PATH]`
-//!
-//! `--baseline` merges a previous run's JSON into the output: each series
-//! gains `baseline_ns_per_op` and `speedup`, so a single file carries the
-//! before/after pair a perf PR claims.
+//! Usage: `static_report [--quick] [--out PATH]` (see [`wt_bench::Report`]).
 
 use wavelet_trie::IndexedStrings;
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{fmt_ns, time_per_op_ns, Report, Table};
 use wt_bits::{BitSelect, Fid, RawBitVec, RrrVector, SpaceUsage};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::words::word_text;
 use wt_workloads::xorshift;
-
-/// One measured series: ns/op for `op` on `structure` under `dist` at size `n`.
-struct Measurement {
-    structure: &'static str,
-    dist: &'static str,
-    op: &'static str,
-    n: usize,
-    ns_per_op: f64,
-    /// Bits per input bit (bitvectors) or per string (tries); 0 when n/a.
-    space_bits_per: f64,
-}
-
-impl Measurement {
-    fn key(&self) -> String {
-        format!("{}/{}/{}", self.structure, self.dist, self.op)
-    }
-}
 
 /// Static bit distributions mirroring `dynamic_report`: dense (~50% ones),
 /// sparse (~1.6%), runny (256-bit runs), plus mid (~33%), whose RRR blocks
@@ -58,9 +37,9 @@ fn build_bits(dist: &str, n: usize, next: &mut impl FnMut() -> u64) -> RawBitVec
     }
 }
 
-fn bench_static_bitvecs(quick: bool, out: &mut Vec<Measurement>) {
-    let n = if quick { 200_000 } else { 1_000_000 };
-    let iters = if quick { 20_000 } else { 100_000 };
+fn bench_static_bitvecs(report: &mut Report) {
+    let n = if report.quick { 200_000 } else { 1_000_000 };
+    let iters = if report.quick { 20_000 } else { 100_000 };
     println!("== static bitvectors (§2 FIDs) at n = {n} ==\n");
     let t = Table::new(
         &[
@@ -108,10 +87,10 @@ fn bench_static_bitvecs(quick: bool, out: &mut Vec<Measurement>) {
             t.row(&[
                 name,
                 dist,
-                &fmt_ns(rank),
-                &fmt_ns(select1),
-                &fmt_ns(select0),
-                &fmt_ns(access),
+                &fmt_ns(rank.p50),
+                &fmt_ns(select1.p50),
+                &fmt_ns(select0.p50),
+                &fmt_ns(access.p50),
                 &format!("{bits_per:.3}"),
             ]);
             for (op, ns) in [
@@ -120,23 +99,23 @@ fn bench_static_bitvecs(quick: bool, out: &mut Vec<Measurement>) {
                 ("select0", select0),
                 ("access", access),
             ] {
-                out.push(Measurement {
-                    structure: name,
-                    dist,
-                    op,
-                    n,
-                    ns_per_op: ns,
-                    space_bits_per: bits_per,
-                });
+                report
+                    .row()
+                    .set("structure", name)
+                    .set("dist", dist)
+                    .set("op", op)
+                    .set("n", n)
+                    .set("ns_per_op", ns)
+                    .set("space_bits_per", bits_per);
             }
         }
     }
     println!();
 }
 
-fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
-    let n = if quick { 20_000 } else { 100_000 };
-    let iters = if quick { 5_000 } else { 20_000 };
+fn bench_static_wt(report: &mut Report) {
+    let n = if report.quick { 20_000 } else { 100_000 };
+    let iters = if report.quick { 5_000 } else { 20_000 };
     println!("== IndexedStrings (static Wavelet Trie, Thm 3.7) at n = {n} ==\n");
     let t = Table::new(
         &[
@@ -177,10 +156,10 @@ fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
         });
         t.row(&[
             dist,
-            &fmt_ns(access),
-            &fmt_ns(rank),
-            &fmt_ns(select),
-            &fmt_ns(count_prefix),
+            &fmt_ns(access.p50),
+            &fmt_ns(rank.p50),
+            &fmt_ns(select.p50),
+            &fmt_ns(count_prefix.p50),
             &format!("{bits_per:.0}"),
         ]);
         for (op, ns) in [
@@ -189,98 +168,22 @@ fn bench_static_wt(quick: bool, out: &mut Vec<Measurement>) {
             ("select", select),
             ("count_prefix", count_prefix),
         ] {
-            out.push(Measurement {
-                structure: "IndexedStrings",
-                dist,
-                op,
-                n,
-                ns_per_op: ns,
-                space_bits_per: bits_per,
-            });
+            report
+                .row()
+                .set("structure", "IndexedStrings")
+                .set("dist", dist)
+                .set("op", op)
+                .set("n", n)
+                .set("ns_per_op", ns)
+                .set("space_bits_per", bits_per);
         }
     }
     println!();
 }
 
-/// Pulls `"key": {...` ns figures out of a previous report without a JSON
-/// dependency: looks up `"structure" ... "dist" ... "op"` triples.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let get = |field: &str| -> Option<&str> {
-            let tag = format!("\"{field}\": ");
-            let at = line.find(&tag)? + tag.len();
-            let rest = &line[at..];
-            let end = rest.find([',', '}'])?;
-            Some(rest[..end].trim().trim_matches('"'))
-        };
-        if let (Some(s), Some(d), Some(o), Some(ns)) =
-            (get("structure"), get("dist"), get("op"), get("ns_per_op"))
-        {
-            if let Ok(ns) = ns.parse::<f64>() {
-                out.push((format!("{s}/{d}/{o}"), ns));
-            }
-        }
-    }
-    out
-}
-
-fn write_json(path: &str, mode: &str, results: &[Measurement], baseline: &[(String, f64)]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"static_report\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str("  \"unit\": \"ns_per_op\",\n");
-    s.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let base = baseline
-            .iter()
-            .find(|(k, _)| *k == m.key())
-            .map(|&(_, ns)| ns);
-        let before_after = match base {
-            Some(b) => format!(
-                ", \"baseline_ns_per_op\": {:.1}, \"speedup\": {:.2}",
-                b,
-                b / m.ns_per_op
-            ),
-            None => String::new(),
-        };
-        s.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"dist\": \"{}\", \"op\": \"{}\", \"n\": {}, \
-             \"ns_per_op\": {:.1}, \"space_bits_per\": {:.3}{}}}{}\n",
-            m.structure,
-            m.dist,
-            m.op,
-            m.n,
-            m.ns_per_op,
-            m.space_bits_per,
-            before_after,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_static.json");
-    println!("wrote {path} ({} series)", results.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = arg_after("--out").unwrap_or_else(|| "BENCH_static.json".to_string());
-    let baseline = arg_after("--baseline")
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .map(|t| parse_baseline(&t))
-        .unwrap_or_default();
-    let mode = if quick { "quick" } else { "full" };
-
-    let mut results = Vec::new();
-    bench_static_bitvecs(quick, &mut results);
-    bench_static_wt(quick, &mut results);
-    write_json(&out_path, mode, &results, &baseline);
+    let mut report = Report::from_args("static_report");
+    bench_static_bitvecs(&mut report);
+    bench_static_wt(&mut report);
+    report.finish();
 }

@@ -25,54 +25,53 @@
 //!   access/rank/select/count_prefix, while also absorbing updates the
 //!   static structure cannot.
 //!
-//! Usage: `store_report [--quick] [--out PATH]`
+//! Usage: `store_report [--quick] [--out PATH]` (see [`wt_bench::Report`]).
 
-use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{
     AppendWaveletTrie, BitString, DynWaveletTrie, DynamicWaveletTrie, IndexedStrings, SeqIndex,
     SequenceOps, WaveletTrie, WtBitVec,
 };
-use wt_bench::{fmt_ns, time_once_ms, time_per_op_ns, Table};
+use wt_bench::{
+    encode_all, fmt_ns, random_ints, time_ms, time_once_ms, time_per_op_ns, Json, Report, Summary,
+    Table,
+};
 use wt_bits::SpaceUsage;
 use wt_store::{StoreConfig, TieredStore, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::xorshift;
 
-/// One measured series.
-struct Measurement {
-    structure: &'static str,
-    workload: &'static str,
-    op: &'static str,
+/// Adds one row: `value` in `unit` (ns/op for queries, µs per string for
+/// appends, ms for builds), with its `ratio` to the comparison row
+/// (speedup for builds, overhead for tiered queries) where there is one.
+fn push(
+    report: &mut Report,
+    (structure, workload, op): (&str, &str, &str),
     n: usize,
-    /// ns/op for query series, µs per string for appends, ms for builds.
-    value: f64,
-    unit: &'static str,
-    /// Ratio vs the comparison series (speedup for builds, overhead for
-    /// tiered queries); 0 when n/a.
-    ratio: f64,
-}
-
-fn median_ms(samples: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut v: Vec<f64> = (0..samples).map(|_| f()).collect();
-    // Timings come from `Instant` deltas, so NaN is impossible.
-    v.sort_by(|a, b| a.partial_cmp(b).expect("timings are never NaN"));
-    v[v.len() / 2]
-}
-
-fn encode_urls(n: usize, seed: u64) -> Vec<BitString> {
-    let coder = NinthBitCoder;
-    let strings = url_log(n, UrlLogConfig::default(), seed);
-    strings.iter().map(|s| coder.encode(s.as_bytes())).collect()
+    value: impl Json,
+    unit: &str,
+    ratio: Option<f64>,
+) {
+    let row = report
+        .row()
+        .set("structure", structure)
+        .set("workload", workload)
+        .set("op", op)
+        .set("n", n)
+        .set("value", value)
+        .set("unit", unit);
+    if let Some(r) = ratio {
+        row.set("ratio", r);
+    }
 }
 
 /// Builds a trie of `encoded` by appends, `samples` times; returns the
-/// last build and the median µs per append.
+/// last build and the µs per append.
 fn build_by_appends<B: WtBitVec>(
     encoded: &[BitString],
     samples: usize,
-) -> (DynWaveletTrie<B>, f64) {
+) -> (DynWaveletTrie<B>, Summary) {
     let mut built = DynWaveletTrie::new();
-    let ms = median_ms(samples, || {
+    let us = Summary::sample(samples, || {
         let (wt, ms) = time_once_ms(|| {
             let mut wt = DynWaveletTrie::<B>::new();
             for s in encoded {
@@ -82,16 +81,16 @@ fn build_by_appends<B: WtBitVec>(
             wt
         });
         built = wt;
-        ms
+        ms * 1e3 / encoded.len() as f64
     });
-    (built, ms * 1e3 / encoded.len() as f64)
+    (built, us)
 }
 
-fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>) {
+fn bench_freeze_vs_rebuild(n: usize, samples: usize, report: &mut Report) {
     println!("== append, structural freeze, and rebuild-from-strings at n = {n} ==\n");
-    let encoded = encode_urls(n, 5);
-    let (dynamic, dynamic_us): (DynamicWaveletTrie, f64) = build_by_appends(&encoded, samples);
-    let (append, append_us): (AppendWaveletTrie, f64) = build_by_appends(&encoded, samples);
+    let encoded = encode_all(&url_log(n, UrlLogConfig::default(), 5));
+    let (dynamic, dynamic_us): (DynamicWaveletTrie, _) = build_by_appends(&encoded, samples);
+    let (append, append_us): (AppendWaveletTrie, _) = build_by_appends(&encoded, samples);
 
     let t = Table::new(
         &["backend", "append", "freeze", "rebuild", "speedup"],
@@ -101,65 +100,39 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
         (
             "DynamicWaveletTrie",
             dynamic_us,
-            0.0,
-            median_ms(samples, || time_once_ms(|| dynamic.freeze()).1),
-            median_ms(samples, || {
-                time_once_ms(|| {
-                    WaveletTrie::from_bitstrings(dynamic.iter_seq())
-                        .expect("stored sequence is prefix-free")
-                })
-                .1
+            None,
+            time_ms(samples, || dynamic.freeze()),
+            time_ms(samples, || {
+                WaveletTrie::from_bitstrings(dynamic.iter_seq())
+                    .expect("stored sequence is prefix-free")
             }),
         ),
         (
             "AppendWaveletTrie",
             append_us,
-            dynamic_us / append_us,
-            median_ms(samples, || time_once_ms(|| append.freeze()).1),
-            median_ms(samples, || {
-                time_once_ms(|| {
-                    WaveletTrie::from_bitstrings(append.iter_seq())
-                        .expect("stored sequence is prefix-free")
-                })
-                .1
+            Some(dynamic_us.p50 / append_us.p50),
+            time_ms(samples, || append.freeze()),
+            time_ms(samples, || {
+                WaveletTrie::from_bitstrings(append.iter_seq())
+                    .expect("stored sequence is prefix-free")
             }),
         ),
     ] {
-        let speedup = rebuild_ms / freeze_ms;
+        let speedup = rebuild_ms.p50 / freeze_ms.p50;
         t.row(&[
             name,
-            &format!("{append_us:.2}µs"),
-            &format!("{freeze_ms:.1}ms"),
-            &format!("{rebuild_ms:.1}ms"),
+            &format!("{:.2}µs", append_us.p50),
+            &format!("{:.1}ms", freeze_ms.p50),
+            &format!("{:.1}ms", rebuild_ms.p50),
             &format!("{speedup:.1}x"),
         ]);
-        out.push(Measurement {
-            structure: name,
-            workload: "url_log",
-            op: "append",
-            n,
-            value: append_us,
-            unit: "us_per_op",
-            ratio: append_ratio,
-        });
-        out.push(Measurement {
-            structure: name,
-            workload: "url_log",
-            op: "freeze",
-            n,
-            value: freeze_ms,
-            unit: "ms",
-            ratio: speedup,
-        });
-        out.push(Measurement {
-            structure: name,
-            workload: "url_log",
-            op: "rebuild",
-            n,
-            value: rebuild_ms,
-            unit: "ms",
-            ratio: 0.0,
-        });
+        for (op, value, unit, ratio) in [
+            ("append", append_us, "us_per_op", append_ratio),
+            ("freeze", freeze_ms, "ms", Some(speedup)),
+            ("rebuild", rebuild_ms, "ms", None),
+        ] {
+            push(report, (name, "url_log", op), n, value, unit, ratio);
+        }
     }
     // Sanity: the frozen trie answers like the rebuilt one.
     let frozen = dynamic.freeze();
@@ -171,37 +144,24 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, out: &mut Vec<Measurement>)
 /// Strings in one ints_scan shard: 600k ints over four shards.
 const INTS_SHARD: usize = 150_000;
 
-fn bench_ints_shard(samples: usize, out: &mut Vec<Measurement>) {
+fn bench_ints_shard(samples: usize, report: &mut Report) {
     println!("== append and freeze of one ints_scan shard, n = {INTS_SHARD} ==\n");
     // The shard's ints share their top two bits, as `shard_for` places them.
-    let mut next = xorshift(0x1A75);
-    let encoded: Vec<BitString> = (0..INTS_SHARD)
-        .map(|_| {
-            let v = next() & ((1 << 26) - 1);
-            BitString::from_bits((0..28).rev().map(move |k| (v >> k) & 1 != 0))
-        })
-        .collect();
-    let (append, append_us): (AppendWaveletTrie, f64) = build_by_appends(&encoded, samples);
-    let freeze_ms = median_ms(samples, || time_once_ms(|| append.freeze()).1);
+    let encoded = random_ints(INTS_SHARD, 28, 26, 0x1A75);
+    let (append, append_us): (AppendWaveletTrie, _) = build_by_appends(&encoded, samples);
+    let freeze_ms = time_ms(samples, || append.freeze());
     let t = Table::new(&["backend", "append", "freeze"], &[20, 10, 10]);
     t.row(&[
         "AppendWaveletTrie",
-        &format!("{append_us:.2}µs"),
-        &format!("{freeze_ms:.1}ms"),
+        &format!("{:.2}µs", append_us.p50),
+        &format!("{:.1}ms", freeze_ms.p50),
     ]);
     for (op, value, unit) in [
         ("append", append_us, "us_per_op"),
         ("freeze", freeze_ms, "ms"),
     ] {
-        out.push(Measurement {
-            structure: "AppendWaveletTrie",
-            workload: "ints28",
-            op,
-            n: INTS_SHARD,
-            value,
-            unit,
-            ratio: 0.0,
-        });
+        let key = ("AppendWaveletTrie", "ints28", op);
+        push(report, key, INTS_SHARD, value, unit, None);
     }
     println!();
 }
@@ -209,18 +169,22 @@ fn bench_ints_shard(samples: usize, out: &mut Vec<Measurement>) {
 /// Hot-tail sizes of the fill sweep.
 const TAIL_KS: [usize; 4] = [128, 600, 2_000, 8_192];
 
-fn bench_tail_fill(samples: usize, out: &mut Vec<Measurement>) {
+fn bench_tail_fill(samples: usize, report: &mut Report) {
     println!("== TieredStore::append while the hot tail fills to K strings ==\n");
-    let encoded = encode_urls(TAIL_KS[TAIL_KS.len() - 1], 9);
+    let encoded = encode_all(&url_log(
+        TAIL_KS[TAIL_KS.len() - 1],
+        UrlLogConfig::default(),
+        9,
+    ));
     let t = Table::new(&["tail K", "append", "+ publish", "ratio"], &[8, 10, 10, 8]);
     for k in TAIL_KS {
         let fill_us = |publish: bool| {
-            let ms = median_ms(samples, || {
+            Summary::sample(samples, || {
                 let mut st = TieredStore::with_config(StoreConfig {
                     seal_at: usize::MAX,
                     max_sealed: 8,
                 });
-                time_once_ms(|| {
+                let ((), ms) = time_once_ms(|| {
                     for s in &encoded[..k] {
                         st.append(s.as_bitstr())
                             .expect("NinthBitCoder output is prefix-free");
@@ -228,37 +192,30 @@ fn bench_tail_fill(samples: usize, out: &mut Vec<Measurement>) {
                             st.publish();
                         }
                     }
-                })
-                .1
-            });
-            ms * 1e3 / k as f64
+                });
+                ms * 1e3 / k as f64
+            })
         };
         let (bare, published) = (fill_us(false), fill_us(true));
+        let ratio = published.p50 / bare.p50;
         t.row(&[
             &k.to_string(),
-            &format!("{bare:.2}µs"),
-            &format!("{published:.2}µs"),
-            &format!("{:.1}x", published / bare),
+            &format!("{:.2}µs", bare.p50),
+            &format!("{:.2}µs", published.p50),
+            &format!("{ratio:.1}x"),
         ]);
         for (op, value, ratio) in [
-            ("append", bare, 0.0),
-            ("append_publish", published, published / bare),
+            ("append", bare, None),
+            ("append_publish", published, Some(ratio)),
         ] {
-            out.push(Measurement {
-                structure: "TieredStore",
-                workload: "url_log",
-                op,
-                n: k,
-                value,
-                unit: "us_per_op",
-                ratio,
-            });
+            let key = ("TieredStore", "url_log", op);
+            push(report, key, k, value, "us_per_op", ratio);
         }
     }
     println!();
 }
 
-fn bench_tiered_overhead(n: usize, iters: usize, out: &mut Vec<Measurement>) {
+fn bench_tiered_overhead(n: usize, iters: usize, report: &mut Report) {
     println!("== tiered query overhead vs pure static at n = {n} ==\n");
     let strings = url_log(n, UrlLogConfig::default(), 5);
 
@@ -279,40 +236,21 @@ fn bench_tiered_overhead(n: usize, iters: usize, out: &mut Vec<Measurement>) {
         &[14, 9, 9, 9, 12],
     );
     // Identical probe schedule for both structures.
-    let series = |name: &'static str,
-                  access: f64,
-                  rank: f64,
-                  select: f64,
-                  count_prefix: f64,
-                  base: Option<&[f64; 4]>,
-                  out: &mut Vec<Measurement>| {
-        t.row(&[
-            name,
-            &fmt_ns(access),
-            &fmt_ns(rank),
-            &fmt_ns(select),
-            &fmt_ns(count_prefix),
-        ]);
-        for (i, (op, ns)) in [
-            ("access", access),
-            ("rank", rank),
-            ("select", select),
-            ("count_prefix", count_prefix),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            out.push(Measurement {
-                structure: name,
-                workload: "url_log",
-                op,
-                n,
-                value: ns,
-                unit: "ns_per_op",
-                ratio: base.map_or(0.0, |b| ns / b[i]),
-            });
-        }
-    };
+    let series =
+        |name: &'static str, ns: [Summary; 4], base: Option<&[Summary; 4]>, report: &mut Report| {
+            t.row(&[
+                name,
+                &fmt_ns(ns[0].p50),
+                &fmt_ns(ns[1].p50),
+                &fmt_ns(ns[2].p50),
+                &fmt_ns(ns[3].p50),
+            ]);
+            let ops = ["access", "rank", "select", "count_prefix"];
+            for (i, op) in ops.into_iter().enumerate() {
+                let ratio = base.map(|b| ns[i].p50 / b[i].p50);
+                push(report, (name, "url_log", op), n, ns[i], "ns_per_op", ratio);
+            }
+        };
 
     macro_rules! measure {
         ($idx:expr) => {{
@@ -341,78 +279,21 @@ fn bench_tiered_overhead(n: usize, iters: usize, out: &mut Vec<Measurement>) {
     }
 
     let base = measure!(stat);
-    series(
-        "IndexedStrings",
-        base[0],
-        base[1],
-        base[2],
-        base[3],
-        None,
-        out,
-    );
-    let tier = measure!(tiered);
-    series(
-        "TieredStrings",
-        tier[0],
-        tier[1],
-        tier[2],
-        tier[3],
-        Some(&base),
-        out,
-    );
+    series("IndexedStrings", base, None, report);
+    series("TieredStrings", measure!(tiered), Some(&base), report);
     println!();
 }
 
-fn write_json(path: &str, mode: &str, results: &[Measurement]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"store_report\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let ratio = if m.ratio > 0.0 {
-            format!(", \"ratio\": {:.2}", m.ratio)
-        } else {
-            String::new()
-        };
-        s.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"workload\": \"{}\", \"op\": \"{}\", \"n\": {}, \
-             \"value\": {:.1}, \"unit\": \"{}\"{}}}{}\n",
-            m.structure,
-            m.workload,
-            m.op,
-            m.n,
-            m.value,
-            m.unit,
-            ratio,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_store.json");
-    println!("wrote {path} ({} series)", results.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_store.json".to_string());
-    let (n, samples, iters) = if quick {
+    let mut report = Report::from_args("store_report");
+    let (n, samples, iters) = if report.quick {
         (20_000, 3, 2_000)
     } else {
         (100_000, 5, 20_000)
     };
-    let mode = if quick { "quick" } else { "full" };
-
-    let mut results = Vec::new();
-    bench_freeze_vs_rebuild(n, samples, &mut results);
-    bench_ints_shard(samples, &mut results);
-    bench_tail_fill(samples, &mut results);
-    bench_tiered_overhead(n, iters, &mut results);
-    write_json(&out_path, mode, &results);
+    bench_freeze_vs_rebuild(n, samples, &mut report);
+    bench_ints_shard(samples, &mut report);
+    bench_tail_fill(samples, &mut report);
+    bench_tiered_overhead(n, iters, &mut report);
+    report.finish();
 }

@@ -6,23 +6,15 @@
 //! fully dynamic = LB + PT + O(nH0); traditional indexes = "several times
 //! the space of the sequence alone".
 
-use wavelet_trie::binarize::{Coder, NinthBitCoder};
-use wavelet_trie::{
-    AppendWaveletTrie, BitString, DynamicWaveletTrie, SeqIndex, SequenceStats, WaveletTrie,
-};
+use wavelet_trie::{AppendWaveletTrie, DynamicWaveletTrie, SeqIndex, SequenceStats, WaveletTrie};
 use wt_baselines::{BTreeIndex, DictSequence, NaiveSeq};
-use wt_bench::{bits_per, Table};
+use wt_bench::{bits_per, encode_all, Table};
 use wt_bits::SpaceUsage;
 use wt_workloads::{small_alphabet_u64, url_log, word_text, UrlLogConfig};
 
-fn encode(data: &[String]) -> Vec<BitString> {
-    let c = NinthBitCoder;
-    data.iter().map(|s| c.encode(s.as_bytes())).collect()
-}
-
 fn report(name: &str, data: Vec<String>) {
     let n = data.len();
-    let seq = encode(&data);
+    let seq = encode_all(&data);
     let stats = SequenceStats::from_bitstrings(&seq).expect("prefix-free");
     let input_bits: usize = data.iter().map(|s| s.len() * 8).sum();
 

@@ -9,7 +9,7 @@
 
 use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{AppendWaveletTrie, BitString, DynamicWaveletTrie, SeqIndex, WaveletTrie};
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{encode_all, fmt_ns, median_ns_per_op, per_op_ns, Table};
 use wt_workloads::{url_log, UrlLogConfig};
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let max_n = *sizes.last().expect("sizes is non-empty");
     let raw = url_log(max_n, UrlLogConfig::default(), 1);
     let coder = NinthBitCoder;
-    let all: Vec<BitString> = raw.iter().map(|s| coder.encode(s.as_bytes())).collect();
+    let all = encode_all(&raw);
     let prefix = coder.encode_prefix(b"http://host001.example");
 
     println!("== Table 1 (time): per-operation cost vs n, URL-log workload ==\n");
@@ -36,26 +36,26 @@ fn main() {
         // -------- static --------------------------------------------------
         let wt = WaveletTrie::build(seq).expect("NinthBitCoder output is prefix-free");
         let mut i = 0usize;
-        let access = time_per_op_ns(2000, 3, || {
+        let access = median_ns_per_op(2000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(wt.access(i));
         });
         let mut j = 0usize;
-        let rank = time_per_op_ns(2000, 3, || {
+        let rank = median_ns_per_op(2000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(wt.rank(s.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let select = time_per_op_ns(2000, 3, || {
+        let select = median_ns_per_op(2000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(wt.select(s.as_bitstr(), j % 3));
         });
-        let rankp = time_per_op_ns(2000, 3, || {
+        let rankp = median_ns_per_op(2000, 3, || {
             j += 1;
             std::hint::black_box(wt.rank_prefix(prefix.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let selp = time_per_op_ns(2000, 3, || {
+        let selp = median_ns_per_op(2000, 3, || {
             j += 1;
             std::hint::black_box(wt.select_prefix(prefix.as_bitstr(), j % 8));
         });
@@ -72,32 +72,27 @@ fn main() {
 
         // -------- append-only ---------------------------------------------
         let mut app = AppendWaveletTrie::new();
-        let append = {
-            let t0 = std::time::Instant::now();
-            for s in seq {
-                app.append(s.as_bitstr()).unwrap();
-            }
-            t0.elapsed().as_nanos() as f64 / n as f64
-        };
-        let access = time_per_op_ns(2000, 3, || {
+        let mut rest = seq.iter();
+        let append = per_op_ns(n, || app.append(rest.next().unwrap().as_bitstr()).unwrap());
+        let access = median_ns_per_op(2000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(app.access(i));
         });
-        let rank = time_per_op_ns(2000, 3, || {
+        let rank = median_ns_per_op(2000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(app.rank(s.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let select = time_per_op_ns(2000, 3, || {
+        let select = median_ns_per_op(2000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(app.select(s.as_bitstr(), j % 3));
         });
-        let rankp = time_per_op_ns(2000, 3, || {
+        let rankp = median_ns_per_op(2000, 3, || {
             j += 1;
             std::hint::black_box(app.rank_prefix(prefix.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let selp = time_per_op_ns(2000, 3, || {
+        let selp = median_ns_per_op(2000, 3, || {
             j += 1;
             std::hint::black_box(app.select_prefix(prefix.as_bitstr(), j % 8));
         });
@@ -117,30 +112,30 @@ fn main() {
         for s in seq {
             dy.append(s.as_bitstr()).unwrap();
         }
-        let access = time_per_op_ns(1000, 3, || {
+        let access = median_ns_per_op(1000, 3, || {
             i = (i + 7919) % n;
             std::hint::black_box(dy.access(i));
         });
-        let rank = time_per_op_ns(1000, 3, || {
+        let rank = median_ns_per_op(1000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(dy.rank(s.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let select = time_per_op_ns(1000, 3, || {
+        let select = median_ns_per_op(1000, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             std::hint::black_box(dy.select(s.as_bitstr(), j % 3));
         });
-        let rankp = time_per_op_ns(1000, 3, || {
+        let rankp = median_ns_per_op(1000, 3, || {
             j += 1;
             std::hint::black_box(dy.rank_prefix(prefix.as_bitstr(), (j * 31) % (n + 1)));
         });
-        let selp = time_per_op_ns(1000, 3, || {
+        let selp = median_ns_per_op(1000, 3, || {
             j += 1;
             std::hint::black_box(dy.select_prefix(prefix.as_bitstr(), j % 8));
         });
         // Insert + Delete paired so n stays fixed while measuring.
-        let ins_del = time_per_op_ns(500, 3, || {
+        let ins_del = median_ns_per_op(500, 3, || {
             j += 1;
             let s = probes[j % probes.len()];
             let pos = (j * 131) % (dy.len() + 1);

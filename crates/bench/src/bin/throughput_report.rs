@@ -26,106 +26,98 @@
 //!
 //! Writes machine-readable `BENCH_throughput.json`.
 //!
-//! Usage: `throughput_report [--quick] [--out PATH]`
+//! Usage: `throughput_report [--quick] [--out PATH]` (see [`wt_bench::Report`]).
 
 use std::sync::Barrier;
 
-use wavelet_trie::binarize::{Coder, NinthBitCoder};
 use wavelet_trie::{BitStr, BitString, SeqIndex, WaveletTrie};
-use wt_bench::{fmt_ns, time_per_op_ns, Table};
+use wt_bench::{encode_all, fmt_ns, per_op_ns, random_ints, time_ms, Report, Summary, Table};
 use wt_store::{StoreConfig, StoreSnapshot, TieredStore};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::words::word_text;
 use wt_workloads::xorshift;
 
-/// One measured query series.
-struct QuerySeries {
-    workload: &'static str,
-    op: &'static str,
-    batch: usize,
-    n: usize,
-    ns_per_op: f64,
-    scalar_ns_per_op: f64,
-}
-
-/// One measured string-build point.
-struct BuildSeries {
-    workload: &'static str,
-    threads: usize,
-    n: usize,
-    ms: f64,
-}
-
-/// One measured concurrent-read point (aggregate across reader threads).
-struct ReadSeries {
-    workload: &'static str,
-    op: &'static str,
-    threads: usize,
-    batch: usize,
-    n: usize,
-    total_ops: usize,
-    wall_ms: f64,
-    mops: f64,
-}
-
 const BATCH_SIZES: [usize; 4] = [1, 8, 64, 512];
 /// Probe-pool size: large enough that consecutive batches don't re-walk
 /// the same cache-resident paths.
 const POOL: usize = 8192;
+/// Samples behind every timing: rounds of the batch series, builds per
+/// thread count, reader runs per thread count.
+const SAMPLES: usize = 5;
 
-fn encode_all(strings: &[String]) -> Vec<BitString> {
-    let coder = NinthBitCoder;
-    strings.iter().map(|s| coder.encode(s.as_bytes())).collect()
-}
+/// Probe pools over the stored `encoded` strings, `POOL + 512` long so a
+/// batch window starting anywhere in the pool fits: positions, `(s, pos)`
+/// rank queries, and byte-aligned prefixes (~12 bytes) of stored strings,
+/// the common "count URLs under this folder" probe.
+type Pools<'a> = (Vec<usize>, Vec<(BitStr<'a>, usize)>, Vec<BitStr<'a>>);
 
-/// Fixed-width random integers: a near-distinct alphabet, so the trie is
-/// large and every level of every descent is an uncached pointer chase —
-/// the adversarial regime for single-query latency and the best case for
-/// interleaving.
-fn random_ints(n: usize, width: usize, seed: u64) -> Vec<BitString> {
+fn probe_pools(encoded: &[BitString], seed: u64) -> Pools<'_> {
     let mut next = xorshift(seed);
-    (0..n)
+    let mut below = |m: usize| (next() % m as u64) as usize;
+    let n = encoded.len();
+    let positions = (0..POOL + 512).map(|_| below(n)).collect();
+    let rank_q = (0..POOL + 512)
+        .map(|_| (encoded[below(n)].as_bitstr(), below(n + 1)))
+        .collect();
+    let prefixes = (0..POOL + 512)
         .map(|_| {
-            let v = next() & ((1u64 << width) - 1);
-            BitString::from_bits((0..width).rev().map(move |k| (v >> k) & 1 != 0))
+            let s = &encoded[below(n)];
+            s.as_bitstr().prefix((s.len() / 9).min(12) * 9)
         })
-        .collect()
+        .collect();
+    (positions, rank_q, prefixes)
 }
+
+/// An op's name, scalar call (at a pool offset) and batched call (at an
+/// offset, with a batch size).
+type OpCalls<'a> = (&'a str, &'a dyn Fn(usize), &'a dyn Fn(usize, usize));
 
 /// Measures one op's scalar baseline and batched throughput on `idx`.
+/// Each round times the scalar loop and then every batch size, so a slow
+/// spell on the host falls on both sides of a round's speedup.
 #[allow(clippy::too_many_arguments)]
 fn bench_op(
-    workload: &'static str,
-    op: &'static str,
+    workload: &str,
+    op: &str,
     n: usize,
     iters: usize,
     scalar: &dyn Fn(usize),
     batched: &dyn Fn(usize, usize),
     t: &Table,
-    out: &mut Vec<QuerySeries>,
+    report: &mut Report,
 ) {
     let mut at = 0usize;
-    let scalar_ns = time_per_op_ns(iters, 5, || {
-        scalar(at % POOL);
-        at += 1;
-    });
-    let mut row: Vec<String> = vec![workload.into(), op.into(), fmt_ns(scalar_ns)];
-    for &bs in &BATCH_SIZES {
-        let calls = (iters / bs).max(4);
-        let mut at = 0usize;
-        let ns = time_per_op_ns(calls, 5, || {
-            batched(at % POOL, bs);
-            at += bs;
-        }) / bs as f64;
-        row.push(format!("{} ({:.2}x)", fmt_ns(ns), scalar_ns / ns));
-        out.push(QuerySeries {
-            workload,
-            op,
-            batch: bs,
-            n,
-            ns_per_op: ns,
-            scalar_ns_per_op: scalar_ns,
-        });
+    let mut scalar_ns = Vec::new();
+    let mut batch_ns = vec![Vec::new(); BATCH_SIZES.len()];
+    for _ in 0..SAMPLES {
+        scalar_ns.push(per_op_ns(iters, || {
+            scalar(at % POOL);
+            at += 1;
+        }));
+        for (ns, &bs) in batch_ns.iter_mut().zip(&BATCH_SIZES) {
+            let calls = (iters / bs).max(4);
+            let per_call = per_op_ns(calls, || {
+                batched(at % POOL, bs);
+                at += bs;
+            });
+            ns.push(per_call / bs as f64);
+        }
+    }
+    let scalar = Summary::of(scalar_ns.clone());
+    let mut row: Vec<String> = vec![workload.into(), op.into(), fmt_ns(scalar.p50)];
+    for (ns, &bs) in batch_ns.into_iter().zip(&BATCH_SIZES) {
+        let speedup = Summary::of(scalar_ns.iter().zip(&ns).map(|(s, b)| s / b).collect());
+        let ns = Summary::of(ns);
+        row.push(format!("{} ({:.2}x)", fmt_ns(ns.p50), speedup.p50));
+        report
+            .row()
+            .set("workload", workload)
+            .set("op", op)
+            .set("batch", bs)
+            .set("n", n)
+            .set("ns_per_op", ns)
+            .set("scalar_ns_per_op", scalar)
+            .set("speedup", speedup);
     }
     let cells: Vec<&str> = row.iter().map(|s| s.as_str()).collect();
     t.row(&cells);
@@ -138,83 +130,55 @@ fn bench_queries(
     encoded: &[BitString],
     iters: usize,
     t: &Table,
-    out: &mut Vec<QuerySeries>,
+    report: &mut Report,
 ) {
     let n = idx.seq_len();
-    let mut next = xorshift(0x9E3779B9);
-    // Pre-generated probe pools (wrapping slices keep batch windows cheap).
-    let positions: Vec<usize> = (0..POOL + 512)
-        .map(|_| (next() % n as u64) as usize)
-        .collect();
-    let rank_q: Vec<(BitStr<'_>, usize)> = (0..POOL + 512)
-        .map(|_| {
-            let s = &encoded[(next() % n as u64) as usize];
-            (s.as_bitstr(), (next() % (n as u64 + 1)) as usize)
-        })
-        .collect();
-    // Byte-aligned prefixes (~12 bytes) of stored strings: the common
-    // "count URLs under this folder" probe.
-    let prefixes: Vec<BitStr<'_>> = (0..POOL + 512)
-        .map(|_| {
-            let s = &encoded[(next() % n as u64) as usize];
-            s.as_bitstr().prefix((s.len() / 9).min(12) * 9)
-        })
-        .collect();
-    bench_op(
-        workload,
-        "access",
-        n,
-        iters,
-        &|k| {
-            std::hint::black_box(idx.access(positions[k]));
-        },
-        &|k, bs| {
-            std::hint::black_box(idx.access_batch(&positions[k..k + bs]));
-        },
-        t,
-        out,
-    );
-    bench_op(
-        workload,
-        "rank",
-        n,
-        iters,
-        &|k| {
-            let (s, pos) = rank_q[k];
-            std::hint::black_box(idx.rank(s, pos));
-        },
-        &|k, bs| {
-            std::hint::black_box(idx.rank_batch(&rank_q[k..k + bs]));
-        },
-        t,
-        out,
-    );
-    bench_op(
-        workload,
-        "count_prefix",
-        n,
-        iters,
-        &|k| {
-            std::hint::black_box(idx.count_prefix(prefixes[k]));
-        },
-        &|k, bs| {
-            std::hint::black_box(idx.count_prefix_batch(&prefixes[k..k + bs]));
-        },
-        t,
-        out,
-    );
+    let (positions, rank_q, prefixes) = probe_pools(encoded, 0x9E3779B9);
+    let kernels: [OpCalls<'_>; 3] = [
+        (
+            "access",
+            &|k| {
+                std::hint::black_box(idx.access(positions[k]));
+            },
+            &|k, bs| {
+                std::hint::black_box(idx.access_batch(&positions[k..k + bs]));
+            },
+        ),
+        (
+            "rank",
+            &|k| {
+                let (s, pos) = rank_q[k];
+                std::hint::black_box(idx.rank(s, pos));
+            },
+            &|k, bs| {
+                std::hint::black_box(idx.rank_batch(&rank_q[k..k + bs]));
+            },
+        ),
+        (
+            "count_prefix",
+            &|k| {
+                std::hint::black_box(idx.count_prefix(prefixes[k]));
+            },
+            &|k, bs| {
+                std::hint::black_box(idx.count_prefix_batch(&prefixes[k..k + bs]));
+            },
+        ),
+    ];
+    for (op, scalar, batched) in kernels {
+        bench_op(workload, op, n, iters, scalar, batched, t, report);
+    }
 }
 
-fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
+fn bench_query_section(report: &mut Report) {
     // Full mode sizes the working sets past the last-level cache (~100MB
     // on big server parts): throughput batching hides *memory* latency,
     // so the interesting regime is the one where descents actually miss.
-    let (n_url, n_words, n_ints) = if quick {
+    let (n_url, n_words, n_ints) = if report.quick {
         (100_000, 100_000, 200_000)
     } else {
         (5_000_000, 1_000_000, 12_000_000)
     };
-    let iters = if quick { 20_000 } else { 30_000 };
+    let iters = if report.quick { 20_000 } else { 30_000 };
     println!("== batched interleaved queries (pool {POOL}) ==\n");
     let headers: Vec<String> = ["workload", "op", "scalar"]
         .iter()
@@ -230,11 +194,11 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
     let workloads: [(&'static str, Vec<BitString>); 3] = [
         ("url", encode_all(&url_log(n_url, url_cfg, 5))),
         ("words", encode_all(&word_text(n_words, 2000, 7))),
-        ("ints", random_ints(n_ints, 28, 99)),
+        ("ints", random_ints(n_ints, 28, 28, 99)),
     ];
     for (name, encoded) in &workloads {
         let wt = WaveletTrie::build(encoded).expect("prefix-free inputs");
-        bench_queries(name, &wt, encoded, iters, &t, out);
+        bench_queries(name, &wt, encoded, iters, &t, report);
     }
     // The tiered store splits the same batches by segment: 4-ish sealed
     // segments + a hot tail.
@@ -246,14 +210,14 @@ fn bench_query_section(quick: bool, out: &mut Vec<QuerySeries>) {
     for s in encoded.iter() {
         store.append(s.as_bitstr()).expect("prefix-free");
     }
-    bench_queries("url_tiered", &store, encoded, iters / 2, &t, out);
+    bench_queries("url_tiered", &store, encoded, iters / 2, &t, report);
     println!();
 }
 
 /// String-build scaling on URLs and on near-distinct 28-bit ints (the
-/// shape of ints_scan's segments), best of two builds per thread count.
-fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
-    let (n_url, n_ints) = if quick {
+/// shape of ints_scan's segments), `SAMPLES` builds per thread count.
+fn bench_construction(report: &mut Report) {
+    let (n_url, n_ints) = if report.quick {
         (60_000, 100_000)
     } else {
         (400_000, 600_000)
@@ -268,35 +232,33 @@ fn bench_construction(quick: bool, out: &mut Vec<BuildSeries>) {
             "url",
             encode_all(&url_log(n_url, UrlLogConfig::default(), 11)),
         ),
-        ("ints", random_ints(n_ints, 28, 99)),
+        ("ints", random_ints(n_ints, 28, 28, 99)),
     ];
     for (workload, encoded) in &corpora {
         let mut base_ms = 0.0f64;
         for threads in [1usize, 2, 4] {
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let t0 = std::time::Instant::now();
-                let wt = WaveletTrie::build_with_threads(encoded, threads).expect("prefix-free");
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(wt.len());
-                best = best.min(ms);
-            }
+            let ms = time_ms(SAMPLES, || {
+                WaveletTrie::build_with_threads(encoded, threads).expect("prefix-free")
+            });
             if threads == 1 {
-                base_ms = best;
+                base_ms = ms.p50;
             }
+            let speedup = base_ms / ms.p50;
             t.row(&[
                 "build",
                 workload,
                 &threads.to_string(),
-                &format!("{best:.0}ms"),
-                &format!("{:.2}x", base_ms / best),
+                &format!("{:.0}ms", ms.p50),
+                &format!("{speedup:.2}x"),
             ]);
-            out.push(BuildSeries {
-                workload,
-                threads,
-                n: encoded.len(),
-                ms: best,
-            });
+            report
+                .row()
+                .set("workload", *workload)
+                .set("op", "build")
+                .set("threads", threads)
+                .set("n", encoded.len())
+                .set("ms", ms)
+                .set("speedup_vs_1t", speedup);
         }
     }
     println!();
@@ -318,21 +280,19 @@ fn cpu_scaling_ceiling_2t() -> f64 {
         acc
     }
     let iters = 150_000_000u64;
-    let wall = |threads: usize| {
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|sc| {
-            let hs: Vec<_> = (0..threads)
-                .map(|_| sc.spawn(move || spin(iters)))
-                .collect();
-            for h in hs {
-                std::hint::black_box(h.join().expect("spin thread panicked"));
-            }
-        });
-        t0.elapsed().as_secs_f64()
+    let wall_ms = |threads: usize| {
+        time_ms(SAMPLES, || {
+            std::thread::scope(|sc| {
+                let hs: Vec<_> = (0..threads)
+                    .map(|_| sc.spawn(move || spin(iters)))
+                    .collect();
+                for h in hs {
+                    std::hint::black_box(h.join().expect("spin thread panicked"));
+                }
+            })
+        })
     };
-    let one = wall(1).min(wall(1));
-    let two = wall(2).min(wall(2));
-    2.0 * one / two
+    2.0 * wall_ms(1).p50 / wall_ms(2).p50
 }
 
 /// Concurrent read scaling: 1/2/4 reader threads, each holding its own
@@ -340,10 +300,10 @@ fn cpu_scaling_ceiling_2t() -> f64 {
 /// kernels. Every thread does a *fixed* amount of work, so aggregate
 /// throughput (total ops / wall) scales with threads exactly when the
 /// snapshot read path is contention-free.
-fn bench_read_scaling(quick: bool, ceiling_2t: f64, out: &mut Vec<ReadSeries>) {
+fn bench_read_scaling(ceiling_2t: f64, report: &mut Report) {
     const RB: usize = 64;
-    let n = if quick { 150_000 } else { 1_000_000 };
-    let per_thread_ops = if quick { 64_000 } else { 512_000 };
+    let n = if report.quick { 150_000 } else { 1_000_000 };
+    let per_thread_ops = if report.quick { 64_000 } else { 512_000 };
     println!("== concurrent read scaling (one StoreSnapshot per reader thread, batch {RB}) ==");
     println!("   host pure-CPU 2-thread ceiling: {ceiling_2t:.2}x\n");
     let t = Table::new(
@@ -365,22 +325,7 @@ fn bench_read_scaling(quick: bool, ceiling_2t: f64, out: &mut Vec<ReadSeries>) {
     store.publish();
     let reader = store.reader();
 
-    let mut next = xorshift(0xC0FFEE);
-    let positions: Vec<usize> = (0..POOL + 512)
-        .map(|_| (next() % n as u64) as usize)
-        .collect();
-    let rank_q: Vec<(BitStr<'_>, usize)> = (0..POOL + 512)
-        .map(|_| {
-            let s = &encoded[(next() % n as u64) as usize];
-            (s.as_bitstr(), (next() % (n as u64 + 1)) as usize)
-        })
-        .collect();
-    let prefixes: Vec<BitStr<'_>> = (0..POOL + 512)
-        .map(|_| {
-            let s = &encoded[(next() % n as u64) as usize];
-            s.as_bitstr().prefix((s.len() / 9).min(12) * 9)
-        })
-        .collect();
+    let (positions, rank_q, prefixes) = probe_pools(&encoded, 0xC0FFEE);
 
     type Kernel<'a> = Box<dyn Fn(&StoreSnapshot, usize) + Sync + 'a>;
     let kernels: [(&'static str, Kernel<'_>); 3] = [
@@ -406,10 +351,9 @@ fn bench_read_scaling(quick: bool, ceiling_2t: f64, out: &mut Vec<ReadSeries>) {
     for (op, kernel) in &kernels {
         let mut base_mops = 0.0f64;
         for threads in [1usize, 2, 4] {
-            let mut best_wall = f64::INFINITY;
-            for _ in 0..2 {
+            let wall_ms = Summary::sample(SAMPLES, || {
                 let barrier = Barrier::new(threads + 1);
-                let wall = std::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..threads)
                         .map(|ti| {
                             let reader = reader.clone();
@@ -435,149 +379,50 @@ fn bench_read_scaling(quick: bool, ceiling_2t: f64, out: &mut Vec<ReadSeries>) {
                     for h in handles {
                         h.join().expect("reader thread panicked");
                     }
-                    t0.elapsed().as_secs_f64()
-                });
-                best_wall = best_wall.min(wall);
-            }
+                    t0.elapsed().as_secs_f64() * 1e3
+                })
+            });
             let total_ops = per_thread_ops * threads;
-            let mops = total_ops as f64 / best_wall / 1e6;
+            let mops = total_ops as f64 / wall_ms.p50 / 1e3;
             if threads == 1 {
                 base_mops = mops;
             }
+            let speedup = mops / base_mops;
             t.row(&[
                 op,
                 &threads.to_string(),
-                &format!("{:.0}ms", best_wall * 1e3),
+                &format!("{:.0}ms", wall_ms.p50),
                 &format!("{mops:.2}"),
-                &format!("{:.2}x", mops / base_mops),
+                &format!("{speedup:.2}x"),
             ]);
-            out.push(ReadSeries {
-                workload: "url_tiered",
-                op,
-                threads,
-                batch: RB,
-                n,
-                total_ops,
-                wall_ms: best_wall * 1e3,
-                mops,
-            });
+            let row = report
+                .row()
+                .set("workload", "url_tiered")
+                .set("op", *op)
+                .set("threads", threads)
+                .set("batch", RB)
+                .set("n", n)
+                .set("total_ops", total_ops)
+                .set("wall_ms", wall_ms)
+                .set("mops", mops)
+                .set("speedup_vs_1t", speedup);
+            if threads == 2 {
+                row.set("efficiency_vs_host_ceiling", speedup / ceiling_2t);
+            }
         }
     }
     println!();
 }
 
-fn write_json(
-    path: &str,
-    mode: &str,
-    ceiling_2t: f64,
-    queries: &[QuerySeries],
-    builds: &[BuildSeries],
-    reads: &[ReadSeries],
-) {
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"throughput_report\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!("  \"cores\": {cores},\n"));
-    s.push_str(&format!("  \"cpu_scaling_ceiling_2t\": {ceiling_2t:.2},\n"));
-    s.push_str("  \"batch_results\": [\n");
-    for (i, q) in queries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"op\": \"{}\", \"batch\": {}, \"n\": {}, \
-             \"ns_per_op\": {:.1}, \"scalar_ns_per_op\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            q.workload,
-            q.op,
-            q.batch,
-            q.n,
-            q.ns_per_op,
-            q.scalar_ns_per_op,
-            q.scalar_ns_per_op / q.ns_per_op,
-            if i + 1 < queries.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"read_results\": [\n");
-    let read_base = |op: &str| {
-        reads
-            .iter()
-            .find(|r| r.op == op && r.threads == 1)
-            .map(|r| r.mops)
-            .unwrap_or(0.0)
-    };
-    for (i, r) in reads.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"op\": \"{}\", \"threads\": {}, \"batch\": {}, \
-             \"n\": {}, \"total_ops\": {}, \"wall_ms\": {:.1}, \"mops\": {:.2}, \
-             \"speedup_vs_1t\": {:.2}{}}}{}\n",
-            r.workload,
-            r.op,
-            r.threads,
-            r.batch,
-            r.n,
-            r.total_ops,
-            r.wall_ms,
-            r.mops,
-            r.mops / read_base(r.op),
-            if r.threads == 2 {
-                format!(
-                    ", \"efficiency_vs_host_ceiling\": {:.2}",
-                    (r.mops / read_base(r.op)) / ceiling_2t
-                )
-            } else {
-                String::new()
-            },
-            if i + 1 < reads.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"build_results\": [\n");
-    let build_base = |workload: &str| {
-        builds
-            .iter()
-            .find(|b| b.workload == workload && b.threads == 1)
-            .map_or(0.0, |b| b.ms)
-    };
-    for (i, b) in builds.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"op\": \"build\", \"threads\": {}, \"n\": {}, \
-             \"ms\": {:.1}, \"speedup_vs_1t\": {:.2}}}{}\n",
-            b.workload,
-            b.threads,
-            b.n,
-            b.ms,
-            build_base(b.workload) / b.ms,
-            if i + 1 < builds.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_throughput.json");
-    println!(
-        "wrote {path} ({} query series, {} read points, {} build points, {cores} core(s))",
-        queries.len(),
-        reads.len(),
-        builds.len()
-    );
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_throughput.json".to_string());
-    let mode = if quick { "quick" } else { "full" };
-    let mut queries = Vec::new();
-    let mut builds = Vec::new();
-    let mut reads = Vec::new();
+    let mut report = Report::from_args("throughput_report");
     let ceiling_2t = cpu_scaling_ceiling_2t();
-    bench_query_section(quick, &mut queries);
-    bench_read_scaling(quick, ceiling_2t, &mut reads);
-    bench_construction(quick, &mut builds);
-    write_json(&out_path, mode, ceiling_2t, &queries, &builds, &reads);
+    report.set("cpu_scaling_ceiling_2t", ceiling_2t);
+    report.section("batch_results");
+    bench_query_section(&mut report);
+    report.section("read_results");
+    bench_read_scaling(ceiling_2t, &mut report);
+    report.section("build_results");
+    bench_construction(&mut report);
+    report.finish();
 }

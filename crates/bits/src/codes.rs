@@ -1,11 +1,9 @@
-//! Elias universal codes [Elias'75], used by the fully dynamic bitvector
-//! (§4.2: runs are encoded with Elias γ) and available for experimentation
-//! with δ as in the gap-encoded bitvector of [Mäkinen–Navarro'08].
+//! The Elias γ code [Elias'75], used by the fully dynamic bitvector (§4.2:
+//! runs are encoded with Elias γ).
 //!
-//! Conventions (LSB-first bit order of [`RawBitVec`]):
-//! * γ(x), x ≥ 1: with N = ⌊log₂ x⌋, write N zeros, then the N+1 significant
-//!   bits of x starting with the leading 1.
-//! * δ(x), x ≥ 1: write γ(N+1), then the N low bits of x.
+//! Convention (LSB-first bit order of [`RawBitVec`]): γ(x), x ≥ 1: with
+//! N = ⌊log₂ x⌋, write N zeros, then the N+1 significant bits of x starting
+//! with the leading 1.
 
 use crate::RawBitVec;
 
@@ -14,14 +12,6 @@ use crate::RawBitVec;
 pub fn gamma_len(x: u64) -> usize {
     debug_assert!(x >= 1);
     2 * (63 - x.leading_zeros() as usize) + 1
-}
-
-/// Length in bits of the δ code of `x` (`x >= 1`).
-#[inline]
-pub fn delta_len(x: u64) -> usize {
-    debug_assert!(x >= 1);
-    let n = 63 - x.leading_zeros() as usize;
-    gamma_len(n as u64 + 1) + n
 }
 
 /// Appends the γ code of `x >= 1` to `out`.
@@ -40,23 +30,13 @@ pub fn gamma_encode(out: &mut RawBitVec, x: u64) {
     }
 }
 
-/// Appends the δ code of `x >= 1` to `out`.
-pub fn delta_encode(out: &mut RawBitVec, x: u64) {
-    debug_assert!(x >= 1);
-    let n = 63 - x.leading_zeros() as usize;
-    gamma_encode(out, n as u64 + 1);
-    if n > 0 {
-        out.push_bits(x & ((1u64 << n) - 1), n);
-    }
-}
-
 /// A cursor for sequentially decoding codes out of a [`RawBitVec`].
 ///
 /// All reads go through a 64-bit lookahead word (`peek_word`)
 /// assembled straight from the backing words, so a unary prefix is decoded
 /// with one `trailing_zeros` instead of a bit-at-a-time loop and a whole
 /// γ code usually costs a single peek. The same word-level discipline pays
-/// off wherever variable-length codes are scanned (γ/δ runs here, and the
+/// off wherever variable-length codes are scanned (γ runs here, and the
 /// RRR-offset / Elias–Fano style "count to the next 1" loops).
 #[derive(Clone, Copy, Debug)]
 pub struct BitReader<'a> {
@@ -106,15 +86,6 @@ impl<'a> BitReader<'a> {
         } else {
             lo | (self.word(w + 1) << (64 - off))
         }
-    }
-
-    /// Reads one bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> bool {
-        assert!(self.pos < self.len, "BitReader read past end");
-        let b = (self.word(self.pos / 64) >> (self.pos % 64)) & 1 != 0;
-        self.pos += 1;
-        b
     }
 
     /// Reads `width <= 64` bits LSB-first.
@@ -172,14 +143,6 @@ impl<'a> BitReader<'a> {
         let low = if n > 0 { self.read_bits(n) } else { 0 };
         (1u64 << n) | low
     }
-
-    /// Decodes one δ code.
-    #[inline]
-    pub fn read_delta(&mut self) -> u64 {
-        let n = self.read_gamma() - 1;
-        let low = if n > 0 { self.read_bits(n as usize) } else { 0 };
-        (1u64 << n) | low
-    }
 }
 
 #[cfg(test)]
@@ -200,19 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_exhaustive_small() {
-        let mut bv = RawBitVec::new();
-        for x in 1..=2000u64 {
-            delta_encode(&mut bv, x);
-        }
-        let mut r = BitReader::new(&bv, 0);
-        for x in 1..=2000u64 {
-            assert_eq!(r.read_delta(), x);
-        }
-        assert!(r.is_at_end());
-    }
-
-    #[test]
     fn roundtrip_large_values() {
         let vals = [
             1u64,
@@ -228,12 +178,10 @@ mod tests {
         let mut bv = RawBitVec::new();
         for &x in &vals {
             gamma_encode(&mut bv, x);
-            delta_encode(&mut bv, x);
         }
         let mut r = BitReader::new(&bv, 0);
         for &x in &vals {
             assert_eq!(r.read_gamma(), x, "gamma {x}");
-            assert_eq!(r.read_delta(), x, "delta {x}");
         }
     }
 
@@ -243,20 +191,15 @@ mod tests {
             let mut bv = RawBitVec::new();
             gamma_encode(&mut bv, x);
             assert_eq!(bv.len(), gamma_len(x), "gamma_len({x})");
-            let mut bv = RawBitVec::new();
-            delta_encode(&mut bv, x);
-            assert_eq!(bv.len(), delta_len(x), "delta_len({x})");
         }
     }
 
     #[test]
-    fn gamma_is_shorter_for_small_delta_for_large() {
-        // sanity on asymptotics: γ(small) compact, δ(large) beats γ(large)
+    fn gamma_len_of_small_values() {
         assert_eq!(gamma_len(1), 1);
         assert_eq!(gamma_len(2), 3);
         assert_eq!(gamma_len(3), 3);
         assert_eq!(gamma_len(4), 5);
-        assert!(delta_len(u64::MAX) < gamma_len(u64::MAX));
     }
 
     #[test]

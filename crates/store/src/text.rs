@@ -43,9 +43,11 @@ impl TieredStrings {
     /// O(|s| + h_s log n) into one an edit made dynamic, plus the
     /// occasional policy-triggered seal/compaction.
     pub fn push(&mut self, s: impl AsRef<[u8]>) {
-        // Infallible: every NinthBitCoder codeword ends in the 9-bit
-        // terminator unit (bit 9 set), which no proper prefix of another
-        // codeword can contain, so the store's prefix-free check passes.
+        // Infallible: NinthBitCoder writes a 1 marker before each byte's 8
+        // bits and ends the string with a single 0. That terminator can
+        // never start another encoded byte (those start with 1), so no
+        // codeword is a proper prefix of another and the store's
+        // prefix-free check passes.
         self.inner
             .append(self.coder.encode(s.as_ref()).as_bitstr())
             .expect("NinthBitCoder output is prefix-free");

@@ -6,8 +6,8 @@
 //! degrades gracefully: serve every byte that validates, quarantine
 //! exactly what doesn't, fall back a generation when the commit point
 //! itself is gone, and report the whole story. Checksum-valid forged
-//! manifests never panic either loader, and a directory of an earlier
-//! format gets a typed error from both.
+//! manifests and segment payloads never panic either loader, and a
+//! directory of an earlier format gets a typed error from both.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -337,6 +337,100 @@ fn checksum_valid_manifest_mutants_never_panic() {
         }));
         assert!(outcome.is_ok(), "round {round}: manifest words {mutant:?}");
     }
+}
+
+/// Answers `access` and `rank` at every position of `st`, scalar and
+/// batched, and checks each rank against an oracle over the store's own
+/// sequence: `rank(access(i), i + 1)` counts `access(i)` among
+/// `access(0..=i)`.
+fn ranks_like_its_own_sequence(st: &TieredStore) {
+    let positions: Vec<usize> = (0..st.len()).collect();
+    let seq = st.access_batch(&positions);
+    let queries: Vec<_> = (0..seq.len())
+        .map(|i| (seq[i].as_bitstr(), i + 1))
+        .collect();
+    let ranks = st.rank_batch(&queries);
+    let mut seen: HashMap<&BitString, usize> = HashMap::new();
+    for (i, (s, rank)) in seq.iter().zip(ranks).enumerate() {
+        let count = seen.entry(s).or_default();
+        *count += 1;
+        assert_eq!(rank, *count, "rank_batch(access({i}), {})", i + 1);
+        assert_eq!(&st.access(i), s, "access({i})");
+        assert_eq!(st.rank(s.as_bitstr(), i + 1), *count, "rank at {i}");
+    }
+}
+
+#[test]
+fn checksum_valid_segment_payload_mutants_never_panic() {
+    // Sealed segment files of `sample_store()` with 1–3 payload words
+    // replaced by a random word, a one-bit flip or zero, re-written so
+    // every checksum passes. Both loaders must answer with a store or a
+    // typed error; every store that loads ranks like its own sequence, and
+    // a recovered one holds exactly the strings its report recovered.
+    let dir = Path::new("store");
+    let saved = MemFs::new();
+    sample_store().save_dir_with(&saved, dir).unwrap();
+    let sealed: Vec<_> = segment_files(&saved, dir)
+        .into_iter()
+        .filter(|n| n.ends_with(".wt"))
+        .map(|n| {
+            let sections = sections_of(&saved.read(&dir.join(&n)).unwrap());
+            (n, sections)
+        })
+        .collect();
+    assert_eq!(sealed.len(), 4);
+    let mut rnd = xorshift(0x5E6_10AD);
+    let (mut loaded, mut recovered) = (0, 0);
+    for round in 0..3000 {
+        let (name, sections) = &sealed[(rnd() % sealed.len() as u64) as usize];
+        let payload_words: usize = sections.iter().map(|(_, p)| p.len()).sum();
+        let mut mutant = sections.clone();
+        for _ in 0..1 + rnd() % 3 {
+            let mut at = (rnd() % payload_words as u64) as usize;
+            let mut k = 0;
+            while at >= mutant[k].1.len() {
+                at -= mutant[k].1.len();
+                k += 1;
+            }
+            let payload = &mut mutant[k].1;
+            payload[at] = match rnd() % 3 {
+                0 => rnd(),
+                1 => payload[at] ^ 1 << (rnd() % 64),
+                _ => 0,
+            };
+        }
+        let mut w = ArchiveWriter::new(kind::WAVELET_TRIE);
+        for (tag, payload) in &mutant {
+            w.section(*tag, payload.clone());
+        }
+        let fs = saved.fork();
+        fs.write(&dir.join(name), &w.finish()).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let strict = TieredStore::load_dir_with(&fs, dir).ok();
+            if let Some(st) = &strict {
+                ranks_like_its_own_sequence(st);
+            }
+            let resilient = TieredStore::recover_dir_with(&fs, dir).ok();
+            if let Some((rec, report)) = &resilient {
+                assert_eq!(rec.len(), report.strings_recovered, "{report}");
+                ranks_like_its_own_sequence(rec);
+            }
+            (strict.is_some(), resilient.is_some())
+        }));
+        match outcome {
+            Ok((l, r)) => {
+                loaded += l as usize;
+                recovered += r as usize;
+            }
+            Err(_) => panic!("round {round}: a mutant of {name} panicked"),
+        }
+    }
+    // A damaged segment is quarantined, so recovery serves the rest.
+    assert_eq!(recovered, 3000);
+    assert!(
+        loaded > 0 && loaded < 1500,
+        "{loaded} of 3,000 mutants loaded strictly"
+    );
 }
 
 /// The sections of an archive image, as (tag, payload words) in table
