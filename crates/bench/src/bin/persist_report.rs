@@ -15,32 +15,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use wavelet_trie::IndexedStrings;
-use wt_bench::{time_ms, Json, Report, Summary, Table};
+use wt_bench::{time_ms, Report, Summary, Table};
 use wt_store::{Maintenance, MaintenanceProbe, MaintenanceStep, StoreConfig, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
-
-/// Adds one `url_log` row: `value` in `unit`, with the build-to-load
-/// ratio (the cold-start speedup) on the `cold_load` rows.
-fn push(
-    report: &mut Report,
-    (structure, op): (&str, &str),
-    n: usize,
-    value: impl Json,
-    unit: &str,
-    ratio: Option<f64>,
-) {
-    let row = report
-        .row()
-        .set("structure", structure)
-        .set("workload", "url_log")
-        .set("op", op)
-        .set("n", n)
-        .set("value", value)
-        .set("unit", unit);
-    if let Some(r) = ratio {
-        row.set("ratio", r);
-    }
-}
 
 fn scratch_dir() -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("wt-persist-report-{}", std::process::id()));
@@ -82,10 +59,10 @@ fn bench_indexed_strings(n: usize, samples: usize, report: &mut Report, t: &Tabl
         ("save", save_ms, None),
         ("cold_load", load_ms, Some(speedup)),
     ] {
-        push(report, ("IndexedStrings", op), n, value, "ms", ratio);
+        report.value_row(("IndexedStrings", "url_log", op), n, value, "ms", ratio);
     }
-    let key = ("IndexedStrings", "file_size");
-    push(report, key, n, file_bytes as usize, "bytes", None);
+    let key = ("IndexedStrings", "url_log", "file_size");
+    report.value_row(key, n, file_bytes as usize, "bytes", None);
 }
 
 /// Sums the time from each `Freeze` or `Merge` step to its install.
@@ -236,10 +213,10 @@ fn bench_tiered(n: usize, samples: usize, report: &mut Report, t: &Table) {
         ("recover_clean", recover_clean_ms, None),
         ("recover_degraded", recover_degraded_ms, None),
     ] {
-        push(report, ("TieredStrings", op), n, value, "ms", ratio);
+        report.value_row(("TieredStrings", "url_log", op), n, value, "ms", ratio);
     }
-    let key = ("TieredStrings", "file_size");
-    push(report, key, n, dir_bytes as usize, "bytes", None);
+    let key = ("TieredStrings", "url_log", "file_size");
+    report.value_row(key, n, dir_bytes as usize, "bytes", None);
 }
 
 fn main() {

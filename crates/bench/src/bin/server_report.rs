@@ -333,14 +333,7 @@ fn main() {
             ("spawns", &stats.spawns, "threads"),
             ("sched_late_max", &stats.late_max_us, "us"),
         ] {
-            report
-                .row()
-                .set("structure", "ShardRouter")
-                .set("workload", label)
-                .set("op", op)
-                .set("n", n)
-                .set("value", value)
-                .set("unit", unit);
+            report.value_row(("ShardRouter", label, op), n, value, unit, None);
         }
     }
     println!();

@@ -32,37 +32,12 @@ use wavelet_trie::{
     SequenceOps, WaveletTrie, WtBitVec,
 };
 use wt_bench::{
-    encode_all, fmt_ns, random_ints, time_ms, time_once_ms, time_per_op_ns, Json, Report, Summary,
-    Table,
+    encode_all, fmt_ns, random_ints, time_ms, time_once_ms, time_per_op_ns, Report, Summary, Table,
 };
 use wt_bits::SpaceUsage;
 use wt_store::{StoreConfig, TieredStore, TieredStrings};
 use wt_workloads::urls::{url_log, UrlLogConfig};
 use wt_workloads::xorshift;
-
-/// Adds one row: `value` in `unit` (ns/op for queries, µs per string for
-/// appends, ms for builds), with its `ratio` to the comparison row
-/// (speedup for builds, overhead for tiered queries) where there is one.
-fn push(
-    report: &mut Report,
-    (structure, workload, op): (&str, &str, &str),
-    n: usize,
-    value: impl Json,
-    unit: &str,
-    ratio: Option<f64>,
-) {
-    let row = report
-        .row()
-        .set("structure", structure)
-        .set("workload", workload)
-        .set("op", op)
-        .set("n", n)
-        .set("value", value)
-        .set("unit", unit);
-    if let Some(r) = ratio {
-        row.set("ratio", r);
-    }
-}
 
 /// Builds a trie of `encoded` by appends, `samples` times; returns the
 /// last build and the µs per append.
@@ -131,7 +106,7 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, report: &mut Report) {
             ("freeze", freeze_ms, "ms", Some(speedup)),
             ("rebuild", rebuild_ms, "ms", None),
         ] {
-            push(report, (name, "url_log", op), n, value, unit, ratio);
+            report.value_row((name, "url_log", op), n, value, unit, ratio);
         }
     }
     // Sanity: the frozen trie answers like the rebuilt one.
@@ -161,7 +136,7 @@ fn bench_ints_shard(samples: usize, report: &mut Report) {
         ("freeze", freeze_ms, "ms"),
     ] {
         let key = ("AppendWaveletTrie", "ints28", op);
-        push(report, key, INTS_SHARD, value, unit, None);
+        report.value_row(key, INTS_SHARD, value, unit, None);
     }
     println!();
 }
@@ -208,8 +183,7 @@ fn bench_tail_fill(samples: usize, report: &mut Report) {
             ("append", bare, None),
             ("append_publish", published, Some(ratio)),
         ] {
-            let key = ("TieredStore", "url_log", op);
-            push(report, key, k, value, "us_per_op", ratio);
+            report.value_row(("TieredStore", "url_log", op), k, value, "us_per_op", ratio);
         }
     }
     println!();
@@ -248,7 +222,7 @@ fn bench_tiered_overhead(n: usize, iters: usize, report: &mut Report) {
             let ops = ["access", "rank", "select", "count_prefix"];
             for (i, op) in ops.into_iter().enumerate() {
                 let ratio = base.map(|b| ns[i].p50 / b[i].p50);
-                push(report, (name, "url_log", op), n, ns[i], "ns_per_op", ratio);
+                report.value_row((name, "url_log", op), n, ns[i], "ns_per_op", ratio);
             }
         };
 

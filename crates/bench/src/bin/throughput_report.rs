@@ -14,7 +14,7 @@
 //!   store.
 //! * **parallel construction** — string-build scaling at 1/2/4 scoped
 //!   worker threads (subtrie tasks; the succinct assembly after them is
-//!   serial), on URLs and on near-distinct 28-bit ints. Note the `cores`
+//!   serial), on URLs and on near-distinct 28-bit ints. Note the `nproc`
 //!   field: thread scaling is only meaningful when the host grants more
 //!   than one CPU.
 //! * **concurrent read scaling** — 1/2/4 *real* reader threads, each

@@ -288,6 +288,30 @@ impl Report {
         Row(rows.last_mut().expect("the row just pushed"))
     }
 
+    /// Adds the row the store, persist and server reports share: `value`
+    /// in `unit` for `op` on `structure` under `workload` at size `n`, with
+    /// its `ratio` to a comparison row where there is one.
+    pub fn value_row(
+        &mut self,
+        (structure, workload, op): (&str, &str, &str),
+        n: usize,
+        value: impl Json,
+        unit: &str,
+        ratio: Option<f64>,
+    ) {
+        let row = self
+            .row()
+            .set("structure", structure)
+            .set("workload", workload)
+            .set("op", op)
+            .set("n", n)
+            .set("value", value)
+            .set("unit", unit);
+        if let Some(r) = ratio {
+            row.set("ratio", r);
+        }
+    }
+
     /// Writes the report to its path as JSON: name, mode, provenance,
     /// fields, then one array per section with one object per row.
     pub fn finish(self) {
@@ -514,6 +538,8 @@ mod tests {
             .set("ns", ns);
         report.section("build_results");
         report.row().set("op", "build").set("ratio", 1.5);
+        report.value_row(("S", "w", "load"), 5, 2.0, "ms", Some(3.0));
+        report.value_row(("S", "w", "size"), 5, 7usize, "bytes", None);
         report.row().set("op", "build").set("ratio", f64::NAN);
         report.finish();
         let json = std::fs::read_to_string(&path).expect("report written");
@@ -527,6 +553,11 @@ mod tests {
              \"ns\": {\"p50\": 2, \"p25\": 1.5, \"p75\": 2.5, \"n\": 3}}\n  ],"
         ));
         assert_eq!(json.matches("{\"op\": ").count(), 3);
+        assert!(json.contains(
+            "{\"structure\": \"S\", \"workload\": \"w\", \"op\": \"load\", \"n\": 5, \
+             \"value\": 2, \"unit\": \"ms\", \"ratio\": 3},\n"
+        ));
+        assert!(json.contains("\"op\": \"size\", \"n\": 5, \"value\": 7, \"unit\": \"bytes\"},\n"));
         assert!(json.ends_with("\"ratio\": null}\n  ]\n}\n"), "{json}");
     }
 }
