@@ -11,10 +11,11 @@
 //!   backends; the µs per `append` that built each backend is reported
 //!   beside its freeze (the store's hot tail is append-only until
 //!   edited);
-//! * **ints shard** — µs per append and the freeze of an
+//! * **ints shard** — µs per append, the freeze and the drop of an
 //!   `AppendWaveletTrie` over 150k near-distinct 28-bit ints that share
 //!   their top two bits, the shape of one ints_scan shard of `wtbench`,
-//!   where appends and the seal are nearly all of the set-up;
+//!   where appends and the seal are nearly all of the set-up, and the
+//!   trie's size in bits per string before it is sealed;
 //! * **tail fill** — µs per `TieredStore::append` while the hot tail grows
 //!   from empty to K strings, with and without a `publish()` after every
 //!   append, the pattern of a serving shard: each publish makes the next
@@ -120,24 +121,37 @@ fn bench_freeze_vs_rebuild(n: usize, samples: usize, report: &mut Report) {
 const INTS_SHARD: usize = 150_000;
 
 fn bench_ints_shard(samples: usize, report: &mut Report) {
-    println!("== append and freeze of one ints_scan shard, n = {INTS_SHARD} ==\n");
+    println!("== append, freeze and drop of one ints_scan shard, n = {INTS_SHARD} ==\n");
     // The shard's ints share their top two bits, as `shard_for` places them.
     let encoded = random_ints(INTS_SHARD, 28, 26, 0x1A75);
     let (append, append_us): (AppendWaveletTrie, _) = build_by_appends(&encoded, samples);
     let freeze_ms = time_ms(samples, || append.freeze());
-    let t = Table::new(&["backend", "append", "freeze"], &[20, 10, 10]);
+    // Each sample frees a trie built by appends, as a seal frees its tail.
+    let drop_ms = Summary::sample(samples, || {
+        let (wt, _): (AppendWaveletTrie, _) = build_by_appends(&encoded, 1);
+        time_once_ms(|| drop(wt)).1
+    });
+    let hot_bits = append.size_bits() as f64 / INTS_SHARD as f64;
+    let t = Table::new(
+        &["backend", "append", "freeze", "drop", "bits/str"],
+        &[20, 10, 10, 10, 10],
+    );
     t.row(&[
         "AppendWaveletTrie",
         &format!("{:.2}µs", append_us.p50),
         &format!("{:.1}ms", freeze_ms.p50),
+        &format!("{:.1}ms", drop_ms.p50),
+        &format!("{hot_bits:.0}"),
     ]);
+    let key = |op| ("AppendWaveletTrie", "ints28", op);
     for (op, value, unit) in [
         ("append", append_us, "us_per_op"),
         ("freeze", freeze_ms, "ms"),
+        ("drop", drop_ms, "ms"),
     ] {
-        let key = ("AppendWaveletTrie", "ints28", op);
-        report.value_row(key, INTS_SHARD, value, unit, None);
+        report.value_row(key(op), INTS_SHARD, value, unit, None);
     }
+    report.value_row(key("size"), INTS_SHARD, hot_bits, "bits_per_str", None);
     println!();
 }
 

@@ -18,7 +18,7 @@ use crate::rrr::{RrrBuilder, RrrVector, RRR_BLOCK_BITS};
 use crate::{BitAccess, BitRank, BitSelect, RawBitVec, SpaceUsage};
 
 /// Sealed-block size `L` in bits: 64 RRR blocks.
-const BLOCK_BITS: usize = 64 * RRR_BLOCK_BITS;
+pub(crate) const BLOCK_BITS: usize = 64 * RRR_BLOCK_BITS;
 
 /// RRR blocks built per append while a seal is in flight, so a seal
 /// finishes within `BLOCK_BITS / 126` of the `BLOCK_BITS` appends that

@@ -15,11 +15,11 @@
 //! compaction (thaw + append + freeze), again without any per-string trie
 //! descent for the thawed side.
 
-use crate::dyn_wt::{DynWaveletTrie, Internal, Node, WtBitVec};
+use crate::dyn_wt::{DynWaveletTrie, Internal, Label, Node, WtBitVec};
 use crate::nav::TrieNav;
 use crate::static_wt::{StaticParts, WaveletTrie};
 use wt_bits::RawBitVec;
-use wt_trie::BitString;
+use wt_trie::BitStr;
 
 impl<B: WtBitVec> DynWaveletTrie<B> {
     /// Seals this dynamic trie into the static representation
@@ -49,7 +49,9 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
         let mut stack: Vec<&Node<B>> = vec![root];
         while let Some(node) = stack.pop() {
             let label = node.label();
-            label.as_bitstr().append_into(&mut labels);
+            for (word, width) in label.chunks() {
+                labels.push_bits(word, width);
+            }
             label_lens.push(label.len() as u64);
             match node {
                 Node::Leaf(_) => internal.push(false),
@@ -94,8 +96,8 @@ impl WaveletTrie {
 }
 
 fn thaw_rec<B: WtBitVec>(wt: &WaveletTrie, v: usize) -> Node<B> {
-    let mut label = BitString::new();
-    wt.nav_label_append(v, &mut label);
+    let (start, end) = wt.label_range(v);
+    let label = Label::from_bitstr(BitStr::new(&wt.labels, start, end - start));
     if wt.nav_is_leaf(v) {
         Node::Leaf(label)
     } else {

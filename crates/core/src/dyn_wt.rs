@@ -13,7 +13,7 @@
 //!   [`DynamicBitVec`] (§4.2 RLE+γ); `Insert`/`Delete` and queries in
 //!   O(|s| + h_s log n).
 
-use crate::nav::{self, TrieNav};
+use crate::nav::{self, InlinePath, TrieNav};
 use wt_bits::{BitAccess, BitSelect, DynamicBitVec, OffsetBitVec, RawBitVec, SpaceUsage};
 use wt_trie::{BitStr, BitString, PrefixFreeViolation};
 
@@ -86,12 +86,150 @@ impl WtBitVecRemove for DynamicBitVec {
     }
 }
 
-/// Internal-node payload, boxed so leaves stay pointer-sized: with
+/// A node label. One of at most 64 bits sits in one word beside its
+/// length, so the splits of an insert allocate no label; a longer one
+/// goes in one boxed word slice. [`BitString`] stays the API type: labels
+/// convert at the trie's edges.
+#[derive(Clone, Debug)]
+pub(crate) enum Label {
+    Inline {
+        len: u8,
+        bits: u64,
+    },
+    /// Word 0 is the length in bits; the bits follow, LSB-first.
+    Boxed(Box<[u64]>),
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label::Inline { len: 0, bits: 0 }
+    }
+}
+
+/// The low `width <= 64` bits of `v`.
+#[inline]
+fn low_bits(v: u64, width: usize) -> u64 {
+    if width == 64 {
+        v
+    } else {
+        v & ((1u64 << width) - 1)
+    }
+}
+
+impl Label {
+    /// A label of `len` bits, read `chunk(i, width)` at a time.
+    fn collect(len: usize, mut chunk: impl FnMut(usize, usize) -> u64) -> Label {
+        if len <= 64 {
+            let bits = if len == 0 { 0 } else { chunk(0, len) };
+            return Label::Inline {
+                len: len as u8,
+                bits,
+            };
+        }
+        let mut words = Vec::with_capacity(1 + len.div_ceil(64));
+        words.push(len as u64);
+        words.extend((0..len).step_by(64).map(|i| chunk(i, (len - i).min(64))));
+        Label::Boxed(words.into_boxed_slice())
+    }
+
+    pub(crate) fn from_bitstr(s: BitStr<'_>) -> Label {
+        Self::collect(s.len(), |i, w| s.get_bits(i, w))
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Label::Inline { len, .. } => *len as usize,
+            Label::Boxed(words) => words[0] as usize,
+        }
+    }
+
+    /// The `width <= 64` bits from bit `i`, LSB-first.
+    #[inline]
+    fn get_bits(&self, i: usize, width: usize) -> u64 {
+        debug_assert!(width <= 64 && i + width <= self.len());
+        if width == 0 {
+            return 0;
+        }
+        match self {
+            Label::Inline { bits, .. } => low_bits(bits >> i, width),
+            Label::Boxed(words) => {
+                let (w, off) = (1 + i / 64, i % 64);
+                let mut v = words[w] >> off;
+                if off + width > 64 {
+                    v |= words[w + 1] << (64 - off);
+                }
+                low_bits(v, width)
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        assert!(i < self.len(), "label bit {i} out of bounds");
+        self.get_bits(i, 1) != 0
+    }
+
+    /// Bits `start..start + len` as a label of their own.
+    fn slice(&self, start: usize, len: usize) -> Label {
+        Self::collect(len, |i, w| self.get_bits(start + i, w))
+    }
+
+    /// Length of the longest common prefix with `s`, a word at a time.
+    #[inline]
+    fn lcp(&self, s: BitStr<'_>) -> usize {
+        let n = self.len().min(s.len());
+        let mut i = 0;
+        while i < n {
+            let w = (n - i).min(64);
+            let x = self.get_bits(i, w) ^ s.get_bits(i, w);
+            if x != 0 {
+                return i + x.trailing_zeros() as usize;
+            }
+            i += w;
+        }
+        n
+    }
+
+    /// The bits as `(word, width)` chunks, LSB-first.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let len = self.len();
+        (0..len).step_by(64).map(move |i| {
+            let w = (len - i).min(64);
+            (self.get_bits(i, w), w)
+        })
+    }
+
+    fn push_onto(&self, out: &mut BitString) {
+        for (word, width) in self.chunks() {
+            out.push_bits(word, width);
+        }
+    }
+
+    /// `self · bit · tail`: the label of a node merged with its only child.
+    fn join(&self, bit: bool, tail: &Label) -> Label {
+        let mut bits = BitString::new();
+        self.push_onto(&mut bits);
+        bits.push(bit);
+        tail.push_onto(&mut bits);
+        Label::from_bitstr(bits.as_bitstr())
+    }
+
+    /// Heap bits: none for an inline label.
+    fn heap_bits(&self) -> usize {
+        match self {
+            Label::Inline { .. } => 0,
+            Label::Boxed(words) => 64 * words.len(),
+        }
+    }
+}
+
+/// Internal-node payload, boxed so leaves stay two words and a tag: with
 /// `|Sset| = Θ(n)` alphabets (common for URL logs) the per-leaf footprint
 /// is a large part of the `PT = O(|Sset|·w)` term of Theorems 4.3/4.4.
 #[derive(Clone, Debug)]
 pub(crate) struct Internal<B> {
-    pub(crate) label: BitString,
+    pub(crate) label: Label,
     pub(crate) bv: B,
     pub(crate) children: [Node<B>; 2],
 }
@@ -99,18 +237,33 @@ pub(crate) struct Internal<B> {
 #[derive(Clone, Debug)]
 pub(crate) enum Node<B> {
     Internal(Box<Internal<B>>),
-    Leaf(BitString),
+    Leaf(Label),
+}
+
+// The append-only trie's node layout, pinned so that a later field cannot
+// re-bloat the hot node unnoticed.
+const _: () = {
+    assert!(std::mem::size_of::<Node<OffsetBitVec>>() <= 24);
+    assert!(std::mem::size_of::<Internal<OffsetBitVec>>() <= 128);
+};
+
+impl<B> Default for Node<B> {
+    /// A leaf with the empty label: what a node slot holds while its node
+    /// is moved under a new parent.
+    fn default() -> Self {
+        Node::Leaf(Label::default())
+    }
 }
 
 impl<B> Node<B> {
-    pub(crate) fn label(&self) -> &BitString {
+    pub(crate) fn label(&self) -> &Label {
         match self {
             Node::Internal(i) => &i.label,
             Node::Leaf(label) => label,
         }
     }
 
-    fn label_mut(&mut self) -> &mut BitString {
+    fn label_mut(&mut self) -> &mut Label {
         match self {
             Node::Internal(i) => &mut i.label,
             Node::Leaf(label) => label,
@@ -153,40 +306,49 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
     /// If `pos > len()`, or (append-only backend) if `pos != len()`.
     pub fn insert(&mut self, s: BitStr<'_>, pos: usize) -> Result<(), PrefixFreeViolation> {
         assert!(pos <= self.len, "insert position out of bounds");
-        // Checked before any edit, so a failed insert leaves the trie as it was.
-        if !nav::admits(self, s) {
-            return Err(PrefixFreeViolation);
-        }
-        let root = match self.root.as_mut() {
-            None => {
-                self.root = Some(Node::Leaf(s.to_owned_str()));
-                self.len = 1;
-                return Ok(());
-            }
-            Some(r) => r,
+        let verdict = self.insert_checked(s, pos);
+        // A stored `s` is admitted again, and a refused one left the trie
+        // as it was, so the verdict must be what `admits` says now.
+        debug_assert_eq!(verdict.is_ok(), nav::admits(self, s), "insert verdict");
+        verdict
+    }
+
+    /// The insert in one descent: it checks prefix-freeness on the way
+    /// down and collects each level's bitvector edit, then applies them
+    /// only once `s` is admitted, so a refused insert changes nothing.
+    fn insert_checked(&mut self, s: BitStr<'_>, pos: usize) -> Result<(), PrefixFreeViolation> {
+        let Some(root) = self.root.as_mut() else {
+            self.root = Some(Node::Leaf(Label::from_bitstr(s)));
+            self.len = 1;
+            return Ok(());
         };
+        // (bitvector, position, bit) of each level passed.
+        let mut edits = InlinePath::new();
         let mut node: &mut Node<B> = root;
         let mut delta = 0usize;
         let mut p = pos;
         // Number of strings in the current node's subsequence (pre-insert).
         let mut m = self.len;
         loop {
-            let label = node.label().as_bitstr();
-            let rest = s.suffix(delta);
-            let l = rest.lcp(&label);
+            let label = node.label();
+            let l = label.lcp(s.suffix(delta));
             if l < label.len() {
+                // s ends inside the label: a proper prefix of what is below.
+                if delta + l == s.len() {
+                    return Err(PrefixFreeViolation);
+                }
                 // Split (Figure 3): mismatch strictly inside the label.
                 let new_bit = s.get(delta + l);
                 let old_bit = label.get(l);
                 debug_assert_ne!(new_bit, old_bit);
-                let common: BitString = label.prefix(l).to_owned_str();
-                let old_rest: BitString = label.suffix(l + 1).to_owned_str();
-                let new_leaf = Node::Leaf(s.suffix(delta + l + 1).to_owned_str());
+                let common = label.slice(0, l);
+                let old_rest = label.slice(l + 1, label.len() - l - 1);
+                let new_leaf = Node::Leaf(Label::from_bitstr(s.suffix(delta + l + 1)));
                 // New internal node: constant bitvector Init(old_bit, m),
                 // then the new string's bit at the mapped position.
                 let mut bv = B::wt_filled(old_bit, m);
                 bv.wt_insert(p, new_bit);
-                let mut old = std::mem::replace(node, Node::Leaf(BitString::new()));
+                let mut old = std::mem::take(node);
                 *old.label_mut() = old_rest;
                 let children = if new_bit {
                     [old, new_leaf]
@@ -203,30 +365,35 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
             delta += l;
             match node {
                 Node::Leaf(_) => {
-                    debug_assert_eq!(delta, s.len(), "checked by admits");
-                    break; // exact duplicate: all path bitvectors updated
+                    // A stored string that is a proper prefix of s.
+                    if delta < s.len() {
+                        return Err(PrefixFreeViolation);
+                    }
+                    break; // an exact duplicate
                 }
                 Node::Internal(int) => {
-                    debug_assert!(delta < s.len(), "checked by admits");
-                    debug_assert_eq!(m, int.bv.len());
+                    // s is a proper prefix of every string below.
+                    if delta == s.len() {
+                        return Err(PrefixFreeViolation);
+                    }
+                    let Internal { bv, children, .. } = &mut **int;
+                    debug_assert_eq!(m, bv.len());
                     let b = s.get(delta);
                     delta += 1;
-                    let ones = int.bv.count_ones();
+                    let ones = bv.count_ones();
                     let child_count = if b { ones } else { m - ones };
                     // The mapped position is rank(b, p); at the end of the
                     // bitvector (every append) that is the child's count.
-                    let mapped = if p == m {
-                        child_count
-                    } else {
-                        int.bv.rank(b, p)
-                    };
-                    int.bv.wt_insert(p, b);
+                    let mapped = if p == m { child_count } else { bv.rank(b, p) };
+                    edits.push((bv, p, b));
                     p = mapped;
                     m = child_count;
-                    node = &mut int.children[b as usize];
+                    node = &mut children[b as usize];
                 }
             }
         }
+        // `s` is admitted: only now does a path bitvector take its bit.
+        edits.drain(|(bv, p, b): (&mut B, usize, bool)| bv.wt_insert(p, b));
         self.len += 1;
         Ok(())
     }
@@ -272,17 +439,18 @@ impl<B: WtBitVec> DynWaveletTrie<B> {
         fn rec<B: WtBitVec>(n: &Node<B>) -> (usize, usize) {
             let slot = std::mem::size_of::<Node<B>>() * 8;
             match n {
-                Node::Leaf(label) => (slot + label.size_bits(), 0),
+                Node::Leaf(label) => (slot + label.heap_bits(), 0),
                 Node::Internal(int) => {
+                    // The box less what its bitvector and child slots
+                    // count themselves: the label and any padding.
                     let heap = (std::mem::size_of::<Internal<B>>()
                         - std::mem::size_of::<B>()
-                        - 2 * std::mem::size_of::<Node<B>>()
-                        - std::mem::size_of::<BitString>())
+                        - 2 * std::mem::size_of::<Node<B>>())
                         * 8;
                     let (p0, b0) = rec(&int.children[0]);
                     let (p1, b1) = rec(&int.children[1]);
                     (
-                        slot + heap + int.label.size_bits() + p0 + p1,
+                        slot + heap + int.label.heap_bits() + p0 + p1,
                         int.bv.size_bits() + b0 + b1,
                     )
                 }
@@ -317,7 +485,7 @@ impl<B: WtBitVecRemove> DynWaveletTrie<B> {
     }
 
     fn delete_rec(node: &mut Node<B>, pos: usize, out: &mut BitString) {
-        out.push_str(node.label().as_bitstr());
+        node.label().push_onto(out);
         let (b, mapped) = match node {
             Node::Leaf(_) => return,
             Node::Internal(int) => {
@@ -341,8 +509,7 @@ impl<B: WtBitVecRemove> DynWaveletTrie<B> {
         if merge_needed {
             // Remove the dead leaf and splice the sibling into this node,
             // folding the branch bit into the label (Appendix B deletion).
-            let old = std::mem::replace(node, Node::Leaf(BitString::new()));
-            let int = match old {
+            let int = match std::mem::take(node) {
                 Node::Internal(int) => *int,
                 Node::Leaf(_) => unreachable!(),
             };
@@ -351,10 +518,7 @@ impl<B: WtBitVecRemove> DynWaveletTrie<B> {
             } = int;
             let [c0, c1] = children;
             let mut sibling = if b { c0 } else { c1 };
-            let mut merged = label;
-            merged.push(!b);
-            merged.push_str(sibling.label().as_bitstr());
-            *sibling.label_mut() = merged;
+            *sibling.label_mut() = label.join(!b, sibling.label());
             *node = sibling;
         }
     }
@@ -413,12 +577,12 @@ impl<B: WtBitVec> TrieNav for DynWaveletTrie<B> {
 
     #[inline]
     fn nav_label_lcp<'a>(&'a self, v: NodeRef<'a, B>, s: BitStr<'_>) -> usize {
-        v.0.label().as_bitstr().lcp(&s)
+        v.0.label().lcp(s)
     }
 
     #[inline]
     fn nav_label_append<'a>(&'a self, v: NodeRef<'a, B>, out: &mut BitString) {
-        out.push_str(v.0.label().as_bitstr());
+        v.0.label().push_onto(out);
     }
 
     #[inline]
@@ -660,6 +824,110 @@ mod tests {
         assert_eq!(wt.len(), 2);
         let after: Vec<BitString> = wt.iter_seq().collect();
         assert_eq!(snapshot, after, "failed inserts must not mutate");
+    }
+
+    /// Strings that part from one 400-bit spine at offsets 70, 135, 136,
+    /// 150 and 300, with tails of 10–130 bits: a trie of depth 5 whose
+    /// labels sit on both sides of 64 bits (internal 70, 64, 0, 13 and 149;
+    /// leaves 10, 65, 3, 64, 130 and the spine's 99), each string twice.
+    fn deep_long_labels() -> Vec<BitString> {
+        let mut next = xorshift(0x1ABE_1564);
+        let mut bits = |n: usize| BitString::from_bits((0..n).map(|_| next() & 1 != 0));
+        let spine = bits(400);
+        let mut seq = vec![spine.clone()];
+        for (cut, tail) in [(70, 10), (135, 65), (136, 3), (150, 64), (300, 130)] {
+            let mut s: BitString = spine.as_bitstr().prefix(cut).into();
+            s.push(!spine.get(cut));
+            s.push_str(bits(tail).as_bitstr());
+            seq.push(s);
+        }
+        let again = seq.clone();
+        seq.extend(again.into_iter().rev());
+        seq
+    }
+
+    /// Refuses each kind of prefix-free violation at each of `positions`
+    /// and checks that nothing changed: invariants, space and sequence.
+    fn refusals_leave_trie_intact<B: WtBitVec>(mut wt: DynWaveletTrie<B>, positions: &[usize]) {
+        let seq: Vec<BitString> = wt.iter_seq().collect();
+        assert!(nav::height(&wt) >= 4, "depth {}", nav::height(&wt));
+        let spine = &seq[0];
+        let cut = |s: &BitString, len: usize| BitString::from(s.as_bitstr().prefix(len));
+        let mut longer = spine.clone();
+        longer.push_str(seq[5].as_bitstr());
+        let mut one_more = seq[3].clone();
+        one_more.push(true);
+        let refused = [
+            // Proper prefixes ending inside a label: the root's boxed one,
+            // an inline one, a boxed leaf's and an inline leaf's.
+            ("inside the root label", cut(spine, 40)),
+            ("inside an inline label", cut(spine, 100)),
+            ("inside a boxed leaf", cut(&seq[5], seq[5].len() - 7)),
+            ("inside an inline leaf", cut(&seq[4], seq[4].len() - 1)),
+            // Proper prefixes ending exactly at an internal node.
+            ("at the root's branch", cut(spine, 70)),
+            ("at an inner branch", cut(spine, 135)),
+            ("at an empty-label branch", cut(spine, 136)),
+            // Extensions of stored strings.
+            ("extending the spine", longer),
+            ("extending a leaf", one_more),
+            ("the empty string", BitString::new()),
+        ];
+        let space = wt.space_parts();
+        for (what, s) in &refused {
+            for &pos in positions {
+                assert!(wt.insert(s.as_bitstr(), pos).is_err(), "{what} at {pos}");
+                assert_eq!(wt.check_invariants(), Ok(()), "{what} at {pos}");
+                assert_eq!(wt.space_parts(), space, "{what} at {pos}");
+                let after: Vec<BitString> = wt.iter_seq().collect();
+                assert_eq!(after, seq, "{what} at {pos}");
+            }
+        }
+        // The trie still takes admissible strings after the refusals.
+        wt.insert(spine.as_bitstr(), wt.len()).unwrap();
+        assert_eq!(wt.access(seq.len()), *spine);
+    }
+
+    #[test]
+    fn refused_deep_inserts_change_nothing() {
+        let seq = deep_long_labels();
+        let (mut app, mut dynamic) = (AppendWaveletTrie::new(), DynamicWaveletTrie::new());
+        for s in &seq {
+            app.append(s.as_bitstr()).unwrap();
+            dynamic.append(s.as_bitstr()).unwrap();
+        }
+        let n = seq.len();
+        refusals_leave_trie_intact(app, &[n]);
+        refusals_leave_trie_intact(dynamic, &[n, n / 2, 0]);
+    }
+
+    #[test]
+    fn labels_across_the_inline_word() {
+        let mut next = xorshift(0x0064_B175);
+        for len in [0, 1, 63, 64, 65, 127, 128, 129, 200] {
+            let s = BitString::from_bits((0..len).map(|_| next() & 1 != 0));
+            let label = Label::from_bitstr(s.as_bitstr());
+            assert_eq!(label.len(), len);
+            assert_eq!(matches!(label, Label::Inline { .. }), len <= 64, "{len}");
+            let mut back = BitString::new();
+            label.push_onto(&mut back);
+            assert_eq!(back, s, "{len}");
+            assert_eq!(label.lcp(s.as_bitstr()), len);
+            for at in [0, 1, 63, 64, 65, 128, len.saturating_sub(1)] {
+                if at >= len {
+                    continue;
+                }
+                assert_eq!(label.get(at), s.get(at));
+                let mut other: BitString = s.as_bitstr().prefix(at).into();
+                other.push(!s.get(at));
+                assert_eq!(label.lcp(other.as_bitstr()), at, "{len} at {at}");
+                let (head, tail) = (label.slice(0, at), label.slice(at + 1, len - at - 1));
+                let joined = head.join(s.get(at), &tail);
+                let mut rejoined = BitString::new();
+                joined.push_onto(&mut rejoined);
+                assert_eq!(rejoined, s, "{len} split and joined at {at}");
+            }
+        }
     }
 
     #[test]

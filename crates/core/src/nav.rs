@@ -111,55 +111,73 @@ pub trait TrieNav {
     }
 }
 
-/// Entries a descent path keeps on the stack before spilling to the heap.
-/// Covers every realistic trie height (one entry per *branching* ancestor),
-/// so queries are allocation-free in the common case.
+/// Entries an [`InlinePath`] keeps on the stack before spilling to the
+/// heap. Covers every realistic trie height (one entry per *branching*
+/// ancestor), so descents are allocation-free in the common case.
 const INLINE_PATH: usize = 40;
 
-/// The (ancestor, branch-bit) trail of a root-to-node descent.
+/// Per-level entries of a root-to-node descent, in a stack-allocated
+/// inline buffer with heap spill.
 ///
-/// A stack-allocated inline buffer with heap spill: `descend_exact` /
-/// `descend_prefix` run once per query, and the per-query `Vec` they used
-/// to build showed up as the last allocation in every static rank/select.
-/// The inline slots stay uninitialised until written (`len` tracks
-/// occupancy), so constructing a path costs nothing.
-pub(crate) struct DescentPath<'a, T: TrieNav + 'a> {
-    inline: [std::mem::MaybeUninit<(T::Node<'a>, bool)>; INLINE_PATH],
+/// `descend_exact` / `descend_prefix` run once per query, and the
+/// per-query `Vec` they used to build showed up as the last allocation in
+/// every static rank/select; the dynamic trie's insert collects its
+/// bitvector edits in one too. The inline slots stay uninitialised until
+/// written (`len` tracks occupancy), so constructing a path costs
+/// nothing. Inline entries are never dropped, so `E` must own nothing: a
+/// node handle, a reference, plain values.
+pub(crate) struct InlinePath<E> {
+    inline: [std::mem::MaybeUninit<E>; INLINE_PATH],
     len: usize,
-    spill: Vec<(T::Node<'a>, bool)>,
+    spill: Vec<E>,
 }
 
-impl<'a, T: TrieNav + 'a> DescentPath<'a, T> {
+/// The (ancestor, branch-bit) trail of a root-to-node descent.
+pub(crate) type DescentPath<'a, T> = InlinePath<(<T as TrieNav>::Node<'a>, bool)>;
+
+impl<E> InlinePath<E> {
     pub(crate) fn new() -> Self {
-        DescentPath {
-            inline: [std::mem::MaybeUninit::uninit(); INLINE_PATH],
+        InlinePath {
+            inline: [const { std::mem::MaybeUninit::uninit() }; INLINE_PATH],
             len: 0,
             spill: Vec::new(),
         }
     }
 
+    #[inline]
+    pub(crate) fn push(&mut self, e: E) {
+        if self.len < INLINE_PATH {
+            self.inline[self.len].write(e);
+            self.len += 1;
+        } else {
+            self.spill.push(e);
+        }
+    }
+
+    /// Consumes the entries in root-to-leaf order.
+    pub(crate) fn drain(self, f: impl FnMut(E)) {
+        let inline = self.inline[..self.len].iter().map(|slot| {
+            // SAFETY: `len` only grows past a slot in `push` after writing
+            // it, and `self` is consumed, so each slot is read once.
+            unsafe { slot.assume_init_read() }
+        });
+        inline.chain(self.spill).for_each(f);
+    }
+}
+
+impl<E: Copy> InlinePath<E> {
     /// Entry `k`, which must be `< self.len`.
     #[inline]
-    fn inline_entry(&self, k: usize) -> (T::Node<'a>, bool) {
+    fn inline_entry(&self, k: usize) -> E {
         debug_assert!(k < self.len);
         // SAFETY: `len` only grows past a slot in `push` after writing it,
         // and entries are `Copy` (no drop obligations).
         unsafe { self.inline[k].assume_init() }
     }
 
+    /// The deepest entry, if any.
     #[inline]
-    pub(crate) fn push(&mut self, v: T::Node<'a>, b: bool) {
-        if self.len < INLINE_PATH {
-            self.inline[self.len].write((v, b));
-            self.len += 1;
-        } else {
-            self.spill.push((v, b));
-        }
-    }
-
-    /// The deepest (ancestor, branch) pair, if any.
-    #[inline]
-    pub(crate) fn last(&self) -> Option<(T::Node<'a>, bool)> {
+    pub(crate) fn last(&self) -> Option<E> {
         self.spill.last().copied().or(if self.len > 0 {
             Some(self.inline_entry(self.len - 1))
         } else {
@@ -168,14 +186,14 @@ impl<'a, T: TrieNav + 'a> DescentPath<'a, T> {
     }
 
     /// Root-to-leaf order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (T::Node<'a>, bool)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = E> + '_ {
         (0..self.len)
             .map(|k| self.inline_entry(k))
             .chain(self.spill.iter().copied())
     }
 
     /// Leaf-to-root order.
-    pub(crate) fn iter_rev(&self) -> impl Iterator<Item = (T::Node<'a>, bool)> + '_ {
+    pub(crate) fn iter_rev(&self) -> impl Iterator<Item = E> + '_ {
         self.spill
             .iter()
             .rev()
@@ -221,7 +239,7 @@ pub(crate) fn descend_exact<'a, T: TrieNav>(t: &'a T, s: BitStr<'_>) -> Descent<
         None => return Descent::Absent,
     };
     let mut delta = 0usize;
-    let mut path = DescentPath::new();
+    let mut path = InlinePath::new();
     loop {
         let rest = s.suffix(delta);
         let l = t.nav_label_lcp(v, rest);
@@ -242,7 +260,7 @@ pub(crate) fn descend_exact<'a, T: TrieNav>(t: &'a T, s: BitStr<'_>) -> Descent<
         }
         let b = s.get(delta);
         delta += 1;
-        path.push(v, b);
+        path.push((v, b));
         v = t.nav_child(v, b);
     }
 }
@@ -255,7 +273,7 @@ pub(crate) fn descend_prefix<'a, T: TrieNav>(t: &'a T, p: BitStr<'_>) -> Descent
         None => return Descent::Absent,
     };
     let mut delta = 0usize;
-    let mut path = DescentPath::new();
+    let mut path = InlinePath::new();
     loop {
         let rest = p.suffix(delta);
         let l = t.nav_label_lcp(v, rest);
@@ -269,7 +287,7 @@ pub(crate) fn descend_prefix<'a, T: TrieNav>(t: &'a T, p: BitStr<'_>) -> Descent
         }
         let b = p.get(delta);
         delta += 1;
-        path.push(v, b);
+        path.push((v, b));
         v = t.nav_child(v, b);
     }
 }

@@ -75,6 +75,12 @@ impl BitString {
         self.bits.push(bit);
     }
 
+    /// Appends the `width <= 64` low bits of `value`, LSB-first.
+    #[inline]
+    pub fn push_bits(&mut self, value: u64, width: usize) {
+        self.bits.push_bits(value, width);
+    }
+
     /// Appends all bits of `other`.
     pub fn push_str(&mut self, other: BitStr<'_>) {
         self.bits
@@ -455,5 +461,9 @@ mod tests {
         let mut s = BitString::parse("101");
         s.push_str(BitString::parse("0011").as_bitstr());
         assert_eq!(s.to_string(), "1010011");
+        // LSB-first: bit 0 of the value comes first.
+        s.push_bits(0b0110, 4);
+        s.push_bits(!0, 64);
+        assert_eq!(s.to_string(), format!("10100110110{}", "1".repeat(64)));
     }
 }

@@ -7,7 +7,9 @@
 
 mod support;
 
-use support::{check_ops, check_shape, code, conform, encode_all, random_codes, store, Oracle};
+use support::{
+    check_ops, check_shape, code, conform, encode_all, long_labels, random_codes, store, Oracle,
+};
 use wavelet_trie::{BitString, DynamicWaveletTrie};
 
 #[test]
@@ -29,6 +31,17 @@ fn tiered_store_matches_monolithic_trie_bit_level() {
     let pool: Vec<BitString> = (0..40).map(|v| code(v, 9)).collect();
     check_ops(DynamicWaveletTrie::new(), &pool, 0xBEE5_1DE5, 500, 100);
     check_ops(store(&[], 16, 2), &pool, 0xBEE5_1DE5, 500, 100);
+}
+
+/// Labels around the tries' 64-bit inline limit through inserts, deletes
+/// (whose merges join labels past it), seals, compactions and publishes.
+#[test]
+fn long_labels_under_mixed_ops() {
+    let mut pool = long_labels();
+    pool.sort();
+    pool.dedup();
+    check_ops(DynamicWaveletTrie::new(), &pool, 0x6464_0001, 400, 100);
+    check_ops(store(&[], 16, 2), &pool, 0x6464_0001, 400, 100);
 }
 
 /// A sealed segment produced by the store must answer exactly like a

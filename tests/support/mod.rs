@@ -50,8 +50,49 @@ pub fn encode_all<S: AsRef<[u8]>>(strings: &[S]) -> Vec<BitString> {
     strings.iter().map(|s| c.encode(s.as_ref())).collect()
 }
 
+/// Labels on both sides of the dynamic tries' 64-bit inline labels.
+/// Strings part from one 647-bit spine at growing offsets, so the trie's
+/// internal labels are 63 (the root), 64, 0, 65, 127, 128 and 129 bits
+/// long, and its leaves hang tails of 63, 64, 65, 127, 128, 129 and 0
+/// bits. Appended in this order, the strings split the spine's leaf at
+/// offsets 63, 64, 0, 65, 127, 128 and 129, and the spine with its last
+/// bit flipped splits it at its last bit. Deleting a string's last
+/// occurrence merges two labels back, past 64 bits where the string
+/// parted at 64 or 128. 300 repeats follow, so the upper bitvectors
+/// outgrow their inline word.
+pub fn long_labels() -> Vec<BitString> {
+    let mut next = xorshift(0x6465);
+    let mut bits = |n: usize| BitString::from_bits((0..n).map(|_| next() & 1 != 0));
+    let spine = bits(647);
+    let mut seq = vec![spine.clone()];
+    let mut cut = 0;
+    for (label, tail) in [
+        (63, 63),
+        (64, 64),
+        (0, 65),
+        (65, 127),
+        (127, 128),
+        (128, 129),
+        (129, 0),
+    ] {
+        cut += label;
+        let mut s: BitString = spine.as_bitstr().prefix(cut).into();
+        s.push(!spine.get(cut));
+        s.push_str(bits(tail).as_bitstr());
+        seq.push(s);
+        cut += 1;
+    }
+    let mut flipped: BitString = spine.as_bitstr().prefix(646).into();
+    flipped.push(!spine.get(646));
+    seq.push(flipped);
+    let distinct = seq.clone();
+    seq.extend((0..300).map(|_| distinct[(next() % distinct.len() as u64) as usize].clone()));
+    seq
+}
+
 /// The named trie shapes: mixed fanout, one root leaf, one leaf per
-/// string, deep-skewed, empty, singleton, and the empty string alone.
+/// string, deep-skewed, labels around 64 bits, empty, singleton, and the
+/// empty string alone.
 pub fn shapes() -> Vec<(&'static str, Vec<BitString>)> {
     let mut next = xorshift(0x9D_0DE1);
     let mut deep_skewed: Vec<BitString> = (0..80).map(|d| deep(d, next() % 16)).collect();
@@ -61,6 +102,7 @@ pub fn shapes() -> Vec<(&'static str, Vec<BitString>)> {
         ("all_equal", vec![code(5, 7); 400]),
         ("all_distinct", (0..700).map(|v| code(v, 12)).collect()),
         ("deep_skewed", deep_skewed),
+        ("long_labels", long_labels()),
         ("empty", Vec::new()),
         ("singleton", vec![code(3, 5)]),
         ("empty_string_only", vec![BitString::new(); 4]),
