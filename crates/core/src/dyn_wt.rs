@@ -208,11 +208,21 @@ impl Label {
 
     /// `self · bit · tail`: the label of a node merged with its only child.
     fn join(&self, bit: bool, tail: &Label) -> Label {
-        let mut bits = BitString::new();
-        self.push_onto(&mut bits);
-        bits.push(bit);
-        tail.push_onto(&mut bits);
-        Label::from_bitstr(bits.as_bitstr())
+        let head = self.len();
+        Self::collect(head + 1 + tail.len(), |i, width| {
+            // The chunk's part in `self`, then `bit`, then its part in `tail`.
+            let from_head = head.saturating_sub(i).min(width);
+            let mut v = self.get_bits(i.min(head), from_head);
+            let mut k = from_head;
+            if k < width && i + k == head {
+                v |= (bit as u64) << k;
+                k += 1;
+            }
+            if k < width {
+                v |= tail.get_bits(i + k - head - 1, width - k) << k;
+            }
+            v
+        })
     }
 
     /// Heap bits: none for an inline label.
