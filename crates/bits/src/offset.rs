@@ -97,6 +97,22 @@ impl OffsetBitVec {
     fn rest(&self) -> &AppendBitVec {
         self.rest.as_deref().expect("bit past the inline word")
     }
+
+    /// The `k`-th `bit` among the explicit bits, as an explicit position.
+    fn select_explicit(&self, bit: bool, k: usize) -> Option<usize> {
+        let ones = self.first.count_ones() as usize;
+        let in_first = if bit {
+            ones
+        } else {
+            self.first_len as usize - ones
+        };
+        if k < in_first {
+            let valid = self.first_len as usize;
+            return Some(select_bit_in_word(self.first, bit, valid, k as u32) as usize);
+        }
+        let rest = self.rest.as_ref()?;
+        rest.select(bit, k - in_first).map(|p| p + 64)
+    }
 }
 
 impl BitAccess for OffsetBitVec {
@@ -139,24 +155,6 @@ impl BitRank for OffsetBitVec {
         self.implicit_ones()
             + self.first.count_ones() as usize
             + self.rest.as_ref().map_or(0, |r| r.count_ones())
-    }
-}
-
-impl OffsetBitVec {
-    /// The `k`-th `bit` among the explicit bits, as an explicit position.
-    fn select_explicit(&self, bit: bool, k: usize) -> Option<usize> {
-        let ones = self.first.count_ones() as usize;
-        let in_first = if bit {
-            ones
-        } else {
-            self.first_len as usize - ones
-        };
-        if k < in_first {
-            let valid = self.first_len as usize;
-            return Some(select_bit_in_word(self.first, bit, valid, k as u32) as usize);
-        }
-        let rest = self.rest.as_ref()?;
-        rest.select(bit, k - in_first).map(|p| p + 64)
     }
 }
 
